@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 
@@ -227,35 +228,49 @@ def _load_models(cfg: RunConfig) -> dict:
     return models
 
 
-def _raw_test_assessment_inputs(cfg: RunConfig):
-    """Loan amount and term per test applicant, from the raw test CSV."""
-    table = _load_application(cfg, cfg.application_test)
+def _raw_test_assessment_inputs(cfg: RunConfig, prepared_ids) -> tuple[list, list]:
+    """Loan amount and term per test applicant, from the raw test CSV.
+
+    Every amount must be a finite number > 0 and every term a whole number
+    >= 1; the applicants must be those of the prepared test matrix.
+    """
+    path = cfg.application_test
+    table = _load_application(cfg, path)
     for column in (cfg.amount_column, cfg.term_column):
         if not table.has_column(column):
-            raise DataError(
-                f"{cfg.application_test}: assessment column {column!r} is missing"
-            )
+            raise DataError(f"{path}: assessment column {column!r} is missing")
     ids = list(table.column(cfg.id_column).values)
-    amounts = list(table.column(cfg.amount_column).values)
-    terms = list(table.column(cfg.term_column).values)
-    return ids, amounts, terms
-
-
-def _evaluate_models(cfg: RunConfig) -> list[report_mod.ModelEvaluation]:
-    models = _load_models(cfg)
-    _, _, (ids_te, test, y_te) = _load_prepared(cfg)
-    raw_ids, amounts, terms = _raw_test_assessment_inputs(cfg)
-    if raw_ids != ids_te:
+    amounts = table.column(cfg.amount_column).values
+    terms = table.column(cfg.term_column).values
+    for applicant_id, amount, term in zip(ids, amounts, terms):
+        if not (isinstance(amount, float) and math.isfinite(amount) and amount > 0):
+            raise DataError(
+                f"{path}: applicant {applicant_id}: {cfg.amount_column!r} must be a "
+                f"finite number > 0, got {amount!r}"
+            )
+        if not (isinstance(term, float) and term.is_integer() and term >= 1):
+            raise DataError(
+                f"{path}: applicant {applicant_id}: {cfg.term_column!r} must be a "
+                f"whole number >= 1, got {term!r}"
+            )
+    if ids != list(prepared_ids):
         raise DataError("test CSV and prepared test matrix are out of sync")
+    return list(amounts), [int(t) for t in terms]
 
+
+def _evaluate_models(
+    cfg: RunConfig, models: dict, test_split, amounts, terms
+) -> list[report_mod.ModelEvaluation]:
+    """Per-model metrics and business impact on the prepared test split."""
+    ids_te, test, y_te = test_split
     evaluations = []
     for order, (kind, model) in enumerate(models.items()):
         probs = predict_proba(model, test)
         cm = metrics_mod.confusion(y_te, probs, cfg.threshold)
         curve = metrics_mod.roc_auc(y_te, probs)
         assessments = [
-            assess(float(p), float(a), int(t), cfg.risk, applicant_id=i)
-            for p, a, t, i in zip(probs, amounts, terms, raw_ids)
+            assess(float(p), a, t, cfg.risk, applicant_id=i)
+            for p, a, t, i in zip(probs, amounts, terms, ids_te)
         ]
         impact = portfolio_impact(assessments, y_te, cfg.threshold)
         evaluations.append(
@@ -281,7 +296,10 @@ def _evaluate_models(cfg: RunConfig) -> list[report_mod.ModelEvaluation]:
 
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
     """Per-model metrics and business impact at the configured threshold."""
-    evaluations = _evaluate_models(cfg)
+    models = _load_models(cfg)
+    _, _, test_split = _load_prepared(cfg)
+    amounts, terms = _raw_test_assessment_inputs(cfg, test_split[0])
+    evaluations = _evaluate_models(cfg, models, test_split, amounts, terms)
     doc = {
         "format": "riskforge.evaluation/1",
         "threshold": cfg.threshold,
@@ -296,9 +314,10 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
 def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     """Applicant reports for the selected ids plus business and XAI reports."""
     models = _load_models(cfg)
-    pipeline, (_, train, _), (ids_te, test, _) = _load_prepared(cfg)
-    _, amounts, terms = _raw_test_assessment_inputs(cfg)
-    evaluations = _evaluate_models(cfg)
+    pipeline, (_, train, _), test_split = _load_prepared(cfg)
+    ids_te, test, _ = test_split
+    amounts, terms = _raw_test_assessment_inputs(cfg, ids_te)
+    evaluations = _evaluate_models(cfg, models, test_split, amounts, terms)
     written = []
 
     business = report_mod.BusinessImpactReport(evaluations, cfg.threshold)
@@ -335,8 +354,8 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
         k = index_of[applicant_id]
         assessment = assess(
             float(probs[k]),
-            float(amounts[k]),
-            int(terms[k]),
+            amounts[k],
+            terms[k],
             cfg.risk,
             applicant_id=applicant_id,
         )

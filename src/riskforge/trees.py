@@ -1,11 +1,18 @@
 """Decision-tree ensembles: bagged Gini forest and second-order boosting.
 
 All three learners share one substrate: features are quantile-binned once
-per training run and every candidate split threshold is a bin edge. The
-boosted learners grow trees either level-wise (split the whole frontier up
-to a depth cap) or leaf-wise (repeatedly split the single leaf with the
-highest positive gain until a leaf budget is reached), using the standard
-second-order gain
+per training run and every candidate split threshold is a bin edge. They
+also share one split-search kernel (``BinCodes``): the bin codes are offset
+once per fit so that one gathered ``np.bincount`` per quantity builds a
+node's (features x bins) histograms, weighted by gradient and hessian for
+boosting and by the class-1 indicator for the forest. Each learner scores
+every candidate in one array expression with its own gain, and one pick
+step applies the shared tie rule.
+
+The boosted learners grow trees either level-wise (split the whole
+frontier up to a depth cap) or leaf-wise (repeatedly split the single leaf
+with the highest positive gain until a leaf budget is reached), using the
+standard second-order gain
 
     gain = 1/2 * [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma
 
@@ -101,19 +108,10 @@ class ForestParams:
 
 
 @dataclass(frozen=True)
-class GradHessBuffer:
-    g: np.ndarray
-    h: np.ndarray
-
-
-@dataclass(frozen=True)
 class BinIndex:
     """Per-feature ascending bin edges fitted from training quantiles."""
 
     edges: tuple[np.ndarray, ...]
-
-    def n_bins(self, feature: int) -> int:
-        return self.edges[feature].size + 1
 
 
 @dataclass
@@ -191,81 +189,95 @@ def bin_matrix(bins: BinIndex, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_histograms(
-    binned: np.ndarray,
-    rows: np.ndarray,
-    bins: BinIndex,
-    grad_hess: GradHessBuffer,
-    features=None,
-) -> list:
-    """Per-feature (G, H, count) sums over bins for the rows in one node."""
-    gi = grad_hess.g[rows]
-    hi = grad_hess.h[rows]
-    feats = range(binned.shape[1]) if features is None else features
-    out = []
-    for f in feats:
-        codes = binned[rows, f]
-        nb = bins.n_bins(f)
-        out.append(
-            (
-                np.bincount(codes, weights=gi, minlength=nb),
-                np.bincount(codes, weights=hi, minlength=nb),
-                np.bincount(codes, minlength=nb).astype(np.int64),
-            )
-        )
-    return out
+@dataclass(frozen=True)
+class BinCodes:
+    """Bin codes of a training matrix, offset so that feature f owns the
+    histogram slots [f * stride, (f + 1) * stride).
 
-
-def _best_split_boosted(binned, bins, rows, g, h, feats, prm, g_sum, h_sum):
-    """Best (feature, edge index, gain) by second-order gain, or None.
-
-    Ties resolve to the lowest feature index, then the lowest edge index,
-    so scans are reproducible across runs.
+    ``stride`` is the largest bin count, and at least 2, so every feature has
+    at least one candidate column.
     """
-    best_gain = 0.0
-    best = None
-    gi = g[rows]
-    hi = h[rows]
-    n = rows.size
-    lam = prm.l2_regularization
-    for f in feats:
-        e = bins.edges[f]
-        if e.size == 0:
-            continue
-        codes = binned[rows, f]
-        nb = e.size + 1
-        gb = np.bincount(codes, weights=gi, minlength=nb)
-        hb = np.bincount(codes, weights=hi, minlength=nb)
-        cb = np.bincount(codes, minlength=nb)
-        gl = np.cumsum(gb)[:-1]
-        hl = np.cumsum(hb)[:-1]
-        cl = np.cumsum(cb)[:-1]
-        gr = g_sum - gl
-        hr = h_sum - hl
-        cr = n - cl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = split_gain(gl, hl, gr, hr, lam, prm.min_split_gain)
-        valid = (
-            (cl > 0)
-            & (cr > 0)
-            & (hl >= prm.min_child_weight)
-            & (hr >= prm.min_child_weight)
-        )
-        gains = np.where(valid, gains, -np.inf)
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
-            best = (f, i, best_gain)
-    return best
+
+    codes: np.ndarray
+    stride: int
+
+    @classmethod
+    def of(cls, bins: BinIndex, binned: np.ndarray) -> "BinCodes":
+        stride = max(2, max((e.size + 1 for e in bins.edges), default=1))
+        offsets = np.arange(binned.shape[1], dtype=np.intp) * stride
+        return cls(binned.astype(np.intp) + offsets, stride)
+
+    def histograms(self, rows: np.ndarray, feats: np.ndarray, weights=()):
+        """(features x bins) row-count histogram of one node, and one
+        weighted histogram per array in ``weights``; row k is feature
+        ``feats[k]``.
+
+        The codes are gathered row-major, so each bin adds its rows in the
+        order of ``rows`` and every sum equals a per-feature ``np.bincount``
+        bit for bit.
+        """
+        flat = self.codes[np.ix_(rows, feats)].ravel()
+        size = self.codes.shape[1] * self.stride
+
+        def hist(w):
+            return np.bincount(flat, w, minlength=size).reshape(-1, self.stride)[feats]
+
+        return hist(None), [hist(np.repeat(w[rows], len(feats))) for w in weights]
+
+    def goes_left(self, rows: np.ndarray, feature: int, edge_idx: int) -> np.ndarray:
+        return self.codes[rows, feature] <= feature * self.stride + edge_idx
 
 
-def _grow_levelwise(binned, bins, g, h, rows, feats, prm, depth, leaf_rows):
+def _left_sums(hist: np.ndarray) -> np.ndarray:
+    """Left-child sum of every candidate: edge i sends bins 0..i left.
+
+    Columns past a feature's last edge send every row left, so the candidate
+    checks (both children non-empty) reject them.
+    """
+    return np.cumsum(hist, axis=1)[:, :-1]
+
+
+def _pick_split(gains: np.ndarray, feats: np.ndarray):
+    """Best (feature, edge index, gain) with positive gain, or None.
+
+    Ties resolve to the lowest edge index within a feature, then to the
+    earliest feature, so scans are reproducible across runs. A feature whose
+    first maximum is NaN is never chosen.
+    """
+    edge = np.argmax(gains, axis=1)
+    best = gains[np.arange(edge.size), edge]
+    best[np.isnan(best)] = -np.inf
+    k = int(np.argmax(best))
+    if not best[k] > 0.0:
+        return None
+    return int(feats[k]), int(edge[k]), float(best[k])
+
+
+def _best_split_boosted(codes, rows, g, h, feats, prm, g_sum, h_sum):
+    """Best (feature, edge index, gain) by second-order gain, or None."""
+    count, (gb, hb) = codes.histograms(rows, feats, (g, h))
+    cl, gl, hl = _left_sums(count), _left_sums(gb), _left_sums(hb)
+    gr = g_sum - gl
+    hr = h_sum - hl
+    cr = rows.size - cl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = split_gain(gl, hl, gr, hr, prm.l2_regularization, prm.min_split_gain)
+    valid = (
+        (cl > 0)
+        & (cr > 0)
+        & (hl >= prm.min_child_weight)
+        & (hr >= prm.min_child_weight)
+    )
+    return _pick_split(np.where(valid, gains, -np.inf), feats)
+
+
+def _grow_levelwise(codes, bins, g, h, rows, feats, prm, depth, leaf_rows):
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
     best = (
         None
         if depth >= prm.max_depth
-        else _best_split_boosted(binned, bins, rows, g, h, feats, prm, g_sum, h_sum)
+        else _best_split_boosted(codes, rows, g, h, feats, prm, g_sum, h_sum)
     )
     if best is None:
         node = TreeNode(
@@ -274,27 +286,25 @@ def _grow_levelwise(binned, bins, g, h, rows, feats, prm, depth, leaf_rows):
         leaf_rows.append((node, rows))
         return node
     f, edge_idx, _ = best
-    mask = binned[rows, f] <= edge_idx
+    mask = codes.goes_left(rows, f, edge_idx)
     node = TreeNode(feature=int(f), threshold=float(bins.edges[f][edge_idx]), cover=h_sum)
     node.left = _grow_levelwise(
-        binned, bins, g, h, rows[mask], feats, prm, depth + 1, leaf_rows
+        codes, bins, g, h, rows[mask], feats, prm, depth + 1, leaf_rows
     )
     node.right = _grow_levelwise(
-        binned, bins, g, h, rows[~mask], feats, prm, depth + 1, leaf_rows
+        codes, bins, g, h, rows[~mask], feats, prm, depth + 1, leaf_rows
     )
     return node
 
 
-def _grow_leafwise(binned, bins, g, h, rows, feats, prm, leaf_rows):
+def _grow_leafwise(codes, bins, g, h, rows, feats, prm, leaf_rows):
     """Best-first growth: always split the pending leaf with maximal gain."""
 
     def make_entry(node, node_rows, created):
         g_sum = float(g[node_rows].sum())
         h_sum = float(h[node_rows].sum())
         node.cover = h_sum
-        split = _best_split_boosted(
-            binned, bins, node_rows, g, h, feats, prm, g_sum, h_sum
-        )
+        split = _best_split_boosted(codes, node_rows, g, h, feats, prm, g_sum, h_sum)
         return {
             "node": node,
             "rows": node_rows,
@@ -318,7 +328,7 @@ def _grow_leafwise(binned, bins, g, h, rows, feats, prm, leaf_rows):
         node = chosen["node"]
         node.feature = int(f)
         node.threshold = float(bins.edges[f][edge_idx])
-        mask = binned[chosen["rows"], f] <= edge_idx
+        mask = codes.goes_left(chosen["rows"], f, edge_idx)
         node.left = TreeNode()
         node.right = TreeNode()
         pending.append(make_entry(node.left, chosen["rows"][mask], created))
@@ -355,7 +365,7 @@ def fit_boosted(
         raise DataError("boosting requires both classes in the training data")
 
     bins = fit_bins(x, params.n_bins)
-    binned = bin_matrix(bins, x)
+    codes = BinCodes.of(bins, bin_matrix(bins, x))
     y_bar = float(y.mean())
     base = math.log(y_bar / (1.0 - y_bar))
     margin = np.full(x.shape[0], base, dtype=np.float64)
@@ -370,9 +380,9 @@ def fit_boosted(
         feats = _feature_subset(rng, x.shape[1], params.feature_fraction)
         leaf_rows: list = []
         if params.growth == GROWTH_LEVEL:
-            root = _grow_levelwise(binned, bins, g, h, all_rows, feats, params, 0, leaf_rows)
+            root = _grow_levelwise(codes, bins, g, h, all_rows, feats, params, 0, leaf_rows)
         else:
-            root = _grow_leafwise(binned, bins, g, h, all_rows, feats, params, leaf_rows)
+            root = _grow_leafwise(codes, bins, g, h, all_rows, feats, params, leaf_rows)
         for node, node_rows in leaf_rows:
             margin[node_rows] += params.learning_rate * node.value
         trees.append(root)
@@ -395,55 +405,40 @@ def fit_boosted(
     )
 
 
-def _best_split_gini(binned, bins, rows, y1, feats):
-    """Best (feature, edge index) by Gini impurity decrease, or None."""
+def _best_split_gini(codes, rows, y1, feats):
+    """Best (feature, edge index, gain) by Gini impurity decrease, or None."""
     n = rows.size
-    yi = y1[rows]
-    n1 = float(yi.sum())
+    n1 = float(y1[rows].sum())
     p1 = n1 / n
     parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
-    best_gain = 0.0
-    best = None
-    for f in feats:
-        e = bins.edges[f]
-        if e.size == 0:
-            continue
-        codes = binned[rows, f]
-        nb = e.size + 1
-        c1 = np.bincount(codes, weights=yi, minlength=nb)
-        c = np.bincount(codes, minlength=nb).astype(np.float64)
-        c1l = np.cumsum(c1)[:-1]
-        cl = np.cumsum(c)[:-1]
-        c1r = n1 - c1l
-        cr = n - cl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pl = c1l / cl
-            pr = c1r / cr
-            gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-            gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-            gains = parent - (cl * gini_l + cr * gini_r) / n
-        gains = np.where((cl > 0) & (cr > 0), gains, -np.inf)
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
-            best = (f, i)
-    return best
+    count, (c1,) = codes.histograms(rows, feats, (y1,))
+    cl = _left_sums(count.astype(np.float64))
+    c1l = _left_sums(c1)
+    c1r = n1 - c1l
+    cr = n - cl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pl = c1l / cl
+        pr = c1r / cr
+        gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+        gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+        gains = parent - (cl * gini_l + cr * gini_r) / n
+    return _pick_split(np.where((cl > 0) & (cr > 0), gains, -np.inf), feats)
 
 
-def _grow_gini(binned, bins, rows, y1, rng, prm, depth):
+def _grow_gini(codes, bins, rows, y1, rng, prm, depth):
     n = rows.size
     n1 = float(y1[rows].sum())
     if depth >= prm.max_depth or n1 == 0.0 or n1 == float(n):
         return TreeNode(value=n1 / n, cover=float(n))
-    feats = _feature_subset(rng, binned.shape[1], prm.feature_fraction)
-    best = _best_split_gini(binned, bins, rows, y1, feats)
+    feats = _feature_subset(rng, len(bins.edges), prm.feature_fraction)
+    best = _best_split_gini(codes, rows, y1, feats)
     if best is None:
         return TreeNode(value=n1 / n, cover=float(n))
-    f, edge_idx = best
-    mask = binned[rows, f] <= edge_idx
+    f, edge_idx, _ = best
+    mask = codes.goes_left(rows, f, edge_idx)
     node = TreeNode(feature=int(f), threshold=float(bins.edges[f][edge_idx]), cover=float(n))
-    node.left = _grow_gini(binned, bins, rows[mask], y1, rng, prm, depth + 1)
-    node.right = _grow_gini(binned, bins, rows[~mask], y1, rng, prm, depth + 1)
+    node.left = _grow_gini(codes, bins, rows[mask], y1, rng, prm, depth + 1)
+    node.right = _grow_gini(codes, bins, rows[~mask], y1, rng, prm, depth + 1)
     return node
 
 
@@ -458,13 +453,13 @@ def fit_forest(
         raise DataError("forest requires both classes in the training data")
 
     bins = fit_bins(x, params.n_bins)
-    binned = bin_matrix(bins, x)
+    codes = BinCodes.of(bins, bin_matrix(bins, x))
     n = x.shape[0]
 
     def grow_one(t: int) -> TreeNode:
         rng = np.random.default_rng(stage_seed(params.seed, f"forest-tree-{t}"))
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        return _grow_gini(binned, bins, rows, y1, rng, params, 0)
+        return _grow_gini(codes, bins, rows, y1, rng, params, 0)
 
     trees = parallel_map(grow_one, range(params.n_trees), threads)
     names = tuple(feature_names) if feature_names else tuple(

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import riskforge
 from riskforge.cli import main
 from riskforge.config import default_config_dict, load_config, parse_config
 from riskforge.errors import ConfigError
@@ -185,6 +187,35 @@ class TestAssess:
         assert before == after
 
 
+class TestRawLoanInputs:
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    def test_blank_amount_exits_2_naming_applicant(self, workdir, tmp_path, capsys, command):
+        root, config_path = workdir
+        with open(root / "corpus" / "application_test.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        applicant_id = rows[1]["applicant_id"]
+        rows[1]["amt_credit"] = ""
+        test_csv = tmp_path / "application_test.csv"
+        with open(test_csv, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        shutil.copytree(root / "out" / "prepared", tmp_path / "out" / "prepared")
+        shutil.copytree(root / "out" / "models", tmp_path / "out" / "models")
+        cfg = json.loads(config_path.read_text())
+        cfg["data"]["application_test"] = str(test_csv)
+        cfg["output_dir"] = str(tmp_path / "out")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        args = [command, "--config", str(p)]
+        if command == "assess":
+            args += ["--ids", rows[0]["applicant_id"]]
+        assert main(args) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert applicant_id in lines[0] and "amt_credit" in lines[0]
+
+
 class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -234,10 +265,14 @@ class TestConfig:
 
 class TestConsoleEntryPoint:
     def test_installed_script_help(self):
+        # The child imports the same riskforge as this process, installed or not.
+        package_root = os.path.dirname(os.path.dirname(riskforge.__file__))
+        path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "riskforge.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "gen-corpus" in proc.stdout

@@ -9,15 +9,14 @@ from riskforge.sampling import LabeledMatrix
 from riskforge.trees import (
     GROWTH_LEAF,
     GROWTH_LEVEL,
+    BinCodes,
     BinIndex,
     BoostedModel,
     BoostingParams,
     ForestModel,
     ForestParams,
-    GradHessBuffer,
     TreeNode,
     bin_matrix,
-    build_histograms,
     fit_bins,
     fit_boosted,
     fit_forest,
@@ -133,37 +132,76 @@ class TestBins:
             fit_bins(np.ones((5, 1)), 1)
 
 
+def per_feature_histograms(binned, rows, feats, stride, weights):
+    """Reference for the kernel: one np.bincount per feature and quantity."""
+    count = np.array([np.bincount(binned[rows, f], minlength=stride) for f in feats])
+    weighted = [
+        np.array([np.bincount(binned[rows, f], w[rows], minlength=stride) for f in feats])
+        for w in weights
+    ]
+    return count, weighted
+
+
 class TestHistograms:
-    def test_single_row(self):
-        x = np.array([[0.7]])
-        data = GradHessBuffer(np.array([0.3]), np.array([0.2]))
-        bins = BinIndex((np.array([0.5]),))
+    """The (features x bins) kernel against per-feature bincounts, bit for bit."""
+
+    def check(self, x, rows, feats, weights, bins=None):
+        bins = fit_bins(x, 16) if bins is None else bins
         binned = bin_matrix(bins, x)
-        (g, h, c), = build_histograms(binned, np.array([0]), bins, data)
-        assert g[1] == 0.3 and h[1] == 0.2 and c[1] == 1
-        assert g[0] == 0.0 and c[0] == 0
+        codes = BinCodes.of(bins, binned)
+        count, weighted = codes.histograms(rows, np.asarray(feats), weights)
+        ref_count, ref_weighted = per_feature_histograms(
+            binned, rows, feats, codes.stride, weights
+        )
+        assert np.array_equal(count, ref_count)
+        assert len(weighted) == len(weights)
+        for got, want in zip(weighted, ref_weighted):
+            assert np.array_equal(got, want)
+        return count, weighted
+
+    def test_single_row(self):
+        bins = BinIndex((np.array([0.5]),))
+        (c,), ((g,), (h,)) = self.check(
+            np.array([[0.7]]), np.array([0]), [0], (np.array([0.3]), np.array([0.2])), bins
+        )
+        assert g.tolist() == [0.0, 0.3] and h.tolist() == [0.0, 0.2]
+        assert c.tolist() == [0, 1]
+
+    def test_same_bin_rows_aggregate(self):
+        bins = BinIndex((np.array([0.5]),))  # both rows fall below the only edge
+        w = (np.array([1.0, 2.0]), np.array([0.1, 0.2]))
+        (c,), ((g,), (h,)) = self.check(np.array([[0.1], [0.2]]), np.array([0, 1]), [0], w, bins)
+        assert g[0] == 3.0 and h[0] == 0.1 + 0.2 and c[0] == 2
 
     def test_partition_identity(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(150, 4))
-        g = rng.normal(size=150)
-        h = rng.random(150)
-        bins = fit_bins(x, 16)
-        binned = bin_matrix(bins, x)
-        rows = np.arange(0, 150, 2)
-        hists = build_histograms(binned, rows, bins, GradHessBuffer(g, h))
-        for gb, hb, cb in hists:
-            assert gb.sum() == pytest.approx(g[rows].sum(), abs=1e-9)
-            assert hb.sum() == pytest.approx(h[rows].sum(), abs=1e-9)
-            assert cb.sum() == len(rows)
+        g, h = rng.normal(size=150), rng.random(150)
+        rows = rng.permutation(150)[:75]
+        count, (gb, hb) = self.check(x, rows, range(4), (g, h))
+        assert np.all(count.sum(axis=1) == rows.size)
+        assert gb.sum(axis=1) == pytest.approx([g[rows].sum()] * 4, abs=1e-9)
+        assert hb.sum(axis=1) == pytest.approx([h[rows].sum()] * 4, abs=1e-9)
 
-    def test_same_bin_rows_aggregate(self):
-        x = np.array([[0.1], [0.2]])  # both below the only edge
-        bins = BinIndex((np.array([0.5]),))
-        binned = bin_matrix(bins, x)
-        data = GradHessBuffer(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
-        (g, h, c), = build_histograms(binned, np.array([0, 1]), bins, data)
-        assert g[0] == 3.0 and h[0] == pytest.approx(0.3) and c[0] == 2
+    def test_strict_feature_subset(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(120, 5))
+        x[:, 3] = np.round(x[:, 3])  # fewer bins than the widest feature
+        count, _ = self.check(x, np.arange(0, 120, 3), [1, 3, 4], (rng.normal(size=120),))
+        assert count.shape[0] == 3
+
+    def test_constant_feature(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(60, 3))
+        x[:, 1] = 2.5
+        count, _ = self.check(x, np.arange(60), [0, 1, 2], (rng.random(60),))
+        assert count[1, 0] == 60 and count[1, 1:].sum() == 0
+
+    def test_stride_is_at_least_two(self):
+        bins = BinIndex((np.empty(0), np.empty(0)))
+        codes = BinCodes.of(bins, bin_matrix(bins, np.ones((4, 2))))
+        assert codes.stride == 2
+        assert codes.codes[:, 1].tolist() == [2] * 4
 
 
 def walk(node, fn):
@@ -354,6 +392,35 @@ class TestForest:
         )
         pred = (predict_proba(model, data.features) >= 0.5).astype(int)
         assert np.array_equal(pred, data.labels)
+
+    def test_chosen_split_beats_every_candidate(self):
+        # Oracle: recompute the Gini decrease of every (feature, edge)
+        # candidate at the root from raw counts and compare with the split
+        # the grower picked.
+        data = random_data(n=300, d=4, seed=3)
+        prm = ForestParams(n_trees=1, max_depth=1, feature_fraction=1.0, bootstrap=False, seed=0)
+        model = fit_forest(data, prm)
+        root = model.trees[0]
+        assert not root.is_leaf
+        y = data.labels.astype(float)
+
+        def gini(labels):
+            p = labels.mean()
+            return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+        best = -np.inf
+        arg = None
+        for f in range(4):
+            for edge in model.bins.edges[f]:
+                left = data.features[:, f] <= edge
+                if left.sum() == 0 or left.sum() == len(y):
+                    continue
+                child = (left.sum() * gini(y[left]) + (~left).sum() * gini(y[~left])) / len(y)
+                gain = gini(y) - child
+                if gain > best:
+                    best, arg = gain, (f, float(edge))
+        assert best > 0
+        assert (root.feature, root.threshold) == arg
 
     def test_identical_rows_predict_class_prior(self):
         # Unsplittable data: every tree is a single leaf holding the prior
