@@ -287,6 +287,7 @@ def _evaluate_models(
                     roc_curve=curve,
                     business=impact.business,
                     impact=impact,
+                    assessments=tuple(assessments),
                 ),
             )
         )
@@ -339,6 +340,7 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     if report_kind == "best":
         report_kind = evaluations[0].name
     model = models[report_kind]
+    assessments = next(ev.assessments for ev in evaluations if ev.name == report_kind)
     explainer = TreeShapExplainer(model)
 
     index_of = {i: k for k, i in enumerate(ids_te)}
@@ -349,16 +351,8 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
 
     mu = train.mean(axis=0)
     sd = train.std(axis=0)
-    probs = predict_proba(model, test)
     for applicant_id in chosen:
         k = index_of[applicant_id]
-        assessment = assess(
-            float(probs[k]),
-            amounts[k],
-            terms[k],
-            cfg.risk,
-            applicant_id=applicant_id,
-        )
         shap_exp = explainer.explain(test[k], instance_id=applicant_id)
         lime_params = dataclasses.replace(
             cfg.lime, seed=stage_seed(cfg.seed, f"lime-{applicant_id}")
@@ -372,7 +366,7 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
             instance_id=applicant_id,
         )
         applicant = report_mod.ApplicantReport(
-            assessment=assessment,
+            assessment=assessments[k],
             shap=shap_exp,
             lime=lime_exp,
             model_name=report_kind,

@@ -204,14 +204,12 @@ def apply_scaler(state: ScalerState, table: Table) -> Table:
     return Table(tuple(out), table.name)
 
 
-def fit_pipeline(table: Table, order: tuple[str, ...] = STAGE_ORDER) -> FittedPipeline:
+def fit_pipeline(table: Table) -> FittedPipeline:
     """Fit all four stages in the fixed impute -> clip -> encode -> scale order.
 
     The scaler is fitted on the clipped numeric columns only; one-hot
     indicator columns stay 0/1 in the transformed matrix.
     """
-    if tuple(order) != STAGE_ORDER:
-        raise DataError(f"stage order must be {STAGE_ORDER}, got {tuple(order)}")
     imputer = fit_imputer(table)
     imputed = apply_imputer(imputer, table)
     clipper = fit_clipper(imputed)

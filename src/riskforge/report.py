@@ -203,28 +203,19 @@ def applicant_report_html(report: ApplicantReport, doc: dict) -> str:
     return _page(f"Applicant {doc['applicant_id']}", body)
 
 
-def render_applicant(
-    report: ApplicantReport, out_dir: str, formats=("json", "html", "svg")
-) -> list[str]:
+def render_applicant(report: ApplicantReport, out_dir: str) -> list[str]:
     """Write the applicant report tree; returns the file paths written."""
     doc = applicant_report_doc(report)
     base = os.path.join(out_dir, "applicants", report.assessment.applicant_id)
-    written = []
-    if "json" in formats:
-        path = os.path.join(base, "report.json")
-        dump_json(doc, path)
-        written.append(path)
-    if "html" in formats:
-        path = os.path.join(base, "report.html")
-        write_text(path, applicant_report_html(report, doc))
-        written.append(path)
-    if "svg" in formats:
-        lime_path = os.path.join(base, "charts", "lime.svg")
-        write_text(lime_path, svgplots.plot_lime(report.lime))
-        shap_path = os.path.join(base, "charts", "shap.svg")
-        write_text(shap_path, svgplots.plot_instance_shap(report.shap))
-        written.extend([lime_path, shap_path])
-    return written
+    json_path = os.path.join(base, "report.json")
+    dump_json(doc, json_path)
+    html_path = os.path.join(base, "report.html")
+    write_text(html_path, applicant_report_html(report, doc))
+    lime_path = os.path.join(base, "charts", "lime.svg")
+    write_text(lime_path, svgplots.plot_lime(report.lime))
+    shap_path = os.path.join(base, "charts", "shap.svg")
+    write_text(shap_path, svgplots.plot_instance_shap(report.shap))
+    return [json_path, html_path, lime_path, shap_path]
 
 
 @dataclass
@@ -241,6 +232,8 @@ class ModelEvaluation:
     roc_curve: RocCurve
     business: BusinessMetrics
     impact: PortfolioImpact
+    #: one per test-split row, in test-split order
+    assessments: tuple[ApplicantAssessment, ...]
 
 
 def evaluation_block(ev: ModelEvaluation) -> dict:

@@ -9,10 +9,11 @@ boosting and by the class-1 indicator for the forest. Each learner scores
 every candidate in one array expression with its own gain, and one pick
 step applies the shared tie rule.
 
-The boosted learners grow trees either level-wise (split the whole
-frontier up to a depth cap) or leaf-wise (repeatedly split the single leaf
-with the highest positive gain until a leaf budget is reached), using the
-standard second-order gain
+The boosted learners share one best-first grower: the pending node with
+the highest positive split gain splits next. Level-wise growth caps the
+depth (every splittable node above ``max_depth`` splits); leaf-wise growth
+caps the leaf count at ``max_leaves``. Both use the standard second-order
+gain
 
     gain = 1/2 * [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma
 
@@ -27,8 +28,10 @@ children when a feature is marginalized out.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -271,75 +274,48 @@ def _best_split_boosted(codes, rows, g, h, feats, prm, g_sum, h_sum):
     return _pick_split(np.where(valid, gains, -np.inf), feats)
 
 
-def _grow_levelwise(codes, bins, g, h, rows, feats, prm, depth, leaf_rows):
-    g_sum = float(g[rows].sum())
-    h_sum = float(h[rows].sum())
-    best = (
-        None
-        if depth >= prm.max_depth
-        else _best_split_boosted(codes, rows, g, h, feats, prm, g_sum, h_sum)
-    )
-    if best is None:
-        node = TreeNode(
-            value=leaf_value(g_sum, h_sum, prm.l2_regularization), cover=h_sum
-        )
-        leaf_rows.append((node, rows))
+def _grow_boosted(codes, bins, g, h, feats, prm):
+    """Grow one boosted tree best-first; return its root and (leaf, rows) pairs.
+
+    The pending node with the highest split gain splits first, ties going to
+    the node created first. Level-wise trees have a depth cap and no leaf
+    budget, so every node above the cap that has a split gets split;
+    leaf-wise trees have a leaf budget and no depth cap.
+    """
+    level_wise = prm.growth == GROWTH_LEVEL
+    max_depth = prm.max_depth if level_wise else math.inf
+    max_leaves = math.inf if level_wise else prm.max_leaves
+    heap, leaves, created = [], [], itertools.count()
+
+    def add(rows, depth):
+        g_sum = float(g[rows].sum())
+        h_sum = float(h[rows].sum())
+        node = TreeNode(cover=h_sum)
+        split = None
+        if depth < max_depth:
+            split = _best_split_boosted(codes, rows, g, h, feats, prm, g_sum, h_sum)
+        if split is None:
+            node.value = leaf_value(g_sum, h_sum, prm.l2_regularization)
+            leaves.append((node, rows))
+        else:
+            entry = (-split[2], next(created), node, rows, depth, split, g_sum)
+            heapq.heappush(heap, entry)
         return node
-    f, edge_idx, _ = best
-    mask = codes.goes_left(rows, f, edge_idx)
-    node = TreeNode(feature=int(f), threshold=float(bins.edges[f][edge_idx]), cover=h_sum)
-    node.left = _grow_levelwise(
-        codes, bins, g, h, rows[mask], feats, prm, depth + 1, leaf_rows
-    )
-    node.right = _grow_levelwise(
-        codes, bins, g, h, rows[~mask], feats, prm, depth + 1, leaf_rows
-    )
-    return node
 
-
-def _grow_leafwise(codes, bins, g, h, rows, feats, prm, leaf_rows):
-    """Best-first growth: always split the pending leaf with maximal gain."""
-
-    def make_entry(node, node_rows, created):
-        g_sum = float(g[node_rows].sum())
-        h_sum = float(h[node_rows].sum())
-        node.cover = h_sum
-        split = _best_split_boosted(codes, node_rows, g, h, feats, prm, g_sum, h_sum)
-        return {
-            "node": node,
-            "rows": node_rows,
-            "g": g_sum,
-            "h": h_sum,
-            "split": split,
-            "created": created,
-        }
-
-    root = TreeNode()
-    pending = [make_entry(root, rows, 0)]
-    created = 1
+    root = add(np.arange(g.size), 0)
     n_leaves = 1
-    while n_leaves < prm.max_leaves:
-        indices = [i for i, e in enumerate(pending) if e["split"] is not None]
-        if not indices:
-            break
-        chosen_i = max(indices, key=lambda i: (pending[i]["split"][2], -pending[i]["created"]))
-        chosen = pending.pop(chosen_i)
-        f, edge_idx, _ = chosen["split"]
-        node = chosen["node"]
-        node.feature = int(f)
+    while heap and n_leaves < max_leaves:
+        _, _, node, rows, depth, (f, edge_idx, _), _ = heapq.heappop(heap)
+        mask = codes.goes_left(rows, f, edge_idx)
+        node.feature = f
         node.threshold = float(bins.edges[f][edge_idx])
-        mask = codes.goes_left(chosen["rows"], f, edge_idx)
-        node.left = TreeNode()
-        node.right = TreeNode()
-        pending.append(make_entry(node.left, chosen["rows"][mask], created))
-        pending.append(make_entry(node.right, chosen["rows"][~mask], created + 1))
-        created += 2
+        node.left = add(rows[mask], depth + 1)
+        node.right = add(rows[~mask], depth + 1)
         n_leaves += 1
-    for e in pending:
-        node = e["node"]
-        node.value = leaf_value(e["g"], e["h"], prm.l2_regularization)
-        leaf_rows.append((node, e["rows"]))
-    return root
+    for _, _, node, rows, _, _, g_sum in heap:
+        node.value = leaf_value(g_sum, node.cover, prm.l2_regularization)
+        leaves.append((node, rows))
+    return root, leaves
 
 
 def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
@@ -354,22 +330,31 @@ def _feature_subset(rng, n_features: int, fraction: float) -> np.ndarray:
     return np.sort(rng.choice(n_features, size=m, replace=False))
 
 
+def _fit_setup(data: LabeledMatrix, n_bins: int, feature_names, learner: str):
+    """Checks shared by every learner, then the bins and offset bin codes of
+    the training matrix, and the feature names (``f0, f1, ...`` if none)."""
+    x = data.features
+    counts = np.bincount(data.labels, minlength=2)
+    if counts[0] == 0 or counts[1] == 0:
+        raise DataError(f"{learner} requires both classes in the training data")
+    names = tuple(feature_names) if feature_names else tuple(
+        f"f{i}" for i in range(x.shape[1])
+    )
+    if len(names) != x.shape[1]:
+        raise SchemaError("feature name count does not match the matrix width")
+    bins = fit_bins(x, n_bins)
+    return bins, BinCodes.of(bins, bin_matrix(bins, x)), names
+
+
 def fit_boosted(
     data: LabeledMatrix, params: BoostingParams, feature_names=None
 ) -> BoostedModel:
     """Train a boosted ensemble; records training log-loss after each round."""
-    x = data.features
+    bins, codes, names = _fit_setup(data, params.n_bins, feature_names, "boosting")
     y = data.labels.astype(np.float64)
-    counts = np.bincount(data.labels, minlength=2)
-    if counts[0] == 0 or counts[1] == 0:
-        raise DataError("boosting requires both classes in the training data")
-
-    bins = fit_bins(x, params.n_bins)
-    codes = BinCodes.of(bins, bin_matrix(bins, x))
     y_bar = float(y.mean())
     base = math.log(y_bar / (1.0 - y_bar))
-    margin = np.full(x.shape[0], base, dtype=np.float64)
-    all_rows = np.arange(x.shape[0])
+    margin = np.full(y.size, base, dtype=np.float64)
 
     trees: list[TreeNode] = []
     losses: list[float] = []
@@ -377,22 +362,13 @@ def fit_boosted(
         p = sigmoid(margin)
         g, h = logistic_grad_hess(p, y)
         rng = np.random.default_rng(stage_seed(params.seed, f"boost-tree-{t}"))
-        feats = _feature_subset(rng, x.shape[1], params.feature_fraction)
-        leaf_rows: list = []
-        if params.growth == GROWTH_LEVEL:
-            root = _grow_levelwise(codes, bins, g, h, all_rows, feats, params, 0, leaf_rows)
-        else:
-            root = _grow_leafwise(codes, bins, g, h, all_rows, feats, params, leaf_rows)
-        for node, node_rows in leaf_rows:
+        feats = _feature_subset(rng, len(names), params.feature_fraction)
+        root, leaves = _grow_boosted(codes, bins, g, h, feats, params)
+        for node, node_rows in leaves:
             margin[node_rows] += params.learning_rate * node.value
         trees.append(root)
         losses.append(_log_loss(y, sigmoid(margin)))
 
-    names = tuple(feature_names) if feature_names else tuple(
-        f"f{i}" for i in range(x.shape[1])
-    )
-    if len(names) != x.shape[1]:
-        raise SchemaError("feature name count does not match the matrix width")
     return BoostedModel(
         trees=trees,
         learning_rate=params.learning_rate,
@@ -426,6 +402,8 @@ def _best_split_gini(codes, rows, y1, feats):
 
 
 def _grow_gini(codes, bins, rows, y1, rng, prm, depth):
+    """Depth-first: each split draws its feature subset from the tree's one
+    RNG stream, so the visiting order is part of the model."""
     n = rows.size
     n1 = float(y1[rows].sum())
     if depth >= prm.max_depth or n1 == 0.0 or n1 == float(n):
@@ -446,15 +424,9 @@ def fit_forest(
     data: LabeledMatrix, params: ForestParams, threads: int = 1, feature_names=None
 ) -> ForestModel:
     """Train a bagged Gini forest; per-tree streams derive from (seed, index)."""
-    x = data.features
+    bins, codes, names = _fit_setup(data, params.n_bins, feature_names, "forest")
     y1 = data.labels.astype(np.float64)
-    counts = np.bincount(data.labels, minlength=2)
-    if counts[0] == 0 or counts[1] == 0:
-        raise DataError("forest requires both classes in the training data")
-
-    bins = fit_bins(x, params.n_bins)
-    codes = BinCodes.of(bins, bin_matrix(bins, x))
-    n = x.shape[0]
+    n = y1.size
 
     def grow_one(t: int) -> TreeNode:
         rng = np.random.default_rng(stage_seed(params.seed, f"forest-tree-{t}"))
@@ -462,11 +434,6 @@ def fit_forest(
         return _grow_gini(codes, bins, rows, y1, rng, params, 0)
 
     trees = parallel_map(grow_one, range(params.n_trees), threads)
-    names = tuple(feature_names) if feature_names else tuple(
-        f"f{i}" for i in range(x.shape[1])
-    )
-    if len(names) != x.shape[1]:
-        raise SchemaError("feature name count does not match the matrix width")
     return ForestModel(trees=trees, params=params, bins=bins, feature_names=names)
 
 
@@ -549,34 +516,11 @@ def model_to_doc(model) -> dict:
         "trees": [_node_to_doc(t) for t in model.trees],
     }
     if isinstance(model, BoostedModel):
-        p = model.params
         doc["growth"] = model.growth
         doc["base_score"] = model.base_score
         doc["learning_rate"] = model.learning_rate
         doc["train_loss"] = list(model.train_loss)
-        doc["params"] = {
-            "n_trees": p.n_trees,
-            "max_depth": p.max_depth,
-            "max_leaves": p.max_leaves,
-            "learning_rate": p.learning_rate,
-            "l2_regularization": p.l2_regularization,
-            "min_split_gain": p.min_split_gain,
-            "min_child_weight": p.min_child_weight,
-            "n_bins": p.n_bins,
-            "feature_fraction": p.feature_fraction,
-            "seed": p.seed,
-            "growth": p.growth,
-        }
-    else:
-        p = model.params
-        doc["params"] = {
-            "n_trees": p.n_trees,
-            "max_depth": p.max_depth,
-            "feature_fraction": p.feature_fraction,
-            "bootstrap": p.bootstrap,
-            "n_bins": p.n_bins,
-            "seed": p.seed,
-        }
+    doc["params"] = asdict(model.params)
     return doc
 
 

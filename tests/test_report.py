@@ -136,6 +136,7 @@ def sample_evaluation(name="boosted_leafwise", auc=0.9):
         roc_curve=RocCurve(((0.0, 0.0), (0.2, 0.9), (1.0, 1.0)), (float("inf"), 0.5, 0.0), auc),
         business=bm,
         impact=PortfolioImpact(bm, 50, 5_000_000.0, 123_456.0),
+        assessments=(),
     )
 
 

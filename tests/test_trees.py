@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -211,6 +212,14 @@ def walk(node, fn):
         walk(node.right, fn)
 
 
+def depth(node):
+    return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+
+
+def leaf_count(node):
+    return 1 if node.is_leaf else leaf_count(node.left) + leaf_count(node.right)
+
+
 class TestBoosted:
     @pytest.mark.parametrize("growth", [GROWTH_LEVEL, GROWTH_LEAF])
     def test_separable_data_reaches_full_accuracy(self, growth):
@@ -301,14 +310,45 @@ class TestBoosted:
             walk(tree, check)
 
     def test_max_leaves_respected(self):
+        # Leaf-wise growth has a leaf budget and no depth cap.
         data = random_data(n=600, d=5, seed=8)
         model = fit_boosted(
-            data, BoostingParams(n_trees=3, max_leaves=7, growth=GROWTH_LEAF, seed=0)
+            data,
+            BoostingParams(
+                n_trees=3, max_leaves=7, max_depth=2, growth=GROWTH_LEAF, seed=0
+            ),
         )
-        for tree in model.trees:
-            leaves = []
-            walk(tree, lambda n: leaves.append(1) if n.is_leaf else None)
-            assert len(leaves) <= 7
+        assert all(leaf_count(tree) <= 7 for tree in model.trees)
+        assert max(depth(tree) for tree in model.trees) > 2
+
+    def test_levelwise_caps_depth_not_leaves(self):
+        # Level-wise growth has a depth cap and no leaf budget.
+        data = random_data(n=600, d=5, seed=8)
+        model = fit_boosted(
+            data,
+            BoostingParams(
+                n_trees=3, max_depth=3, max_leaves=2, growth=GROWTH_LEVEL, seed=0
+            ),
+        )
+        assert all(depth(tree) <= 3 for tree in model.trees)
+        assert max(leaf_count(tree) for tree in model.trees) > 2
+
+    def test_leafwise_gain_tie_goes_to_earlier_node(self):
+        # Two mirrored halves: column 0 tells them apart and the labels of the
+        # second half are flipped, so after the root split on column 0 both
+        # children offer bitwise-equal gains. The left child was created
+        # first, so with a budget of three leaves only it splits.
+        rng = np.random.default_rng(4)
+        half = np.round(rng.normal(size=(60, 2)), 1)
+        y = (half[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
+        x = np.column_stack([np.repeat([0.0, 1.0], 60), np.vstack([half, half])])
+        data = LabeledMatrix(x, np.concatenate([y, 1 - y]))
+        model = fit_boosted(
+            data, BoostingParams(n_trees=1, max_leaves=3, growth=GROWTH_LEAF, seed=0)
+        )
+        root = model.trees[0]
+        assert root.feature == 0
+        assert not root.left.is_leaf and root.right.is_leaf
 
     def test_fixed_seed_byte_identical_docs(self):
         data = random_data(seed=10)
@@ -496,3 +536,44 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(SchemaError, match="format"):
             model_from_doc({"format": "bogus/9"})
+
+
+def golden_data():
+    """Seeded matrix with tied values (rounded to 0.1) and a constant feature."""
+    rng = np.random.default_rng(2024)
+    x = np.round(rng.normal(size=(160, 4)), 1)
+    x[:, 3] = 1.5
+    y = (rng.random(160) < sigmoid(x[:, 0] - x[:, 1])).astype(int)
+    return LabeledMatrix(x, y)
+
+
+#: SHA-256 of ``json.dumps(model_to_doc(model))`` per learner, recorded with
+#: numpy 2.4 on x86-64. A changed digest means the fitted model changed: a
+#: refactor must keep these, and a deliberate change records new ones.
+GOLDEN_DIGESTS = {
+    "leaf_wise": (
+        BoostingParams(
+            n_trees=5, max_leaves=7, n_bins=16, feature_fraction=0.75, seed=3,
+            growth=GROWTH_LEAF,
+        ),
+        "a071ca74eb31c7582e7ce50a5cd540abc6deed2a3c6011bca278df54bca28ea3",
+    ),
+    "level_wise": (
+        BoostingParams(
+            n_trees=5, max_depth=3, min_child_weight=0.5, seed=3, growth=GROWTH_LEVEL
+        ),
+        "3521d475b505f850128d7cdef792060ced1334b848da37df13128b68138b9490",
+    ),
+    "forest": (
+        ForestParams(n_trees=4, max_depth=4, feature_fraction=0.5, seed=3),
+        "4cf0a66157566a67a521669517e0e4368c001990fd7d0fff23ba6938e9e2c2ed",
+    ),
+}
+
+
+@pytest.mark.parametrize("learner", sorted(GOLDEN_DIGESTS))
+def test_model_doc_matches_golden_digest(learner):
+    params, expected = GOLDEN_DIGESTS[learner]
+    fit = fit_forest if isinstance(params, ForestParams) else fit_boosted
+    doc = json.dumps(model_to_doc(fit(golden_data(), params)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == expected
