@@ -91,6 +91,11 @@ def _load_application(cfg: RunConfig, path: str) -> Table:
     for required in (cfg.id_column, cfg.label_column):
         if not table.has_column(required):
             raise DataError(f"{path}: required column {required!r} is missing")
+    seen = set()
+    for applicant_id in table.column(cfg.id_column).values:
+        if applicant_id in seen:
+            raise DataError(f"{path}: duplicate applicant id {applicant_id!r}")
+        seen.add(applicant_id)
     return table
 
 

@@ -4,9 +4,12 @@ oracle, summary aggregation, and LIME local surrogates.
 TreeSHAP walks every root-to-leaf path once, maintaining the weighted set
 of feature subsets along the path (the extend/unwind bookkeeping of the
 polynomial-time algorithm). A feature that is absent from a subset sends
-weight down both children in proportion to their training cover. The
-exponential-time ``brute_shapley`` computes the same attributions straight
-from the Shapley definition and exists purely to cross-check the fast path.
+weight down both children in proportion to their training cover. It reads
+the fitted ``TreeNode`` trees directly: each node's split, children, cover
+and leaf value are all it needs, and the base value is each tree's
+cover-weighted leaf expectation. The exponential-time ``brute_shapley``
+computes the same attributions straight from the Shapley definition and
+exists purely to cross-check the fast path.
 
 Boosted ensembles are explained on the margin (log-odds) scale, where
 additivity is exact; forests on the probability scale. Every explanation
@@ -75,44 +78,14 @@ class LimeExplanation:
     prediction: float
 
 
-class _FlatTree:
-    """Array form of one tree; internal ``value`` entries hold the
-    cover-weighted expectation of their subtree."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "cover")
-
-    def __init__(self, root: TreeNode):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.cover: list[float] = []
-        self._add(root)
-        self._fill_expectations(0)
-
-    def _add(self, node: TreeNode) -> int:
-        idx = len(self.feature)
-        self.feature.append(node.feature)
-        self.threshold.append(node.threshold)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(node.value)
-        self.cover.append(node.cover)
-        if not node.is_leaf:
-            self.left[idx] = self._add(node.left)
-            self.right[idx] = self._add(node.right)
-        return idx
-
-    def _fill_expectations(self, idx: int) -> float:
-        if self.left[idx] == -1:
-            return self.value[idx]
-        li, ri = self.left[idx], self.right[idx]
-        el = self._fill_expectations(li)
-        er = self._fill_expectations(ri)
-        total = self.cover[li] + self.cover[ri]
-        self.value[idx] = (self.cover[li] * el + self.cover[ri] * er) / total
-        return self.value[idx]
+def _expected_value(node: TreeNode) -> float:
+    """Cover-weighted expectation of a subtree's leaf values."""
+    if node.is_leaf:
+        return node.value
+    left, right = node.left, node.right
+    el = _expected_value(left)
+    er = _expected_value(right)
+    return (left.cover * el + right.cover * er) / (left.cover + right.cover)
 
 
 def _unwind(fi, zf, of, pw, path_index):
@@ -153,7 +126,7 @@ def _unwound_sum(fi, zf, of, pw, path_index):
     return total
 
 
-def _shap_recurse(tree: _FlatTree, x, phi, node, fi, zf, of, pw, pzf, pof, pfi):
+def _shap_recurse(node: TreeNode, x, phi, fi, zf, of, pw, pzf, pof, pfi):
     # Copy the parent path, then extend it with the incoming fractions
     # (inlined _extend: this is the hottest loop in the package).
     fi = fi.copy()
@@ -170,22 +143,20 @@ def _shap_recurse(tree: _FlatTree, x, phi, node, fi, zf, of, pw, pzf, pof, pfi):
         pw[i + 1] += pof * pw[i] * (i + 1) * inv
         pw[i] = pzf * pw[i] * (depth - i) * inv
 
-    left = tree.left
-    child = left[node]
-    if child == -1:
-        leaf_value = tree.value[node]
+    left = node.left
+    if left is None:
+        leaf_value = node.value
         for i in range(1, depth + 1):
             w = _unwound_sum(fi, zf, of, pw, i)
             phi[fi[i]] += w * (of[i] - zf[i]) * leaf_value
         return
 
-    f = tree.feature[node]
-    ri = tree.right[node]
-    hot, cold = (child, ri) if x[f] <= tree.threshold[node] else (ri, child)
-    cover = tree.cover
-    w = cover[node]
-    hot_zero = cover[hot] / w
-    cold_zero = cover[cold] / w
+    f = node.feature
+    right = node.right
+    hot, cold = (left, right) if x[f] <= node.threshold else (right, left)
+    w = node.cover
+    hot_zero = hot.cover / w
+    cold_zero = cold.cover / w
     incoming_zero = 1.0
     incoming_one = 1.0
 
@@ -195,12 +166,12 @@ def _shap_recurse(tree: _FlatTree, x, phi, node, fi, zf, of, pw, pzf, pof, pfi):
         incoming_one = of[path_index]
         _unwind(fi, zf, of, pw, path_index)
 
-    _shap_recurse(tree, x, phi, hot, fi, zf, of, pw, hot_zero * incoming_zero, incoming_one, f)
-    _shap_recurse(tree, x, phi, cold, fi, zf, of, pw, cold_zero * incoming_zero, 0.0, f)
+    _shap_recurse(hot, x, phi, fi, zf, of, pw, hot_zero * incoming_zero, incoming_one, f)
+    _shap_recurse(cold, x, phi, fi, zf, of, pw, cold_zero * incoming_zero, 0.0, f)
 
 
 class TreeShapExplainer:
-    """Reusable explainer; flattens the ensemble once for batch use."""
+    """Reusable explainer: the scale, coefficient and base value of one model."""
 
     def __init__(self, model):
         if isinstance(model, BoostedModel):
@@ -214,9 +185,10 @@ class TreeShapExplainer:
         else:
             raise SchemaError(f"cannot explain model type {type(model).__name__}")
         self.model = model
-        self.flats = [_FlatTree(t) for t in model.trees]
         self.n_features = len(model.feature_names)
-        self.base_value = self.offset + self.coef * sum(f.value[0] for f in self.flats)
+        self.base_value = self.offset + self.coef * sum(
+            _expected_value(t) for t in model.trees
+        )
 
     def explain(self, instance, instance_id: str = "", margin: float | None = None) -> ShapExplanation:
         x = np.asarray(instance, dtype=np.float64).ravel()
@@ -226,8 +198,8 @@ class TreeShapExplainer:
             )
         phi = np.zeros(self.n_features, dtype=np.float64)
         xl = x.tolist()  # plain floats are faster in the recursion
-        for flat in self.flats:
-            _shap_recurse(flat, xl, phi, 0, [], [], [], [], 1.0, 1.0, -1)
+        for tree in self.model.trees:
+            _shap_recurse(tree, xl, phi, [], [], [], [], 1.0, 1.0, -1)
         phi *= self.coef
         if margin is None:
             margin = float(predict_margin(self.model, x.reshape(1, -1))[0])

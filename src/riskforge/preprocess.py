@@ -227,13 +227,28 @@ def fit_pipeline(table: Table) -> FittedPipeline:
     return FittedPipeline(imputer, clipper, encoder, scaler, schema, tuple(names))
 
 
+def _schema_difference(got, fitted) -> str:
+    """Name the first column where two (name, kind) schemas differ."""
+    got_kinds = dict(got)
+    for name, kind in fitted:
+        if name not in got_kinds:
+            return f"column {name!r} is missing"
+        if got_kinds[name] != kind:
+            return f"column {name!r} is {got_kinds[name]}, fitted as {kind}"
+    fitted_names = {name for name, _ in fitted}
+    for name, _ in got:
+        if name not in fitted_names:
+            return f"unexpected column {name!r}"
+    return "the columns are in a different order"
+
+
 def transform(pipeline: FittedPipeline, table: Table) -> FeatureMatrix:
     """Replay the fitted stages; returns a dense, missing-free float matrix."""
     schema = tuple((c.name, c.kind.value) for c in table.columns)
     if schema != pipeline.input_schema:
         raise SchemaError(
-            "table schema does not match the fitted pipeline "
-            f"(got {schema}, fitted {pipeline.input_schema})"
+            "table schema does not match the fitted pipeline: "
+            + _schema_difference(schema, pipeline.input_schema)
         )
     staged = apply_imputer(pipeline.imputer, table)
     staged = apply_clipper(pipeline.clipper, staged)

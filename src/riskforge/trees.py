@@ -78,6 +78,10 @@ class BoostingParams:
             raise DataError("n_trees must be >= 1")
         if self.n_bins < 2:
             raise DataError("n_bins must be >= 2")
+        if self.max_depth < 1:
+            raise DataError("max_depth must be >= 1")
+        if self.max_leaves < 2:
+            raise DataError("max_leaves must be >= 2")
         if not (0.0 < self.learning_rate <= 1.0):
             raise DataError("learning_rate must be in (0, 1]")
         if self.l2_regularization < 0 or self.min_split_gain < 0:

@@ -216,6 +216,70 @@ class TestRawLoanInputs:
         assert applicant_id in lines[0] and "amt_credit" in lines[0]
 
 
+def _set_cell(column, value, row=1):
+    def edit(rows):
+        rows[row][rows[0].index(column)] = value
+    return edit
+
+
+def _drop_last_field(rows):
+    rows[2] = rows[2][:-1]
+
+
+def _repeat_first_id(rows):
+    rows[2][0] = rows[1][0]
+
+
+class TestCorruptCells:
+    """One corrupted corpus cell: prepare exits 0, or 2 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "name, edit, code, needle",
+        [
+            ("application_test.csv", _set_cell("ext_score_1", "high"), 2, "'ext_score_1'"),
+            ("application_train.csv", _set_cell("ext_score_1", "high"), 2, "'ext_score_1'"),
+            ("application_train.csv", _set_cell("ext_score_1", ""), 0, None),
+            ("application_test.csv", _set_cell("amt_income_total", "NA"), 0, None),
+            ("application_train.csv", _drop_last_field, 2, "row 3"),
+            ("application_train.csv", _set_cell("target", ""), 2, "'target'"),
+            ("application_train.csv", _set_cell("target", "2"), 2, "'target'"),
+            ("application_test.csv", _repeat_first_id, 2, "duplicate applicant id"),
+            ("bureau.csv", _set_cell("amt_credit_sum", "lots"), 2, "'amt_credit_sum'"),
+        ],
+        ids=[
+            "text-in-numeric-test", "text-in-numeric-train", "blank-numeric",
+            "na-numeric", "ragged-row", "blank-target", "target-2", "duplicate-id",
+            "text-in-bureau-value",
+        ],
+    )
+    def test_prepare_exit_code(self, workdir, tmp_path, capsys, name, edit, code, needle):
+        root, config_path = workdir
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root / "corpus", corpus)
+        with open(corpus / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(corpus / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = json.loads(config_path.read_text())
+        data = cfg["data"]
+        for key in ("application_train", "application_test"):
+            data[key] = str(corpus / os.path.basename(data[key]))
+        for aux in data["aux"]:
+            aux["path"] = str(corpus / os.path.basename(aux["path"]))
+        cfg["output_dir"] = str(tmp_path / "out")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["prepare", "--config", str(p)]) == code
+        lines = capsys.readouterr().err.strip().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert needle in lines[0] and len(lines[0]) < 300
+
+
 class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):

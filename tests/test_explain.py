@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from test_trees import GOLDEN_DIGESTS, golden_data
 
 from riskforge.errors import DataError, SchemaError
 from riskforge.explain import (
@@ -19,6 +22,7 @@ from riskforge.trees import (
     ForestParams,
     TreeNode,
     fit_boosted,
+    fit_forest,
     predict_margin,
 )
 from riskforge.utils import sigmoid
@@ -302,3 +306,26 @@ class TestLime:
         )
         assert exp.weights[0][0] in ("a", "b", "c")
         assert 0.0 <= exp.prediction <= 1.0
+
+
+#: SHA-256 of the base value's bytes followed by every row's ``phi`` bytes,
+#: explaining ``golden_data()`` with each model of ``GOLDEN_DIGESTS``;
+#: recorded with numpy 2.4 on x86-64. The oracle tests allow 1e-9, so only
+#: this catches a last-bit change in TreeSHAP or its base value.
+SHAP_GOLDEN_DIGESTS = {
+    "forest": "41aa48fbbb0791a3204020f9750dc16bb6178c07485eb232e35a56d9593886b0",
+    "leaf_wise": "31e1781b8f677b7faf12ae9b8db5d4a0cafa2a5e9970c2c6e1d7e31f49a8f563",
+    "level_wise": "7a5bfd65388b838774d205b51cf8c3148d5c47a727485c899566fc0c7402aa88",
+}
+
+
+@pytest.mark.parametrize("learner", sorted(SHAP_GOLDEN_DIGESTS))
+def test_shap_matches_golden_digest(learner):
+    params, _ = GOLDEN_DIGESTS[learner]
+    data = golden_data()
+    fit = fit_forest if isinstance(params, ForestParams) else fit_boosted
+    explainer = TreeShapExplainer(fit(data, params))
+    digest = hashlib.sha256(np.float64(explainer.base_value).tobytes())
+    for row in data.features:
+        digest.update(explainer.explain(row).phi.tobytes())
+    assert digest.hexdigest() == SHAP_GOLDEN_DIGESTS[learner]

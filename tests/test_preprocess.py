@@ -224,6 +224,30 @@ class TestPipeline:
         with pytest.raises(SchemaError, match="schema"):
             transform(p, table(num_col("a", [1.0])))
 
+    @pytest.mark.parametrize(
+        "cols, expected",
+        [
+            (
+                (num_col("a", [1.0]), cat_col("c", ["x"]), cat_col("b", ["oops"])),
+                "pipeline: column 'b' is categorical, fitted as numeric$",
+            ),
+            ((num_col("a", [1.0]), cat_col("c", ["x"])), "pipeline: column 'b' is missing$"),
+            (
+                (num_col("a", [1.0]), cat_col("c", ["x"]), num_col("b", [1.0]),
+                 num_col("z", [1.0])),
+                "pipeline: unexpected column 'z'$",
+            ),
+            (
+                (cat_col("c", ["x"]), num_col("a", [1.0]), num_col("b", [1.0])),
+                "pipeline: the columns are in a different order$",
+            ),
+        ],
+    )
+    def test_schema_mismatch_names_first_differing_column(self, cols, expected):
+        p = fit_pipeline(sample_table())
+        with pytest.raises(SchemaError, match=expected):
+            transform(p, table(*cols))
+
     def test_json_round_trip(self):
         t = sample_table()
         p = fit_pipeline(t)

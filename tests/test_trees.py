@@ -371,6 +371,12 @@ class TestBoosted:
             BoostingParams(learning_rate=0.0)
         with pytest.raises(DataError):
             BoostingParams(growth="sideways")
+        for bad in (0, 1):
+            with pytest.raises(DataError, match="max_leaves"):
+                BoostingParams(max_leaves=bad)
+        for bad in (0, -3):
+            with pytest.raises(DataError, match="max_depth"):
+                BoostingParams(max_depth=bad, growth=GROWTH_LEVEL)
 
 
 def stump(feature, threshold, left_value, right_value, cover=(1.0, 1.0)):
