@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
+import itertools
 import os
 import sys
 
@@ -51,38 +51,31 @@ def _models_dir(cfg: RunConfig) -> str:
 def write_matrix_csv(path: str, feature_names, matrix: np.ndarray) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(feature_names))
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(list(feature_names))
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.tolist())
 
 
 def read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         names = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return names, np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
+        rows = list(reader)
+    cells = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64)
+    return names, cells.reshape(len(rows), len(names))
 
 
-def write_labels_csv(path: str, ids, labels) -> None:
+def write_labels_csv(path: str, ids, labels: np.ndarray) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["applicant_id", "label"])
-        for i, y in zip(ids, labels):
-            writer.writerow([i, int(y)])
+        writer.writerows(zip(ids, labels.tolist()))
 
 
 def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        ids, labels = [], []
-        for row in reader:
-            ids.append(row[0])
-            labels.append(int(row[1]))
-    return ids, np.asarray(labels, dtype=np.int64)
+        rows = list(csv.reader(fh))[1:]
+    return [row[0] for row in rows], np.array([int(row[1]) for row in rows], dtype=np.int64)
 
 
 def _load_application(cfg: RunConfig, path: str) -> Table:
@@ -91,11 +84,12 @@ def _load_application(cfg: RunConfig, path: str) -> Table:
     for required in (cfg.id_column, cfg.label_column):
         if not table.has_column(required):
             raise DataError(f"{path}: required column {required!r} is missing")
-    seen = set()
-    for applicant_id in table.column(cfg.id_column).values:
-        if applicant_id in seen:
-            raise DataError(f"{path}: duplicate applicant id {applicant_id!r}")
-        seen.add(applicant_id)
+    ids = table.column(cfg.id_column)
+    first = np.zeros(table.row_count, dtype=bool)
+    first[np.unique(ids.values, return_index=True)[1]] = True
+    repeats = np.flatnonzero(~first)
+    if repeats.size:
+        raise DataError(f"{path}: duplicate applicant id {ids.cell(repeats[0])!r}")
     return table
 
 
@@ -112,12 +106,12 @@ def _labels_from(table: Table, label_column: str) -> np.ndarray:
     col = table.column(label_column)
     if col.kind is not ColumnKind.NUMERIC:
         raise DataError(f"label column {label_column!r} must be numeric 0/1")
-    values = []
-    for v in col.values:
-        if v is None or v not in (0.0, 1.0):
-            raise DataError(f"label column {label_column!r} holds non-0/1 value {v!r}")
-        values.append(int(v))
-    return np.asarray(values, dtype=np.int64)
+    bad = np.flatnonzero((col.values != 0.0) & (col.values != 1.0))  # NaN too
+    if bad.size:
+        raise DataError(
+            f"label column {label_column!r} holds non-0/1 value {col.cell(bad[0])!r}"
+        )
+    return col.values.astype(np.int64)
 
 
 def _feature_table(cfg: RunConfig, table: Table) -> Table:
@@ -131,13 +125,7 @@ def cmd_gen_corpus(cfg: RunConfig) -> list[str]:
     paths = generate_corpus(
         cfg.corpus_dir, cfg.seed, cfg.corpus_rows, cfg.corpus_train_fraction
     )
-    return [
-        paths.application_train,
-        paths.application_test,
-        paths.bureau,
-        paths.payments,
-        paths.ground_truth,
-    ]
+    return list(dataclasses.astuple(paths))
 
 
 def cmd_prepare(cfg: RunConfig) -> list[str]:
@@ -169,7 +157,7 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
         label_path = os.path.join(out, f"{name}_labels.csv")
         write_labels_csv(
             label_path,
-            full.column(cfg.id_column).values,
+            full.column(cfg.id_column).strings(),
             _labels_from(full, cfg.label_column),
         )
         written.extend([feat_path, label_path])
@@ -244,23 +232,26 @@ def _raw_test_assessment_inputs(cfg: RunConfig, prepared_ids) -> tuple[list, lis
     for column in (cfg.amount_column, cfg.term_column):
         if not table.has_column(column):
             raise DataError(f"{path}: assessment column {column!r} is missing")
-    ids = list(table.column(cfg.id_column).values)
-    amounts = table.column(cfg.amount_column).values
-    terms = table.column(cfg.term_column).values
-    for applicant_id, amount, term in zip(ids, amounts, terms):
-        if not (isinstance(amount, float) and math.isfinite(amount) and amount > 0):
-            raise DataError(
-                f"{path}: applicant {applicant_id}: {cfg.amount_column!r} must be a "
-                f"finite number > 0, got {amount!r}"
-            )
-        if not (isinstance(term, float) and term.is_integer() and term >= 1):
-            raise DataError(
-                f"{path}: applicant {applicant_id}: {cfg.term_column!r} must be a "
-                f"whole number >= 1, got {term!r}"
-            )
+    ids = table.column(cfg.id_column).strings()
+    amounts, terms = table.column(cfg.amount_column), table.column(cfg.term_column)
+    a, t = (
+        c.values if c.kind is ColumnKind.NUMERIC else np.full(len(ids), np.nan)
+        for c in (amounts, terms)
+    )
+    rules = (  # a missing (NaN) or text cell breaks its rule
+        (amounts, a > 0, "a finite number > 0"),
+        (terms, (t >= 1) & (np.floor(t) == t), "a whole number >= 1"),
+    )
+    bad = np.flatnonzero(~(rules[0][1] & rules[1][1]))
+    if bad.size:
+        k = bad[0]
+        col, _, rule = next(r for r in rules if not r[1][k])
+        raise DataError(
+            f"{path}: applicant {ids[k]}: {col.name!r} must be {rule}, got {col.cell(k)!r}"
+        )
     if ids != list(prepared_ids):
         raise DataError("test CSV and prepared test matrix are out of sync")
-    return list(amounts), [int(t) for t in terms]
+    return amounts.values.tolist(), [int(t) for t in terms.values.tolist()]
 
 
 def _evaluate_models(
@@ -347,6 +338,9 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     model = models[report_kind]
     assessments = next(ev.assessments for ev in evaluations if ev.name == report_kind)
     explainer = TreeShapExplainer(model)
+    # Applicants in the SHAP sample reuse the summary's phi and margin.
+    summary = summaries[report_kind]
+    sample_position = {int(k): j for j, k in enumerate(sample_rows)}
 
     index_of = {i: k for k, i in enumerate(ids_te)}
     chosen = list(ids_te) if ids is None else list(ids)
@@ -358,7 +352,10 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     sd = train.std(axis=0)
     for applicant_id in chosen:
         k = index_of[applicant_id]
-        shap_exp = explainer.explain(test[k], instance_id=applicant_id)
+        if k in sample_position:
+            shap_exp = summary.explanation(sample_position[k], instance_id=applicant_id)
+        else:
+            shap_exp = explainer.explain(test[k], instance_id=applicant_id)
         lime_params = dataclasses.replace(
             cfg.lime, seed=stage_seed(cfg.seed, f"lime-{applicant_id}")
         )

@@ -54,12 +54,17 @@ def calibrate_intercept(signal_scale: float, target_rate: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _numeric(name: str, values) -> Column:
-    return Column(name, ColumnKind.NUMERIC, tuple(float(v) for v in values))
-
-
-def _categorical(name: str, values) -> Column:
-    return Column(name, ColumnKind.CATEGORICAL, tuple(str(v) for v in values))
+def _table(name: str, columns: dict, rows=slice(None)) -> Table:
+    """A table of the given rows; string arrays become Categorical columns."""
+    return Table(
+        tuple(
+            Column.categorical(key, values[rows].tolist())
+            if values.dtype.kind == "U"
+            else Column(key, ColumnKind.NUMERIC, values[rows])
+            for key, values in columns.items()
+        ),
+        name=name,
+    )
 
 
 @dataclass(frozen=True)
@@ -108,66 +113,55 @@ def generate_corpus(
     margin = intercept + COEF_EXT_1 * z1 + COEF_EXT_2 * z2 + COEF_RATIO * z3
     target = (rng.random(n) < sigmoid(margin)).astype(np.float64)
 
-    ids = [str(i + 1) for i in range(n)]
-    columns = [
-        _categorical("applicant_id", ids),
-        _numeric("target", target),
-        _numeric("ext_score_1", ext_score_1),
-        _numeric("ext_score_2", ext_score_2),
-        _numeric("amt_credit", credit),
-        _numeric("amt_goods_price", goods),
-        _numeric("amt_income_total", income),
-        _numeric("days_birth", days_birth),
-        _numeric("days_employed", days_employed),
-        _numeric("cnt_family_members", family),
-        _numeric("term_months", term),
-        _categorical("housing_type", housing),
-        _numeric("noise_1", noise[:, 0]),
-        _numeric("noise_2", noise[:, 1]),
-        _numeric("noise_3", noise[:, 2]),
-    ]
+    ids = np.array([str(i + 1) for i in range(n)])
+    columns = {
+        "applicant_id": ids,
+        "target": target,
+        "ext_score_1": ext_score_1,
+        "ext_score_2": ext_score_2,
+        "amt_credit": credit,
+        "amt_goods_price": goods,
+        "amt_income_total": income,
+        "days_birth": days_birth,
+        "days_employed": days_employed,
+        "cnt_family_members": family,
+        "term_months": term,
+        "housing_type": housing,
+        "noise_1": noise[:, 0],
+        "noise_2": noise[:, 1],
+        "noise_3": noise[:, 2],
+    }
     n_train = int(round(train_fraction * n))
-
-    def split(col: Column, lo: int, hi: int) -> Column:
-        return Column(col.name, col.kind, col.values[lo:hi])
-
-    train = Table(tuple(split(c, 0, n_train) for c in columns), name="application_train")
-    test = Table(tuple(split(c, n_train, n) for c in columns), name="application_test")
+    train = _table("application_train", columns, slice(0, n_train))
+    test = _table("application_test", columns, slice(n_train, n))
 
     # Auxiliary tables are pure noise; 0..4 bureau rows, 0..6 payment rows each.
     bureau_counts = rng.integers(0, 5, size=n)
     bureau_ids = np.repeat(ids, bureau_counts)
     nb = len(bureau_ids)
-    bureau = Table(
-        (
-            _categorical("applicant_id", bureau_ids),
-            _numeric("amt_credit_sum", np.round(np.exp(rng.normal(12.0, 0.8, size=nb)), 2)),
-            _numeric("days_credit", -rng.integers(100, 3_000, size=nb).astype(np.float64)),
-        ),
-        name="bureau",
+    bureau = _table(
+        "bureau",
+        {
+            "applicant_id": bureau_ids,
+            "amt_credit_sum": np.round(np.exp(rng.normal(12.0, 0.8, size=nb)), 2),
+            "days_credit": -rng.integers(100, 3_000, size=nb).astype(np.float64),
+        },
     )
     payment_counts = rng.integers(0, 7, size=n)
     payment_ids = np.repeat(ids, payment_counts)
-    np_rows = len(payment_ids)
-    payments = Table(
-        (
-            _categorical("applicant_id", payment_ids),
-            _numeric("amt_payment", np.round(np.exp(rng.normal(9.5, 0.7, size=np_rows)), 2)),
-        ),
-        name="payments",
+    payments = _table(
+        "payments",
+        {
+            "applicant_id": payment_ids,
+            "amt_payment": np.round(np.exp(rng.normal(9.5, 0.7, size=len(payment_ids))), 2),
+        },
     )
 
-    paths = CorpusPaths(
-        application_train=os.path.join(out_dir, "application_train.csv"),
-        application_test=os.path.join(out_dir, "application_test.csv"),
-        bureau=os.path.join(out_dir, "bureau.csv"),
-        payments=os.path.join(out_dir, "payments.csv"),
-        ground_truth=os.path.join(out_dir, "ground_truth.json"),
-    )
-    write_csv(train, paths.application_train)
-    write_csv(test, paths.application_test)
-    write_csv(bureau, paths.bureau)
-    write_csv(payments, paths.payments)
+    csv_paths = []
+    for table in (train, test, bureau, payments):
+        csv_paths.append(os.path.join(out_dir, f"{table.name}.csv"))
+        write_csv(table, csv_paths[-1])
+    paths = CorpusPaths(*csv_paths, ground_truth=os.path.join(out_dir, "ground_truth.json"))
     dump_json(
         {
             "format": GROUND_TRUTH_FORMAT,

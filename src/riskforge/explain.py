@@ -51,6 +51,17 @@ class ShapSummary:
     mean_abs: np.ndarray
     ranking: tuple[int, ...]  # feature indices by mean |phi| desc, ties by index
 
+    def explanation(self, row: int, instance_id: str = "") -> ShapExplanation:
+        """Sample row ``row`` as a single-instance explanation."""
+        return ShapExplanation(
+            instance_id=instance_id,
+            scale=self.scale,
+            base_value=self.base_value,
+            phi=self.shap_values[row],
+            margin=float(self.margins[row]),
+            feature_names=self.feature_names,
+        )
+
 
 @dataclass(frozen=True)
 class LimeParams:
@@ -213,11 +224,6 @@ class TreeShapExplainer:
         )
 
 
-def tree_shap(model, instance, instance_id: str = "") -> ShapExplanation:
-    """Exact path-dependent SHAP values for one instance."""
-    return TreeShapExplainer(model).explain(instance, instance_id)
-
-
 def _leaf_paths(root: TreeNode, x) -> list:
     """(leaf value, [(feature, on_x_path, cover_fraction), ...]) per leaf."""
     paths = []
@@ -364,9 +370,10 @@ def lime_explain(
     w = np.exp(-dist2 / kernel_width**2)
 
     design = np.hstack([np.ones((params.n_samples, 1)), z_std])
-    gram = design.T @ (design * w[:, None])
+    # einsum without ``optimize`` never calls BLAS, so no BLAS thread pool wakes.
+    gram = np.einsum("ki,kj->ij", design, design * w[:, None])
     gram[1:, 1:] += params.alpha * np.eye(d)
-    rhs = design.T @ (w * y)
+    rhs = np.einsum("ki,k->i", design, w * y)
     try:
         beta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:

@@ -7,12 +7,13 @@ year conversions, and threshold flags.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import SchemaError
-from .tabular import MISSING, Column, ColumnKind, Table
+from .tabular import Column, ColumnKind, Table
 
 DAYS_PER_YEAR = 365.25
 
@@ -39,13 +40,9 @@ class Flag:
     value: float
 
 
-_FLAG_OPS = {
-    "gt": operator.gt,
-    "ge": operator.ge,
-    "lt": operator.lt,
-    "le": operator.le,
-    "eq": operator.eq,
-}
+_FLAG_OPS = dict(
+    gt=np.greater, ge=np.greater_equal, lt=np.less, le=np.less_equal, eq=np.equal
+)
 
 RecipeKind = Union[Ratio, DaysToYears, Flag]
 
@@ -67,44 +64,27 @@ class FeatureCatalog:
     recipes: tuple[FeatureRecipe, ...]
 
 
-def default_catalog() -> FeatureCatalog:
-    """The shipped catalog, wired to the synthetic corpus column names."""
-    return FeatureCatalog(
-        (
-            FeatureRecipe("CREDIT_TO_GOODS_RATIO", Ratio("amt_credit", "amt_goods_price")),
-            FeatureRecipe("AGE_YEARS", DaysToYears("days_birth")),
-            FeatureRecipe("YEARS_EMPLOYED", DaysToYears("days_employed")),
-            FeatureRecipe("INCOME_TO_CREDIT_RATIO", Ratio("amt_income_total", "amt_credit")),
-        )
-    )
-
-
-def _recipe_values(table: Table, recipe: FeatureRecipe) -> tuple:
+def _recipe_values(table: Table, recipe: FeatureRecipe) -> np.ndarray:
     for name in recipe.inputs:
         if not table.has_column(name):
             raise SchemaError(f"recipe {recipe.name!r} needs unknown column {name!r}")
         if table.column(name).kind is not ColumnKind.NUMERIC:
             raise SchemaError(f"recipe {recipe.name!r} input {name!r} is not numeric")
 
+    # A missing (NaN) input gives a missing output.
     kind = recipe.kind
     if isinstance(kind, Ratio):
         num = table.column(kind.numerator).values
         den = table.column(kind.denominator).values
-        return tuple(
-            MISSING if a is MISSING or b is MISSING or b == 0 else a / b
-            for a, b in zip(num, den)
-        )
+        with np.errstate(over="ignore"):  # Column rejects a ratio that overflows
+            return np.divide(num, den, out=np.full(len(num), np.nan), where=den != 0)
     if isinstance(kind, DaysToYears):
-        src = table.column(kind.source).values
-        return tuple(MISSING if v is MISSING else (-v) / DAYS_PER_YEAR for v in src)
+        return -table.column(kind.source).values / DAYS_PER_YEAR
     if isinstance(kind, Flag):
         if kind.op not in _FLAG_OPS:
             raise SchemaError(f"recipe {recipe.name!r} has unknown flag op {kind.op!r}")
-        cmp = _FLAG_OPS[kind.op]
         src = table.column(kind.source).values
-        return tuple(
-            MISSING if v is MISSING else (1.0 if cmp(v, kind.value) else 0.0) for v in src
-        )
+        return np.where(np.isnan(src), np.nan, _FLAG_OPS[kind.op](src, kind.value))
     raise SchemaError(f"recipe {recipe.name!r} has unsupported kind {kind!r}")
 
 

@@ -8,13 +8,12 @@ so held-out rows never leak into the fitted statistics.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .tabular import MISSING, Column, ColumnKind, Table
+from .tabular import Column, ColumnKind, Table, recode
 
 STAGE_ORDER = ("impute", "clip", "encode", "scale")
 
@@ -71,13 +70,32 @@ class FittedPipeline:
     feature_names: tuple[str, ...]
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
+def _median(values: np.ndarray) -> float:
+    ordered = np.sort(values, kind="stable").tolist()  # -0.0/0.0 ties keep row order
     n = len(ordered)
     mid = n // 2
     if n % 2 == 1:
-        return float(ordered[mid])
+        return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def _complete(table: Table, kind: ColumnKind):
+    """The table's columns of ``kind``, each of which must have no missing cell."""
+    for col in table.columns:
+        if col.kind is kind:
+            if col.missing.any():
+                raise DataError(f"column {col.name!r} still has missing cells; impute first")
+            yield col
+
+
+def _mean_std(table: Table) -> dict[str, tuple[float, float]]:
+    """Population mean and std per numeric column; 0.0 for an empty column."""
+    return {
+        col.name: (float(col.values.mean()), float(col.values.std()))
+        if col.values.size
+        else (0.0, 0.0)
+        for col in _complete(table, ColumnKind.NUMERIC)
+    }
 
 
 def fit_imputer(table: Table) -> ImputerState:
@@ -85,48 +103,39 @@ def fit_imputer(table: Table) -> ImputerState:
     medians: dict[str, float] = {}
     modes: dict[str, str] = {}
     for col in table.columns:
-        present = col.non_missing()
-        if not present:
+        present = col.values[~col.missing]
+        if not present.size:
             raise DataError(f"column {col.name!r} has no non-missing values to fit")
         if col.kind is ColumnKind.NUMERIC:
             medians[col.name] = _median(present)
         else:
-            counts = Counter(present)
-            top = max(counts.values())
-            modes[col.name] = min(c for c, n in counts.items() if n == top)
+            # The vocabulary is sorted, so the first top count is the lexicographic minimum.
+            counts = np.bincount(present, minlength=len(col.vocabulary))
+            modes[col.name] = col.vocabulary[int(np.argmax(counts))]
     return ImputerState(medians, modes)
 
 
 def apply_imputer(state: ImputerState, table: Table) -> Table:
     out = []
     for col in table.columns:
+        fitted = state.medians if col.kind is ColumnKind.NUMERIC else state.modes
+        if col.name not in fitted:
+            raise SchemaError(f"column {col.name!r} was not seen at fit time")
+        fill = fitted[col.name]
         if col.kind is ColumnKind.NUMERIC:
-            if col.name not in state.medians:
-                raise SchemaError(f"column {col.name!r} was not seen at fit time")
-            fill = state.medians[col.name]
-        else:
-            if col.name not in state.modes:
-                raise SchemaError(f"column {col.name!r} was not seen at fit time")
-            fill = state.modes[col.name]
-        values = tuple(fill if v is MISSING else v for v in col.values)
-        out.append(Column(col.name, col.kind, values))
+            out.append(Column(col.name, col.kind, np.where(col.missing, fill, col.values)))
+            continue
+        vocabulary = tuple(sorted({*col.vocabulary, fill}))
+        codes = recode(col.values, col.vocabulary, vocabulary)
+        codes[codes < 0] = vocabulary.index(fill)
+        out.append(Column(col.name, col.kind, codes, vocabulary))
     return Table(tuple(out), table.name)
 
 
 def fit_clipper(table: Table) -> ClipperState:
     """Population mean/std per numeric column; bounds at mean +/- 3 std."""
-    bounds: dict[str, ColumnBounds] = {}
-    for col in table.columns:
-        if col.kind is not ColumnKind.NUMERIC:
-            continue
-        vs = col.non_missing()
-        if len(vs) != len(col.values):
-            raise DataError(f"column {col.name!r} still has missing cells; impute first")
-        arr = np.asarray(vs, dtype=np.float64)
-        mean = float(arr.mean()) if arr.size else 0.0
-        std = float(arr.std()) if arr.size else 0.0
-        bounds[col.name] = ColumnBounds(mean, std, mean - 3 * std, mean + 3 * std)
-    return ClipperState(bounds)
+    stats = _mean_std(table).items()
+    return ClipperState({n: ColumnBounds(m, s, m - 3 * s, m + 3 * s) for n, (m, s) in stats})
 
 
 def apply_clipper(state: ClipperState, table: Table) -> Table:
@@ -138,21 +147,20 @@ def apply_clipper(state: ClipperState, table: Table) -> Table:
         if col.name not in state.bounds:
             raise SchemaError(f"column {col.name!r} was not seen at fit time")
         b = state.bounds[col.name]
-        values = tuple(min(max(v, b.lower), b.upper) for v in col.values)
+        # Python's min(max(v, lower), upper), signed zeros included.
+        values = np.where(col.values < b.lower, b.lower, col.values)
+        values = np.where(values > b.upper, b.upper, values)
         out.append(Column(col.name, col.kind, values))
     return Table(tuple(out), table.name)
 
 
 def fit_encoder(table: Table) -> EncoderState:
-    vocabularies: dict[str, tuple[str, ...]] = {}
-    for col in table.columns:
-        if col.kind is not ColumnKind.CATEGORICAL:
-            continue
-        vs = col.non_missing()
-        if len(vs) != len(col.values):
-            raise DataError(f"column {col.name!r} still has missing cells; impute first")
-        vocabularies[col.name] = tuple(sorted(set(vs)))
-    return EncoderState(vocabularies)
+    return EncoderState(
+        {
+            col.name: tuple(col.vocabulary[k] for k in np.unique(col.values))
+            for col in _complete(table, ColumnKind.CATEGORICAL)
+        }
+    )
 
 
 def apply_encoder(state: EncoderState, table: Table) -> Table:
@@ -168,27 +176,16 @@ def apply_encoder(state: EncoderState, table: Table) -> Table:
             continue
         if col.name not in state.vocabularies:
             raise SchemaError(f"column {col.name!r} was not seen at fit time")
-        for cat in state.vocabularies[col.name]:
-            values = tuple(1.0 if v == cat else 0.0 for v in col.values)
-            out.append(Column(f"{col.name}={cat}", ColumnKind.NUMERIC, values))
+        vocabulary = state.vocabularies[col.name]
+        codes = recode(col.values, col.vocabulary, vocabulary)
+        for k, cat in enumerate(vocabulary):
+            out.append(Column(f"{col.name}={cat}", ColumnKind.NUMERIC, codes == k))
     return Table(tuple(out), table.name)
 
 
 def fit_scaler(table: Table) -> ScalerState:
     """Population mean/std per numeric column; std 0 is stored as-is."""
-    stats: dict[str, ColumnScale] = {}
-    for col in table.columns:
-        if col.kind is not ColumnKind.NUMERIC:
-            continue
-        vs = col.non_missing()
-        if len(vs) != len(col.values):
-            raise DataError(f"column {col.name!r} still has missing cells; impute first")
-        arr = np.asarray(vs, dtype=np.float64)
-        stats[col.name] = ColumnScale(
-            float(arr.mean()) if arr.size else 0.0,
-            float(arr.std()) if arr.size else 0.0,
-        )
-    return ScalerState(stats)
+    return ScalerState({name: ColumnScale(*stats) for name, stats in _mean_std(table).items()})
 
 
 def apply_scaler(state: ScalerState, table: Table) -> Table:
@@ -199,7 +196,8 @@ def apply_scaler(state: ScalerState, table: Table) -> Table:
             continue
         s = state.stats[col.name]
         denom = s.std if s.std > 0 else 1.0
-        values = tuple((v - s.mean) / denom for v in col.values)
+        with np.errstate(over="ignore"):  # Column rejects a value that overflows
+            values = (col.values - s.mean) / denom
         out.append(Column(col.name, col.kind, values))
     return Table(tuple(out), table.name)
 
@@ -255,11 +253,10 @@ def transform(pipeline: FittedPipeline, table: Table) -> FeatureMatrix:
     staged = apply_encoder(pipeline.encoder, staged)
     staged = apply_scaler(pipeline.scaler, staged)
 
-    n = staged.row_count
-    matrix = np.empty((n, len(pipeline.feature_names)), dtype=np.float64)
-    by_name = {c.name: c for c in staged.columns}
+    matrix = np.empty((staged.row_count, len(pipeline.feature_names)), dtype=np.float64)
+    by_name = {c.name: c.values for c in staged.columns}
     for j, name in enumerate(pipeline.feature_names):
-        matrix[:, j] = np.asarray(by_name[name].values, dtype=np.float64)
+        matrix[:, j] = by_name[name]
     return FeatureMatrix(matrix, pipeline.feature_names)
 
 

@@ -1,9 +1,11 @@
-"""Column-typed in-memory tables with CSV ingestion and aggregation merging.
+"""Columnar in-memory tables with CSV ingestion and aggregation merging.
 
-A :class:`Table` is an ordered list of named columns, each either Numeric or
-Categorical. Missing cells are represented by ``None``; numeric cells are
-always finite floats (NaN/inf on ingest become missing). Tables are treated
-as immutable after construction: every operation returns a new table.
+A :class:`Table` is an ordered list of named columns, each held as one
+array. A Numeric column is a float64 array in which NaN marks a missing
+cell; every other cell is finite (NaN/inf on ingest become missing). A
+Categorical column is a sorted vocabulary of strings plus int64 codes into
+it, with -1 marking a missing cell. Tables are treated as immutable after
+construction: every operation returns a new table.
 """
 
 from __future__ import annotations
@@ -11,14 +13,16 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import CsvError, DataError, SchemaError
 
-#: Missing-cell sentinel. Kept as a name for readability at call sites.
-MISSING = None
+#: CSV fields that mean "missing".
+MISSING_TOKENS = ("", "NA")
 
 
 class ColumnKind(str, Enum):
@@ -35,31 +39,61 @@ class Statistic(str, Enum):
     STD = "std"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Column:
-    """One named column; ``values`` holds floats/strings with None for missing."""
+    """One named column: float64 values (NaN missing), or codes into
+    ``vocabulary`` (-1 missing). The vocabulary is sorted and may hold
+    categories that no row uses."""
 
     name: str
     kind: ColumnKind
-    values: tuple
+    values: np.ndarray
+    vocabulary: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for v in self.values:
-            if v is MISSING:
-                continue
-            if self.kind is ColumnKind.NUMERIC:
-                if not isinstance(v, (int, float)) or not math.isfinite(v):
-                    raise DataError(
-                        f"numeric column {self.name!r} contains non-finite cell {v!r}"
-                    )
-            else:
-                if not isinstance(v, str):
-                    raise DataError(
-                        f"categorical column {self.name!r} contains non-string cell {v!r}"
-                    )
+        numeric = self.kind is ColumnKind.NUMERIC
+        values = np.ascontiguousarray(self.values, dtype=np.float64 if numeric else np.int64)
+        object.__setattr__(self, "values", values)
+        if numeric and np.isinf(values).any():
+            bad = float(values[np.isinf(values)][0])
+            raise DataError(f"numeric column {self.name!r} contains non-finite cell {bad!r}")
+        if not numeric and values.size:
+            if not -1 <= values.min() <= values.max() < len(self.vocabulary):
+                raise DataError(f"categorical column {self.name!r} has out-of-range codes")
 
-    def non_missing(self) -> list:
-        return [v for v in self.values if v is not MISSING]
+    @classmethod
+    def categorical(cls, name: str, cells: Sequence, missing=(None,)) -> "Column":
+        """A Categorical column from string cells; cells in ``missing`` are missing."""
+        present = set(cells).difference(missing)
+        bad = [cell for cell in present if not isinstance(cell, str)]
+        if bad:
+            raise DataError(f"categorical column {name!r} contains non-string cell {bad[0]!r}")
+        vocabulary = tuple(sorted(present))
+        code = {cell: k for k, cell in enumerate(vocabulary)} | dict.fromkeys(missing, -1)
+        codes = np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
+        return cls(name, ColumnKind.CATEGORICAL, codes, vocabulary)
+
+    @property
+    def missing(self) -> np.ndarray:
+        """Boolean mask of the missing cells."""
+        if self.kind is ColumnKind.NUMERIC:
+            return np.isnan(self.values)
+        return self.values < 0
+
+    def cell(self, i: int):
+        """Row ``i`` as a Python float or string, None when missing."""
+        v = self.values[i]
+        if self.kind is ColumnKind.NUMERIC:
+            return None if math.isnan(v) else float(v)
+        return self.vocabulary[v] if v >= 0 else None
+
+    def strings(self, missing=None) -> list:
+        """Each cell as text (numbers by ``repr``), ``missing`` where missing."""
+        vocabulary, codes = self.vocabulary, self.values
+        if self.kind is ColumnKind.NUMERIC:
+            vocabulary = list(map(repr, self.values.tolist()))
+            codes = np.where(self.missing, -1, np.arange(len(vocabulary)))
+        return np.array([*vocabulary, missing], dtype=object)[codes].tolist()
 
 
 @dataclass(frozen=True)
@@ -113,18 +147,19 @@ class AggregationSpec:
             raise DataError("duplicate statistics in aggregation spec")
 
 
-def _parse_numeric(field_text: str) -> float | None:
-    """Parse one CSV field as a number; NaN/inf collapse to missing."""
-    value = float(field_text)
-    return value if math.isfinite(value) else MISSING
+#: Missing tokens mapped to a text that ``float`` reads as NaN.
+_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
 
 
-def _looks_numeric(field_text: str) -> bool:
+def _parse_numeric(fields: Sequence[str]) -> np.ndarray | None:
+    """Fields parsed by Python ``float``, with missing tokens, NaN and inf as
+    NaN; None when a field is not a number."""
     try:
-        float(field_text)
+        values = np.fromiter(map(float, map(_AS_NAN.get, fields, fields)), np.float64, len(fields))
     except ValueError:
-        return False
-    return True
+        return None
+    values[np.isinf(values)] = np.nan
+    return values
 
 
 def read_csv(
@@ -163,28 +198,18 @@ def read_csv(
             raise CsvError(f"{path}: schema hint names unknown column {name!r}")
 
     columns = []
-    for j, name in enumerate(header):
-        raw = [row[j] for row in rows]
-        present = [(i, f) for i, f in enumerate(raw) if f not in ("", "NA")]
+    for name, fields in zip(header, zip(*rows) if rows else [()] * len(header)):
         kind = hint.get(name)
-        if kind is None:
-            kind = (
-                ColumnKind.NUMERIC
-                if all(_looks_numeric(f) for _, f in present)
-                else ColumnKind.CATEGORICAL
+        values = None if kind is ColumnKind.CATEGORICAL else _parse_numeric(fields)
+        if values is not None:
+            columns.append(Column(name, ColumnKind.NUMERIC, values))
+        elif kind is ColumnKind.NUMERIC:
+            i = next(i for i, f in enumerate(fields) if _parse_numeric([f]) is None)
+            raise CsvError(
+                f"{path}: column {name!r} hinted numeric but row {i + 2} holds {fields[i]!r}"
             )
-        values: list = [MISSING] * len(raw)
-        for i, f in present:
-            if kind is ColumnKind.NUMERIC:
-                if not _looks_numeric(f):
-                    raise CsvError(
-                        f"{path}: column {name!r} hinted numeric but row {i + 2} "
-                        f"holds {f!r}"
-                    )
-                values[i] = _parse_numeric(f)
-            else:
-                values[i] = f
-        columns.append(Column(name, kind, tuple(values)))
+        else:
+            columns.append(Column.categorical(name, fields, missing=MISSING_TOKENS))
 
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return Table(tuple(columns), name=stem)
@@ -200,17 +225,7 @@ def write_csv(table: Table, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.column_names)
-        for i in range(table.row_count):
-            row = []
-            for col in table.columns:
-                v = col.values[i]
-                if v is MISSING:
-                    row.append("")
-                elif col.kind is ColumnKind.NUMERIC:
-                    row.append(repr(float(v)))
-                else:
-                    row.append(v)
-            writer.writerow(row)
+        writer.writerows(zip(*(col.strings(missing="") for col in table.columns)))
 
 
 def select_columns(table: Table, names: Sequence[str]) -> Table:
@@ -221,18 +236,35 @@ def select_columns(table: Table, names: Sequence[str]) -> Table:
 def _sample_std(values: list[float]) -> float | None:
     n = len(values)
     if n < 2:
-        return MISSING
+        return None
     mean = sum(values) / n
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
 
 
+#: Per-group statistics over a list of floats in aux row order. Python's
+#: ``sum`` adds left to right, which numpy's pairwise sums do not.
 _STAT_FN = {
+    Statistic.COUNT: len,
     Statistic.MEAN: lambda vs: sum(vs) / len(vs),
     Statistic.MAX: max,
     Statistic.SUM: sum,
     Statistic.MIN: min,
     Statistic.STD: _sample_std,
 }
+
+
+def recode(codes: np.ndarray, vocabulary: Sequence, target: Sequence) -> np.ndarray:
+    """Codes into ``vocabulary`` as codes into ``target``; -1 if missing or absent."""
+    position = {v: k for k, v in enumerate(target)}
+    return np.array([position.get(v, -1) for v in vocabulary] + [-1], dtype=np.int64)[codes]
+
+
+def _keys(col: Column) -> tuple[list, np.ndarray]:
+    """A key column's distinct keys and each row's index into them (-1 missing)."""
+    if col.kind is ColumnKind.CATEGORICAL:
+        return list(col.vocabulary), col.values
+    keys, inverse = np.unique(col.values, return_inverse=True)
+    return keys.tolist(), np.where(col.missing, -1, inverse)
 
 
 def aggregate_merge(
@@ -260,32 +292,24 @@ def aggregate_merge(
             raise SchemaError(f"aux value column {name!r} is not numeric")
         value_cols.append(col)
 
-    aux_keys = aux.column(spec.key_column).values
-    groups: dict = {}
-    for i, key in enumerate(aux_keys):
-        if key is MISSING:
-            continue
-        groups.setdefault(key, []).append(i)
+    # Each aux row's group is the index of its key among the base keys.
+    base_keys, base_codes = _keys(base.column(spec.key_column))
+    aux_keys, aux_codes = _keys(aux.column(spec.key_column))
+    group = recode(aux_codes, aux_keys, base_keys)
 
-    base_keys = base.column(spec.key_column).values
     new_columns = []
     for col in value_cols:
-        per_key: dict = {}
-        for key, idxs in groups.items():
-            per_key[key] = [col.values[i] for i in idxs if col.values[i] is not MISSING]
+        kept = np.flatnonzero((group >= 0) & ~col.missing)
+        kept = kept[np.argsort(group[kept], kind="stable")]  # aux row order per group
+        groups, starts = np.unique(group[kept], return_index=True)
+        chunks = [c.tolist() for c in np.split(col.values[kept], starts[1:])] if kept.size else []
         for stat in spec.statistics:
-            out = []
-            for key in base_keys:
-                vs = per_key.get(key, []) if key is not MISSING else []
-                if stat is Statistic.COUNT:
-                    out.append(float(len(vs)))
-                elif not vs:
-                    out.append(MISSING)
-                else:
-                    out.append(_STAT_FN[stat](vs))
+            # The last slot is for base rows whose key matches no group.
+            per_key = np.full(len(base_keys) + 1, 0.0 if stat is Statistic.COUNT else np.nan)
+            per_key[groups] = [_STAT_FN[stat](vs) for vs in chunks]
             new_name = f"{prefix}_{col.name}_{stat.name}"
             if base.has_column(new_name):
                 raise SchemaError(f"merged column {new_name!r} already exists")
-            new_columns.append(Column(new_name, ColumnKind.NUMERIC, tuple(out)))
+            new_columns.append(Column(new_name, ColumnKind.NUMERIC, per_key[base_codes]))
 
     return base.with_columns(new_columns)

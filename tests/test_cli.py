@@ -1,11 +1,16 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import riskforge
 from riskforge.cli import main
@@ -230,6 +235,41 @@ def _repeat_first_id(rows):
     rows[2][0] = rows[1][0]
 
 
+def _edited_config(workdir, tmp_dir, edits):
+    """Config for a copy of the shared corpus with ``edits[file](rows)`` applied."""
+    root, config_path = workdir
+    corpus = tmp_dir / "corpus"
+    shutil.copytree(root / "corpus", corpus)
+    for name, edit in edits.items():
+        with open(corpus / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(corpus / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    cfg = json.loads(config_path.read_text())
+    data = cfg["data"]
+    for key in ("application_train", "application_test"):
+        data[key] = str(corpus / os.path.basename(data[key]))
+    for aux in data["aux"]:
+        aux["path"] = str(corpus / os.path.basename(aux["path"]))
+    cfg["output_dir"] = str(tmp_dir / "out")
+    p = tmp_dir / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+def _assert_clean_exit(code, err):
+    """Exit 0 with nothing on stderr, or exit 2 with one short error line."""
+    lines = err.strip().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines[0]) < 300
+    return lines
+
+
 class TestCorruptCells:
     """One corrupted corpus cell: prepare exits 0, or 2 with one stderr line."""
 
@@ -253,31 +293,116 @@ class TestCorruptCells:
         ],
     )
     def test_prepare_exit_code(self, workdir, tmp_path, capsys, name, edit, code, needle):
-        root, config_path = workdir
-        corpus = tmp_path / "corpus"
-        shutil.copytree(root / "corpus", corpus)
-        with open(corpus / name, newline="") as fh:
-            rows = list(csv.reader(fh))
-        edit(rows)
-        with open(corpus / name, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        cfg = json.loads(config_path.read_text())
-        data = cfg["data"]
-        for key in ("application_train", "application_test"):
-            data[key] = str(corpus / os.path.basename(data[key]))
-        for aux in data["aux"]:
-            aux["path"] = str(corpus / os.path.basename(aux["path"]))
-        cfg["output_dir"] = str(tmp_path / "out")
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
+        p = _edited_config(workdir, tmp_path, {name: edit})
         capsys.readouterr()
         assert main(["prepare", "--config", str(p)]) == code
-        lines = capsys.readouterr().err.strip().splitlines()
-        if code == 0:
-            assert lines == []
-        else:
-            assert len(lines) == 1 and lines[0].startswith("error: ")
-            assert needle in lines[0] and len(lines[0]) < 300
+        lines = _assert_clean_exit(code, capsys.readouterr().err)
+        if code == 2:
+            assert needle in lines[0]
+
+
+CORPUS_CSVS = ("application_train.csv", "application_test.csv", "bureau.csv", "payments.csv")
+
+#: What a drawn corruption writes into its cell; "ragged" drops the row's last field.
+CORRUPTIONS = {"text": "high", "blank": "", "NA": "NA", "inf": "inf", "1e308": "1e308"}
+
+
+@settings(
+    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    name=st.sampled_from(CORPUS_CSVS),
+    corruption=st.sampled_from(sorted(CORRUPTIONS) + ["ragged"]),
+    data=st.data(),
+)
+def test_prepare_survives_any_corrupt_cell(workdir, capsys, name, corruption, data):
+    """Any one corrupted cell of any corpus file: exit 0, or 2 with one line."""
+    with open(workdir[0] / "corpus" / name, newline="") as fh:
+        header = next(csv.reader(fh))
+        n_rows = sum(1 for _ in fh)
+    row = data.draw(st.integers(1, n_rows), label="row")
+    if corruption == "ragged":
+        def edit(rows):
+            rows[row] = rows[row][:-1]
+    else:
+        column = data.draw(st.sampled_from(header), label="column")
+        edit = _set_cell(column, CORRUPTIONS[corruption], row)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = _edited_config(workdir, Path(tmp), {name: edit})
+        capsys.readouterr()
+        code = main(["prepare", "--config", str(p)])
+        _assert_clean_exit(code, capsys.readouterr().err)
+
+
+#: SHA-256 of every corpus CSV and every file under ``out/prepared/`` for the
+#: ``workdir`` config (600 rows, seed 7), recorded with numpy 2.4 on x86-64
+#: before tables became columnar. "gaps" is a prepare of that corpus after
+#: rewriting the cells of ``INGEST_GAPS``. Another numpy build or CPU may change
+#: last-bit float results and so the digests; a refactor of ingest must keep
+#: them.
+INGEST_GOLDEN = {
+    "corpus": {
+        "application_train.csv": "1a2b0fb27e034a9ad845ecbb9418124ebc8a1388f6a0947460a9d367c88b841d",
+        "application_test.csv": "d50f92f299df088943b4098c09254d535d4cec86527bad8f594311f50cf44831",
+        "bureau.csv": "0d420840fbfdcf61a03123e53bd839bbb1b66e935a48649ed0563057a42100f4",
+        "payments.csv": "76e595defd9612383e3163d85847bb117dc2a414439531be6b3a3b589654cf06",
+    },
+    "prepared": {
+        "pipeline.json": "73dae6a1b0a06b020d2cb60fb9fabc7a6258132ab169add4fce5d29dfa56b4e4",
+        "test_features.csv": "5e038017ac8e110d7a187f632cfc69a3d335f9fe8a155d571253b9f66b136994",
+        "test_labels.csv": "47d0835f938163642bc24a3d9b371f5399d0eab48505402840e62e55ad0b4cf1",
+        "train_features.csv": "930f0945d1602fff530e3bbab72c156c8390feed6f00ba4589078823815ffad9",
+        "train_labels.csv": "858eaf232f131c6b878ce5437f7f4be48d7e0177b072e2371225564025758bad",
+    },
+    "gaps": {
+        "pipeline.json": "d30697b12480e37c2336fa060295081ec15185aca2076116122dfb01874d6169",
+        "test_features.csv": "521c0870a78a8d9d82009906b102ee87b8268f1443248a815b647afd32d42352",
+        "test_labels.csv": "47d0835f938163642bc24a3d9b371f5399d0eab48505402840e62e55ad0b4cf1",
+        "train_features.csv": "1f74314f6fd339399436c239d7217e090cb19f1490bf85885b1dec0b86900a52",
+        "train_labels.csv": "858eaf232f131c6b878ce5437f7f4be48d7e0177b072e2371225564025758bad",
+    },
+}
+
+#: (file, column, row, text) cells written before the "gaps" prepare: blank and
+#: NA numeric cells, blank categorical cells and a missing ratio input.
+INGEST_GAPS = (
+    ("application_train.csv", "housing_type", 1, ""),
+    ("application_train.csv", "housing_type", 2, ""),
+    ("application_train.csv", "ext_score_1", 3, "NA"),
+    ("application_train.csv", "amt_goods_price", 4, ""),
+    ("application_train.csv", "days_employed", 5, ""),
+    ("application_test.csv", "housing_type", 1, ""),
+    ("application_test.csv", "noise_1", 2, "NA"),
+    ("bureau.csv", "amt_credit_sum", 1, ""),
+    ("payments.csv", "amt_payment", 1, "NA"),
+)
+
+
+def _digests(directory, names=None):
+    names = sorted(os.listdir(directory)) if names is None else names
+    return {n: hashlib.sha256((directory / n).read_bytes()).hexdigest() for n in names}
+
+
+class TestIngestGolden:
+    def test_corpus_matches_golden(self, workdir):
+        assert _digests(workdir[0] / "corpus", CORPUS_CSVS) == INGEST_GOLDEN["corpus"]
+
+    def test_prepared_matches_golden(self, workdir):
+        prepared = workdir[0] / "out" / "prepared"
+        assert _digests(prepared) == INGEST_GOLDEN["prepared"]
+
+    def test_prepared_with_gaps_matches_golden(self, workdir, tmp_path):
+        def blank(name):
+            def edit(rows):
+                for file, column, row, text in INGEST_GAPS:
+                    if file == name:
+                        rows[row][rows[0].index(column)] = text
+            return edit
+
+        edits = {name: blank(name) for name, *_ in INGEST_GAPS}
+        p = _edited_config(workdir, tmp_path, edits)
+        assert main(["prepare", "--config", str(p)]) == 0
+        assert _digests(tmp_path / "out" / "prepared") == INGEST_GOLDEN["gaps"]
 
 
 class TestConfig:

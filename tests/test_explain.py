@@ -11,7 +11,6 @@ from riskforge.explain import (
     brute_shapley,
     lime_explain,
     shap_summary,
-    tree_shap,
 )
 from riskforge.sampling import LabeledMatrix
 from riskforge.trees import (
@@ -83,7 +82,7 @@ class TestTreeShapExamples:
         model = boosted([stump(0, 0.0, a, b, covers=(wa, wb))], d=3)
         base = (wa * a + wb * b) / (wa + wb)
         for x, leaf in (([-1.0, 9.0, 9.0], a), ([1.0, 9.0, 9.0], b)):
-            exp = tree_shap(model, np.array(x))
+            exp = TreeShapExplainer(model).explain(np.array(x))
             assert exp.base_value == pytest.approx(base, abs=1e-12)
             assert exp.phi[0] == pytest.approx(leaf - base, abs=1e-12)
             assert exp.phi[1] == 0.0 and exp.phi[2] == 0.0
@@ -98,7 +97,7 @@ class TestTreeShapExamples:
         root.right = inner
         model = boosted([root], d=2, eta=0.7, base=-0.3)
         for x in ([-1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]):
-            fast = tree_shap(model, np.array(x))
+            fast = TreeShapExplainer(model).explain(np.array(x))
             slow = brute_shapley(model, np.array(x))
             assert fast.phi == pytest.approx(slow.phi, abs=1e-12)
             assert fast.base_value == pytest.approx(slow.base_value, abs=1e-12)
@@ -106,7 +105,7 @@ class TestTreeShapExamples:
 
     def test_zero_tree_model_all_phi_zero(self):
         model = boosted([], d=3, base=-1.7)
-        exp = tree_shap(model, np.zeros(3))
+        exp = TreeShapExplainer(model).explain(np.zeros(3))
         assert np.all(exp.phi == 0.0)
         assert exp.base_value == -1.7
         assert exp.margin == -1.7
@@ -118,7 +117,7 @@ class TestOracleEquivalence:
         for _ in range(25):
             model = random_model(rng)
             x = rng.normal(size=len(model.feature_names))
-            fast = tree_shap(model, x)
+            fast = TreeShapExplainer(model).explain(x)
             slow = brute_shapley(model, x)
             assert fast.phi == pytest.approx(slow.phi, abs=1e-9)
             assert fast.base_value == pytest.approx(slow.base_value, abs=1e-9)
@@ -161,7 +160,7 @@ class TestShapProperties:
         t0 = stump(0, 0.0, -1.0, 1.0, covers=(2.0, 2.0))
         t1 = stump(1, 0.0, -1.0, 1.0, covers=(2.0, 2.0))
         model = boosted([t0, t1], d=2, eta=0.5, base=0.0)
-        exp = tree_shap(model, np.array([-1.0, -1.0]))
+        exp = TreeShapExplainer(model).explain(np.array([-1.0, -1.0]))
         assert exp.phi[0] == pytest.approx(exp.phi[1], abs=1e-12)
 
     def test_dummy_feature_gets_exactly_zero(self):
@@ -177,21 +176,21 @@ class TestShapProperties:
             for t in model.trees:
                 collect(t)
             x = rng.normal(size=6)
-            exp = tree_shap(model, x)
+            exp = TreeShapExplainer(model).explain(x)
             for f in range(6):
                 if f not in used:
                     assert exp.phi[f] == 0.0
 
     def test_forest_scale_is_probability(self):
         model = forest([stump(0, 0.0, 0.2, 0.8)], d=1)
-        exp = tree_shap(model, np.array([1.0]))
+        exp = TreeShapExplainer(model).explain(np.array([1.0]))
         assert exp.scale == "probability"
         assert exp.base_value + exp.phi.sum() == pytest.approx(0.8, abs=1e-12)
 
     def test_width_mismatch_rejected(self):
         model = boosted([stump(0, 0.0, 0.1, 0.9)], d=1)
         with pytest.raises(SchemaError, match="features"):
-            tree_shap(model, np.zeros(3))
+            TreeShapExplainer(model).explain(np.zeros(3))
 
 
 class TestShapSummary:
@@ -199,7 +198,7 @@ class TestShapSummary:
         model = boosted([stump(0, 0.0, -0.5, 0.5)], d=2)
         x = np.array([[1.0, 3.0]])
         summary = shap_summary(model, x)
-        exp = tree_shap(model, x[0])
+        exp = TreeShapExplainer(model).explain(x[0])
         assert summary.mean_abs == pytest.approx(np.abs(exp.phi))
 
     def test_unused_feature_ranks_last_with_zero(self):

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tables import cells, num_col, table
 
+from riskforge.config import default_config_dict, parse_config
 from riskforge.errors import SchemaError
 from riskforge.features import (
     DaysToYears,
@@ -10,17 +12,7 @@ from riskforge.features import (
     Flag,
     Ratio,
     apply_recipes,
-    default_catalog,
 )
-from riskforge.tabular import MISSING, Column, ColumnKind, Table
-
-
-def num_col(name, values):
-    return Column(name, ColumnKind.NUMERIC, tuple(values))
-
-
-def table(*cols):
-    return Table(tuple(cols))
 
 
 def catalog(*recipes):
@@ -31,17 +23,17 @@ class TestRatio:
     def test_simple_division(self):
         t = table(num_col("credit", [200000.0]), num_col("goods", [100000.0]))
         out = apply_recipes(t, catalog(FeatureRecipe("R", Ratio("credit", "goods"))))
-        assert out.column("R").values == (2.0,)
+        assert cells(out.column("R")) == (2.0,)
 
     def test_zero_denominator_gives_missing(self):
         t = table(num_col("credit", [200000.0]), num_col("goods", [0.0]))
         out = apply_recipes(t, catalog(FeatureRecipe("R", Ratio("credit", "goods"))))
-        assert out.column("R").values[0] is MISSING
+        assert cells(out.column("R"))[0] is None
 
     def test_missing_input_gives_missing(self):
-        t = table(num_col("credit", [MISSING]), num_col("goods", [10.0]))
+        t = table(num_col("credit", [None]), num_col("goods", [10.0]))
         out = apply_recipes(t, catalog(FeatureRecipe("R", Ratio("credit", "goods"))))
-        assert out.column("R").values[0] is MISSING
+        assert cells(out.column("R"))[0] is None
 
 
 class TestDaysToYears:
@@ -49,24 +41,24 @@ class TestDaysToYears:
         # Oracle: -(-10957.5) / 365.25 == 30 exactly.
         t = table(num_col("days_birth", [-10957.5]))
         out = apply_recipes(t, catalog(FeatureRecipe("AGE_YEARS", DaysToYears("days_birth"))))
-        assert out.column("AGE_YEARS").values[0] == pytest.approx(30.0, abs=1e-12)
+        assert cells(out.column("AGE_YEARS"))[0] == pytest.approx(30.0, abs=1e-12)
 
     def test_missing_passes_through(self):
-        t = table(num_col("d", [MISSING]))
+        t = table(num_col("d", [None]))
         out = apply_recipes(t, catalog(FeatureRecipe("Y", DaysToYears("d"))))
-        assert out.column("Y").values[0] is MISSING
+        assert cells(out.column("Y"))[0] is None
 
 
 class TestFlag:
     def test_threshold_flag(self):
         t = table(num_col("x", [-1.0, 0.0, 2.0]))
         out = apply_recipes(t, catalog(FeatureRecipe("F", Flag("x", "gt", 0.0))))
-        assert out.column("F").values == (0.0, 0.0, 1.0)
+        assert cells(out.column("F")) == (0.0, 0.0, 1.0)
 
     def test_missing_stays_missing(self):
-        t = table(num_col("x", [MISSING]))
+        t = table(num_col("x", [None]))
         out = apply_recipes(t, catalog(FeatureRecipe("F", Flag("x", "ge", 0.0))))
-        assert out.column("F").values[0] is MISSING
+        assert cells(out.column("F"))[0] is None
 
     def test_unknown_op_rejected(self):
         t = table(num_col("x", [1.0]))
@@ -83,8 +75,8 @@ class TestCatalog:
         )
         out = apply_recipes(t, cat)
         assert len(out.columns) == len(t.columns) + 2
-        assert out.column("a").values == t.column("a").values
-        assert out.column("b").values == t.column("b").values
+        assert cells(out.column("a")) == cells(t.column("a"))
+        assert cells(out.column("b")) == cells(t.column("b"))
 
     def test_later_recipe_consumes_earlier_output(self):
         t = table(num_col("a", [8.0]), num_col("b", [2.0]))
@@ -93,7 +85,7 @@ class TestCatalog:
             FeatureRecipe("r2", Ratio("r1", "b")),
         )
         out = apply_recipes(t, cat)
-        assert out.column("r2").values == (2.0,)
+        assert cells(out.column("r2")) == (2.0,)
 
     def test_unknown_input_rejected(self):
         t = table(num_col("a", [1.0]))
@@ -106,7 +98,7 @@ class TestCatalog:
             apply_recipes(t, catalog(FeatureRecipe("a", Ratio("a", "b"))))
 
     def test_default_catalog_names(self):
-        names = [r.name for r in default_catalog().recipes]
+        names = [r.name for r in parse_config(default_config_dict()).catalog.recipes]
         assert "CREDIT_TO_GOODS_RATIO" in names
         assert "AGE_YEARS" in names
 
@@ -116,9 +108,9 @@ class TestCatalog:
 def test_self_ratio_is_one_for_nonzero(values):
     t = table(num_col("x", values))
     out = apply_recipes(t, catalog(FeatureRecipe("r", Ratio("x", "x"))))
-    for v, r in zip(values, out.column("r").values):
+    for v, r in zip(values, cells(out.column("r"))):
         if v == 0:
-            assert r is MISSING
+            assert r is None
         else:
             assert r == 1.0
 
@@ -132,6 +124,6 @@ def test_row_order_independence(perm):
         num_col("a", [base[i] for i in perm]), num_col("b", [2.0] * 6)
     )
     cat = catalog(FeatureRecipe("r", Ratio("a", "b")))
-    out1 = apply_recipes(t1, cat).column("r").values
-    out2 = apply_recipes(t2, cat).column("r").values
+    out1 = cells(apply_recipes(t1, cat).column("r"))
+    out2 = cells(apply_recipes(t2, cat).column("r"))
     assert [out2[perm.index(i)] for i in range(6)] == list(out1)

@@ -1,5 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from tables import cat_col, cells, num_col, table
 
 from riskforge.errors import DataError, SchemaError
 from riskforge.preprocess import (
@@ -17,24 +22,11 @@ from riskforge.preprocess import (
     pipeline_to_doc,
     transform,
 )
-from riskforge.tabular import MISSING, Column, ColumnKind, Table
-
-
-def num_col(name, values):
-    return Column(name, ColumnKind.NUMERIC, tuple(values))
-
-
-def cat_col(name, values):
-    return Column(name, ColumnKind.CATEGORICAL, tuple(values))
-
-
-def table(*cols):
-    return Table(tuple(cols))
 
 
 class TestImputer:
     def test_median_of_two(self):
-        state = fit_imputer(table(num_col("x", [1.0, MISSING, 3.0])))
+        state = fit_imputer(table(num_col("x", [1.0, None, 3.0])))
         assert state.medians["x"] == 2.0
 
     def test_median_is_outlier_robust(self):
@@ -42,7 +34,7 @@ class TestImputer:
         assert state.medians["x"] == 2.0
 
     def test_mode_max_frequency(self):
-        state = fit_imputer(table(cat_col("c", ["a", "b", "b", MISSING])))
+        state = fit_imputer(table(cat_col("c", ["a", "b", "b", None])))
         assert state.modes["c"] == "b"
 
     def test_mode_tie_breaks_lexicographic(self):
@@ -51,16 +43,16 @@ class TestImputer:
 
     def test_all_missing_column_rejected(self):
         with pytest.raises(DataError, match="'x'"):
-            fit_imputer(table(num_col("x", [MISSING, MISSING])))
+            fit_imputer(table(num_col("x", [None, None])))
 
     def test_apply_fills_and_preserves(self):
-        t = table(num_col("x", [1.0, MISSING, 3.0]))
+        t = table(num_col("x", [1.0, None, 3.0]))
         out = apply_imputer(fit_imputer(t), t)
-        assert out.column("x").values == (1.0, 2.0, 3.0)
+        assert cells(out.column("x")) == (1.0, 2.0, 3.0)
 
     def test_apply_identity_when_complete(self):
         t = table(num_col("x", [4.0, 5.0]))
-        assert apply_imputer(fit_imputer(t), t).column("x").values == (4.0, 5.0)
+        assert cells(apply_imputer(fit_imputer(t), t).column("x")) == (4.0, 5.0)
 
     def test_unseen_column_rejected(self):
         state = fit_imputer(table(num_col("x", [1.0])))
@@ -76,16 +68,16 @@ class TestClipper:
         upper = arr.mean() + 3 * arr.std()
         t = table(num_col("x", values))
         out = apply_clipper(fit_clipper(t), t)
-        assert out.column("x").values[-1] == pytest.approx(upper, rel=1e-12)
-        assert out.column("x").values[-1] == pytest.approx(306.930693, abs=1e-5)
+        assert cells(out.column("x"))[-1] == pytest.approx(upper, rel=1e-12)
+        assert cells(out.column("x"))[-1] == pytest.approx(306.930693, abs=1e-5)
 
     def test_constant_column_unchanged(self):
         t = table(num_col("x", [5.0, 5.0, 5.0]))
-        assert apply_clipper(fit_clipper(t), t).column("x").values == (5.0, 5.0, 5.0)
+        assert cells(apply_clipper(fit_clipper(t), t).column("x")) == (5.0, 5.0, 5.0)
 
     def test_values_within_bounds_unchanged(self):
         t = table(num_col("x", [1.0, 2.0, 3.0]))
-        assert apply_clipper(fit_clipper(t), t).column("x").values == (1.0, 2.0, 3.0)
+        assert cells(apply_clipper(fit_clipper(t), t).column("x")) == (1.0, 2.0, 3.0)
 
     def test_all_values_end_inside_fit_bounds(self):
         rng = np.random.default_rng(5)
@@ -95,11 +87,11 @@ class TestClipper:
         fresh = table(num_col("x", list(rng.normal(scale=10, size=50))))
         out = apply_clipper(state, fresh)
         b = state.bounds["x"]
-        assert all(b.lower <= v <= b.upper for v in out.column("x").values)
+        assert all(b.lower <= v <= b.upper for v in cells(out.column("x")))
 
     def test_missing_cells_rejected(self):
         with pytest.raises(DataError, match="impute"):
-            fit_clipper(table(num_col("x", [1.0, MISSING])))
+            fit_clipper(table(num_col("x", [1.0, None])))
 
 
 class TestEncoder:
@@ -107,12 +99,12 @@ class TestEncoder:
         fit = table(cat_col("c", ["a", "b", "c"]))
         state = fit_encoder(fit)
         out = apply_encoder(state, table(cat_col("c", ["b"])))
-        assert [out.column(f"c={k}").values[0] for k in "abc"] == [0.0, 1.0, 0.0]
+        assert [cells(out.column(f"c={k}"))[0] for k in "abc"] == [0.0, 1.0, 0.0]
 
     def test_unseen_category_all_zero(self):
         state = fit_encoder(table(cat_col("c", ["a", "b", "c"])))
         out = apply_encoder(state, table(cat_col("c", ["z"])))
-        assert [out.column(f"c={k}").values[0] for k in "abc"] == [0.0, 0.0, 0.0]
+        assert [cells(out.column(f"c={k}"))[0] for k in "abc"] == [0.0, 0.0, 0.0]
 
     def test_output_width_is_additive(self):
         state = fit_encoder(
@@ -125,7 +117,7 @@ class TestEncoder:
         state = fit_encoder(table(cat_col("c", ["a", "b"])))
         out = apply_encoder(state, table(cat_col("c", ["a", "b", "a"])))
         for i in range(3):
-            assert sum(out.column(f"c={k}").values[i] for k in "ab") == 1.0
+            assert sum(cells(out.column(f"c={k}"))[i] for k in "ab") == 1.0
 
 
 class TestScaler:
@@ -137,25 +129,80 @@ class TestScaler:
         out = apply_scaler(fit_scaler(t), t)
         assert sd == pytest.approx(1.632993, abs=1e-6)
         expect = [(v - 4.0) / sd for v in vals]
-        assert out.column("x").values == pytest.approx(expect)
-        assert out.column("x").values[0] == pytest.approx(-1.224745, abs=1e-6)
+        assert cells(out.column("x")) == pytest.approx(expect)
+        assert cells(out.column("x"))[0] == pytest.approx(-1.224745, abs=1e-6)
 
     def test_constant_column_zeros(self):
         t = table(num_col("x", [7.0, 7.0]))
-        assert apply_scaler(fit_scaler(t), t).column("x").values == (0.0, 0.0)
+        assert cells(apply_scaler(fit_scaler(t), t).column("x")) == (0.0, 0.0)
 
     def test_refit_of_standardized_is_identity(self):
         t = table(num_col("x", [2.0, 4.0, 6.0]))
         once = apply_scaler(fit_scaler(t), t)
         twice = apply_scaler(fit_scaler(once), once)
-        for a, b in zip(once.column("x").values, twice.column("x").values):
+        for a, b in zip(cells(once.column("x")), cells(twice.column("x"))):
             assert abs(a - b) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@example([0.0, -0.0])  # Python's max/min keep the first of equal signed zeros
+@example([-0.0, 0.0] * 20 + [1.0])  # the median is the row-order-first of tied zeros
+@given(
+    st.lists(
+        st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)),
+        min_size=1,
+        max_size=30,
+    ).filter(lambda vs: any(v is not None for v in vs))
+)
+def test_numeric_stages_match_per_cell_reference(values):
+    """Impute, clip and scale equal Python's per-cell arithmetic bit for bit."""
+    t = table(num_col("x", values))
+    present = sorted(v for v in values if v is not None)
+    mid = len(present) // 2
+    median = present[mid] if len(present) % 2 else (present[mid - 1] + present[mid]) / 2.0
+    imputer = fit_imputer(t)
+    assert repr(imputer.medians["x"]) == repr(median)
+    want = [median if v is None else v for v in values]
+    imputed = apply_imputer(imputer, t)
+    assert list(map(repr, cells(imputed.column("x")))) == list(map(repr, want))
+    b = fit_clipper(imputed).bounds["x"]
+    clipped = apply_clipper(fit_clipper(imputed), imputed)
+    want = [min(max(v, b.lower), b.upper) for v in want]
+    assert list(map(repr, cells(clipped.column("x")))) == list(map(repr, want))
+    s = fit_scaler(clipped).stats["x"]
+    scaled = apply_scaler(fit_scaler(clipped), clipped)
+    want = [(v - s.mean) / (s.std if s.std > 0 else 1.0) for v in want]
+    assert list(map(repr, cells(scaled.column("x")))) == list(map(repr, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), st.sampled_from(["b", "a", "c", "aa"])), min_size=1,
+             max_size=20).filter(lambda vs: any(v is not None for v in vs)),
+    st.lists(st.sampled_from(["a", "b", "c", "aa", "zz"]), max_size=5),
+)
+def test_categorical_stages_match_per_cell_reference(values, held_out):
+    """The mode (ties lexicographic) and one-hot indicators, cell by cell."""
+    t = table(cat_col("c", values))
+    counts = Counter(v for v in values if v is not None)
+    mode = min(c for c, n in counts.items() if n == max(counts.values()))
+    imputer = fit_imputer(t)
+    assert imputer.modes["c"] == mode
+    imputed = apply_imputer(imputer, t)
+    assert cells(imputed.column("c")) == tuple(mode if v is None else v for v in values)
+    encoder = fit_encoder(imputed)
+    vocabulary = tuple(sorted({mode if v is None else v for v in values}))
+    assert encoder.vocabularies["c"] == vocabulary
+    out = apply_encoder(encoder, apply_imputer(imputer, table(cat_col("c", held_out))))
+    for cat in vocabulary:
+        want = tuple(1.0 if v == cat else 0.0 for v in held_out)
+        assert cells(out.column(f"c={cat}")) == want
 
 
 def sample_table():
     return table(
-        num_col("a", [1.0, 2.0, MISSING, 4.0]),
-        cat_col("c", ["x", MISSING, "y", "x"]),
+        num_col("a", [1.0, 2.0, None, 4.0]),
+        cat_col("c", ["x", None, "y", "x"]),
         num_col("b", [10.0, 20.0, 30.0, 1000.0]),
     )
 
