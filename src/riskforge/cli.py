@@ -197,7 +197,6 @@ def cmd_train(cfg: RunConfig) -> list[str]:
             defaults=spec.params,
             smote_params=smote_params,
             feature_names=pipeline.feature_names,
-            threads=cfg.threads,
         )
         model_doc = model_to_doc(model)
         validate(model_doc, "model")
@@ -388,7 +387,9 @@ def main(argv=None) -> int:
         choices=["prepare", "train", "evaluate", "assess", "gen-corpus"],
     )
     parser.add_argument("--config", required=True, help="path to the run config JSON")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, choices=[1], help="riskforge runs on one thread; only 1 is accepted"
+    )
     parser.add_argument(
         "--ids", default=None, help="comma-separated applicant ids (assess only)"
     )
@@ -396,8 +397,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        if args.threads is not None:
-            cfg = dataclasses.replace(cfg, threads=args.threads)
         if args.command == "gen-corpus":
             written = cmd_gen_corpus(cfg)
         elif args.command == "prepare":

@@ -43,7 +43,6 @@ class ModelSpec:
 class RunConfig:
     seed: int
     output_dir: str
-    threads: int
     corpus_dir: str
     corpus_rows: int
     corpus_train_fraction: float
@@ -180,7 +179,7 @@ def _parse_risk(node: dict) -> tuple[RiskConfig, str, str]:
 
 
 _TOP_KEYS = {
-    "seed", "output_dir", "threads", "corpus", "data", "features", "smote", "cv",
+    "seed", "output_dir", "corpus", "data", "features", "smote", "cv",
     "metric", "threshold", "models", "risk", "explain", "report",
 }
 
@@ -245,7 +244,6 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(
         seed=seed,
         output_dir=doc.get("output_dir", "out"),
-        threads=int(doc.get("threads", 1)),
         corpus_dir=corpus.get("dir", "corpus"),
         corpus_rows=int(corpus.get("n_rows", 10000)),
         corpus_train_fraction=float(corpus.get("train_fraction", 0.8)),
@@ -296,7 +294,6 @@ def default_config_dict(
     return {
         "seed": seed,
         "output_dir": output_dir,
-        "threads": 1,
         "corpus": {"dir": cd, "n_rows": n_rows, "train_fraction": 0.8},
         "data": {
             "application_train": f"{cd}/application_train.csv",

@@ -363,8 +363,14 @@ def lime_explain(
     x_std = (x - mu) / sd_safe
     rng = np.random.default_rng(params.seed)
     z_std = x_std + rng.standard_normal((params.n_samples, d))
-    z_raw = z_std * sd_safe + mu
-    y = np.asarray(predict(z_raw), dtype=np.float64).ravel()
+    # One predict batch: row 0 is the instance itself, the rest are the
+    # perturbations in raw space, written in place so no temporary is kept.
+    batch = np.empty((params.n_samples + 1, d))
+    batch[0] = x
+    np.multiply(z_std, sd_safe, out=batch[1:])
+    batch[1:] += mu
+    y = np.asarray(predict(batch), dtype=np.float64).ravel()
+    prediction, y = float(y[0]), y[1:]
 
     dist2 = np.sum((z_std - x_std) ** 2, axis=1)
     w = np.exp(-dist2 / kernel_width**2)
@@ -396,7 +402,6 @@ def lime_explain(
     coefs = beta[1:]
     order = np.argsort(-np.abs(coefs), kind="stable")[: params.top_k]
     weights = tuple((names[int(j)], float(coefs[int(j)])) for j in order)
-    prediction = float(np.asarray(predict(x.reshape(1, -1))).ravel()[0])
     return LimeExplanation(
         instance_id=instance_id,
         intercept=float(beta[0]),

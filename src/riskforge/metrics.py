@@ -45,7 +45,6 @@ class RocCurve:
     """Operating points from threshold +inf down to -inf, plus the area."""
 
     points: tuple[tuple[float, float], ...]  # (fpr, tpr)
-    thresholds: tuple[float, ...]
     auc: float
 
 
@@ -128,32 +127,15 @@ def roc_auc(labels, probabilities) -> RocCurve:
         raise DataError("ROC needs both classes present")
 
     order = np.argsort(-p, kind="stable")
-    y_sorted = y[order]
     p_sorted = p[order]
-
-    points = [(0.0, 0.0)]
-    thresholds = [float("inf")]
-    area2 = 0  # twice the unnormalized area, exact in integers
-    tp = fp = 0
-    i = 0
-    n = y.size
-    while i < n:
-        j = i
-        while j < n and p_sorted[j] == p_sorted[i]:
-            j += 1
-        d_tp = int(np.sum(y_sorted[i:j] == 1))
-        d_fp = (j - i) - d_tp
-        area2 += d_fp * (2 * tp + d_tp)
-        tp += d_tp
-        fp += d_fp
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(float(p_sorted[i]))
-        i = j
-    if points[-1] != (1.0, 1.0):  # guard; all rows consumed implies (1,1)
-        points.append((1.0, 1.0))
-        thresholds.append(float("-inf"))
-    auc = area2 / (2 * n_pos * n_neg)
-    return RocCurve(tuple(points), tuple(thresholds), auc)
+    # One operating point per distinct score, at the last row of its tied run.
+    ends = np.append(np.flatnonzero(p_sorted[1:] != p_sorted[:-1]), p.size - 1)
+    tp = np.cumsum(y[order] == 1)[ends]
+    fp = ends + 1 - tp
+    tp_before = np.concatenate(([0], tp[:-1]))
+    area2 = int(np.sum(np.diff(fp, prepend=0) * (tp_before + tp)))  # twice the area
+    points = ((0.0, 0.0),) + tuple(zip((fp / n_neg).tolist(), (tp / n_pos).tolist()))
+    return RocCurve(points, area2 / (2 * n_pos * n_neg))
 
 
 APPROVE, REVIEW, REJECT = "approve", "review", "reject"

@@ -88,14 +88,21 @@ def _complete(table: Table, kind: ColumnKind):
             yield col
 
 
+def _finite(name: str, *stats: float) -> tuple[float, ...]:
+    if not all(np.isfinite(stats)):
+        raise DataError(f"numeric column {name!r} has values too large for its mean and std")
+    return stats
+
+
 def _mean_std(table: Table) -> dict[str, tuple[float, float]]:
     """Population mean and std per numeric column; 0.0 for an empty column."""
-    return {
-        col.name: (float(col.values.mean()), float(col.values.std()))
-        if col.values.size
-        else (0.0, 0.0)
-        for col in _complete(table, ColumnKind.NUMERIC)
-    }
+    out = {}
+    for col in _complete(table, ColumnKind.NUMERIC):
+        v = col.values
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects inf and nan
+            stats = (float(v.mean()), float(v.std())) if v.size else (0.0, 0.0)
+        out[col.name] = _finite(col.name, *stats)
+    return out
 
 
 def fit_imputer(table: Table) -> ImputerState:
@@ -134,8 +141,12 @@ def apply_imputer(state: ImputerState, table: Table) -> Table:
 
 def fit_clipper(table: Table) -> ClipperState:
     """Population mean/std per numeric column; bounds at mean +/- 3 std."""
-    stats = _mean_std(table).items()
-    return ClipperState({n: ColumnBounds(m, s, m - 3 * s, m + 3 * s) for n, (m, s) in stats})
+    return ClipperState(
+        {
+            n: ColumnBounds(m, s, *_finite(n, m - 3 * s, m + 3 * s))
+            for n, (m, s) in _mean_std(table).items()
+        }
+    )
 
 
 def apply_clipper(state: ClipperState, table: Table) -> Table:

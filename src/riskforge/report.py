@@ -165,7 +165,8 @@ def _kv_table(pairs) -> str:
     return f'<table class="kv">\n{rows}\n</table>'
 
 
-def applicant_report_html(report: ApplicantReport, doc: dict) -> str:
+def applicant_report_html(doc: dict, lime_svg: str, shap_svg: str) -> str:
+    """The applicant page; the two charts are the SVGs also written as files."""
     a = doc["assessment"]
     decision = a["decision"]
     banner = f'<div class="banner {decision}">Decision: {decision.upper()}</div>'
@@ -179,8 +180,6 @@ def applicant_report_html(report: ApplicantReport, doc: dict) -> str:
         ("Conditions", "; ".join(a["conditions"]) or "none"),
     ]
     narrative = "\n".join(f"<p>{_esc(line)}</p>" for line in doc["narrative"])
-    lime_svg = svgplots.plot_lime(report.lime)
-    shap_svg = svgplots.plot_instance_shap(report.shap)
     body = "\n".join(
         [
             f"<h1>Applicant {_esc(doc['applicant_id'])}</h1>",
@@ -209,12 +208,14 @@ def render_applicant(report: ApplicantReport, out_dir: str) -> list[str]:
     base = os.path.join(out_dir, "applicants", report.assessment.applicant_id)
     json_path = os.path.join(base, "report.json")
     dump_json(doc, json_path)
+    lime_svg = svgplots.plot_lime(report.lime)
+    shap_svg = svgplots.plot_instance_shap(report.shap)
     html_path = os.path.join(base, "report.html")
-    write_text(html_path, applicant_report_html(report, doc))
+    write_text(html_path, applicant_report_html(doc, lime_svg, shap_svg))
     lime_path = os.path.join(base, "charts", "lime.svg")
-    write_text(lime_path, svgplots.plot_lime(report.lime))
+    write_text(lime_path, lime_svg)
     shap_path = os.path.join(base, "charts", "shap.svg")
-    write_text(shap_path, svgplots.plot_instance_shap(report.shap))
+    write_text(shap_path, shap_svg)
     return [json_path, html_path, lime_path, shap_path]
 
 

@@ -238,7 +238,10 @@ def _sample_std(values: list[float]) -> float | None:
     if n < 2:
         return None
     mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    try:
+        return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    except OverflowError:  # a square past the float range; Column rejects the inf
+        return math.inf
 
 
 #: Per-group statistics over a list of floats in aux row order. Python's

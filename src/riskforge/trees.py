@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, SchemaError
 from .sampling import LabeledMatrix
-from .utils import parallel_map, sigmoid, stage_seed
+from .utils import sigmoid, stage_seed
 
 GROWTH_LEVEL = "level_wise"
 GROWTH_LEAF = "leaf_wise"
@@ -424,20 +424,17 @@ def _grow_gini(codes, bins, rows, y1, rng, prm, depth):
     return node
 
 
-def fit_forest(
-    data: LabeledMatrix, params: ForestParams, threads: int = 1, feature_names=None
-) -> ForestModel:
+def fit_forest(data: LabeledMatrix, params: ForestParams, feature_names=None) -> ForestModel:
     """Train a bagged Gini forest; per-tree streams derive from (seed, index)."""
     bins, codes, names = _fit_setup(data, params.n_bins, feature_names, "forest")
     y1 = data.labels.astype(np.float64)
     n = y1.size
 
-    def grow_one(t: int) -> TreeNode:
+    trees = []
+    for t in range(params.n_trees):
         rng = np.random.default_rng(stage_seed(params.seed, f"forest-tree-{t}"))
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        return _grow_gini(codes, bins, rows, y1, rng, params, 0)
-
-    trees = parallel_map(grow_one, range(params.n_trees), threads)
+        trees.append(_grow_gini(codes, bins, rows, y1, rng, params, 0))
     return ForestModel(trees=trees, params=params, bins=bins, feature_names=names)
 
 

@@ -27,7 +27,6 @@ from .trees import (
     fit_forest,
     predict_proba,
 )
-from .utils import parallel_map
 
 LEARNER_FOREST = "forest"
 LEARNER_LEVELWISE = "boosted_levelwise"
@@ -107,9 +106,9 @@ def _build_params(kind: str, defaults: dict, overrides: dict):
     raise ConfigError(f"unknown learner kind {kind!r}")
 
 
-def fit_learner(kind: str, data: LabeledMatrix, params, feature_names=None, threads: int = 1):
+def fit_learner(kind: str, data: LabeledMatrix, params, feature_names=None):
     if kind == LEARNER_FOREST:
-        return fit_forest(data, params, threads=threads, feature_names=feature_names)
+        return fit_forest(data, params, feature_names=feature_names)
     return fit_boosted(data, params, feature_names=feature_names)
 
 
@@ -159,7 +158,6 @@ def grid_search(
     defaults: dict | None = None,
     smote_params: SmoteParams | None = None,
     feature_names=None,
-    threads: int = 1,
 ) -> tuple[SearchResult, object]:
     """Evaluate every candidate with stratified CV and retrain the winner.
 
@@ -170,8 +168,7 @@ def grid_search(
     defaults = dict(defaults or {})
     folds = make_folds(data.labels, plan)
 
-    def evaluate(cand_index: int) -> CandidateResult:
-        overrides = candidates[cand_index]
+    def evaluate(overrides: dict) -> CandidateResult:
         fold_scores: list[float] = []
         try:
             params = _build_params(kind, defaults, overrides)
@@ -186,7 +183,7 @@ def grid_search(
             return CandidateResult(overrides, fold_scores, -math.inf, error=str(exc))
         return CandidateResult(overrides, fold_scores, float(np.mean(fold_scores)))
 
-    results = parallel_map(evaluate, range(len(candidates)), threads)
+    results = [evaluate(overrides) for overrides in candidates]
 
     best_index = 0
     for i, res in enumerate(results):
@@ -200,9 +197,7 @@ def grid_search(
     final_data = data
     if smote_params is not None:
         final_data = smote(final_data, smote_params)
-    final_model = fit_learner(
-        kind, final_data, final_params, feature_names=feature_names, threads=threads
-    )
+    final_model = fit_learner(kind, final_data, final_params, feature_names=feature_names)
     result = SearchResult(
         metric=metric,
         candidates=results,

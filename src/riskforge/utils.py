@@ -1,12 +1,11 @@
-"""Small shared helpers: seed derivation, deterministic JSON IO, thread maps."""
+"""Small shared helpers: seed derivation, deterministic JSON IO."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -18,18 +17,6 @@ def stage_seed(seed: int, stage: str) -> int:
     """
     digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map ``fn`` over ``items``, preserving order.
-
-    With ``threads > 1`` work runs on a thread pool; results are still
-    collected in input order so reductions stay deterministic.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def dump_json(doc: Any, path: str | os.PathLike) -> None:

@@ -285,11 +285,13 @@ class TestCorruptCells:
             ("application_train.csv", _set_cell("target", "2"), 2, "'target'"),
             ("application_test.csv", _repeat_first_id, 2, "duplicate applicant id"),
             ("bureau.csv", _set_cell("amt_credit_sum", "lots"), 2, "'amt_credit_sum'"),
+            ("application_train.csv", _set_cell("amt_income_total", "1e308"), 2,
+             "'amt_income_total'"),
         ],
         ids=[
             "text-in-numeric-test", "text-in-numeric-train", "blank-numeric",
             "na-numeric", "ragged-row", "blank-target", "target-2", "duplicate-id",
-            "text-in-bureau-value",
+            "text-in-bureau-value", "huge-numeric-train",
         ],
     )
     def test_prepare_exit_code(self, workdir, tmp_path, capsys, name, edit, code, needle):
@@ -443,13 +445,20 @@ class TestConfig:
         assert main(["prepare", "--config", str(p)]) == 2
         assert "JSON" in capsys.readouterr().err
 
-    def test_threads_flag_accepted(self, workdir, tmp_path):
+    def test_threads_flag_only_accepts_one(self, workdir, tmp_path, capsys):
         _, config_path = workdir
         cfg = json.loads(config_path.read_text())
         cfg["output_dir"] = str(tmp_path / "out_threads")
         p = tmp_path / "cfg_threads.json"
         p.write_text(json.dumps(cfg))
-        assert main(["prepare", "--config", str(p), "--threads", "2"]) == 0
+        assert main(["prepare", "--config", str(p), "--threads", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["prepare", "--config", str(p), "--threads", "2"])
+        assert exc.value.code == 2
+        p.write_text(json.dumps({**cfg, "threads": 1}))
+        capsys.readouterr()
+        assert main(["prepare", "--config", str(p)]) == 2
+        assert "threads" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:

@@ -121,6 +121,27 @@ class TestRocAuc:
         scores = [r[1] / 20 for r in rows]  # coarse grid forces ties
         assert roc_auc(labels, scores).auc == pair_count_auc(labels, scores)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 20)), min_size=2, max_size=120
+        )
+    )
+    def test_points_match_per_group_reference(self, rows):
+        labels = [r[0] for r in rows]
+        n_pos = sum(labels)
+        n_neg = len(labels) - n_pos
+        if 0 in (n_pos, n_neg):
+            return
+        scores = [r[1] / 20 for r in rows]
+        # One point per distinct score s: the rates of rows scoring >= s.
+        expected = [(0.0, 0.0)]
+        for s in sorted(set(scores), reverse=True):
+            tp = sum(1 for y, v in zip(labels, scores) if v >= s and y == 1)
+            fp = sum(1 for y, v in zip(labels, scores) if v >= s and y == 0)
+            expected.append((fp / n_neg, tp / n_pos))
+        assert repr(roc_auc(labels, scores).points) == repr(tuple(expected))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(

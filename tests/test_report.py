@@ -30,7 +30,13 @@ from riskforge.report import (
     xai_report_html,
 )
 from riskforge.risk import PortfolioImpact, RiskConfig, assess
-from riskforge.svgplots import plot_beeswarm, plot_lime, plot_roc, plot_shap_bar
+from riskforge.svgplots import (
+    plot_beeswarm,
+    plot_instance_shap,
+    plot_lime,
+    plot_roc,
+    plot_shap_bar,
+)
 from riskforge.validation import validate
 
 VOID_TAGS = {"meta", "br", "hr", "img", "link", "input"}
@@ -133,11 +139,16 @@ def sample_evaluation(name="boosted_leafwise", auc=0.9):
         recall=0.67,
         f1=0.67,
         roc_auc=auc,
-        roc_curve=RocCurve(((0.0, 0.0), (0.2, 0.9), (1.0, 1.0)), (float("inf"), 0.5, 0.0), auc),
+        roc_curve=RocCurve(((0.0, 0.0), (0.2, 0.9), (1.0, 1.0)), auc),
         business=bm,
         impact=PortfolioImpact(bm, 50, 5_000_000.0, 123_456.0),
         assessments=(),
     )
+
+
+def applicant_html(report, doc=None):
+    doc = doc or applicant_report_doc(report)
+    return applicant_report_html(doc, plot_lime(report.lime), plot_instance_shap(report.shap))
 
 
 class TestApplicantReport:
@@ -149,13 +160,13 @@ class TestApplicantReport:
 
     def test_decision_banner_exactly_once(self):
         report = sample_report()
-        html = applicant_report_html(report, applicant_report_doc(report))
+        html = applicant_html(report)
         assert html.count("Decision: REJECT") == 1
 
     def test_html_numbers_equal_json_values(self):
         report = sample_report()
         doc = applicant_report_doc(report)
-        html = applicant_report_html(report, doc)
+        html = applicant_html(report, doc)
         for value in (
             doc["assessment"]["probability_of_default"],
             doc["assessment"]["annual_rate"],
@@ -167,14 +178,14 @@ class TestApplicantReport:
     def test_every_condition_rendered(self):
         report = sample_report()
         doc = applicant_report_doc(report)
-        html = applicant_report_html(report, doc)
+        html = applicant_html(report, doc)
         for cond in doc["assessment"]["conditions"]:
             assert cond in html
 
     def test_html_well_formed(self):
         report = sample_report()
         assert_html_well_formed(
-            applicant_report_html(report, applicant_report_doc(report))
+            applicant_html(report)
         )
 
     def test_render_writes_expected_tree(self, tmp_path):
@@ -285,7 +296,7 @@ class TestXaiReport:
 class TestSvgPlots:
     def test_all_plots_are_well_formed_xml(self):
         summary = sample_summary()
-        curve = RocCurve(((0.0, 0.0), (0.5, 0.8), (1.0, 1.0)), (float("inf"), 0.5, 0.0), 0.9)
+        curve = RocCurve(((0.0, 0.0), (0.5, 0.8), (1.0, 1.0)), 0.9)
         for svg in (
             plot_roc({"m": curve}),
             plot_shap_bar(summary),
@@ -319,7 +330,7 @@ class TestSvgPlots:
             assert abs(w - v * scale) <= 1.0  # +/- 1 px rounding
 
     def test_perfect_roc_passes_through_top_left(self):
-        curve = RocCurve(((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)), (float("inf"), 0.5, 0.0), 1.0)
+        curve = RocCurve(((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)), 1.0)
         svg = plot_roc({"perfect": curve})
         # the (0,1) corner in plot coordinates is (left, top) = (60, 24)
         assert "L60.00,24.00" in svg

@@ -148,6 +148,14 @@ class TestAggregateMerge:
         assert cells(out.column("aux_amt_COUNT"))[0] == 1.0
         assert cells(out.column("aux_amt_STD"))[0] is None
 
+    def test_std_overflow_is_data_error_naming_column(self):
+        # (1e308 - mean) ** 2 is past the float range; MEAN and SUM stay finite.
+        base = table(num_col("id", [1.0]))
+        aux = table(num_col("id", [1.0, 1.0]), num_col("amt", [1e308, 0.0]), name="aux")
+        aggregate_merge(base, aux, self.spec([Statistic.MEAN, Statistic.SUM]))
+        with pytest.raises(DataError, match="'aux_amt_STD'"):
+            aggregate_merge(base, aux, self.spec([Statistic.STD]))
+
     def test_missing_aux_cells_ignored(self):
         base = table(num_col("id", [1.0]))
         aux = table(num_col("id", [1.0, 1.0]), num_col("amt", [4.0, None]), name="aux")

@@ -514,13 +514,6 @@ class TestForest:
                 ForestParams(n_trees=1),
             )
 
-    def test_thread_count_does_not_change_model(self):
-        data = random_data(seed=16)
-        prm = ForestParams(n_trees=8, max_depth=4, feature_fraction=0.5, seed=2)
-        a = json.dumps(model_to_doc(fit_forest(data, prm, threads=1)))
-        b = json.dumps(model_to_doc(fit_forest(data, prm, threads=4)))
-        assert a == b
-
 
 class TestSerialization:
     def test_boosted_round_trip_predictions(self):

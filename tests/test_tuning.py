@@ -220,18 +220,6 @@ class TestGridSearch:
             )
 
 
-class TestThreads:
-    def test_thread_count_does_not_change_results(self):
-        data = make_data(seed=21)
-        args = (data, {"max_depth": [2, 3]}, CvPlan(n_folds=2, seed=1), LEARNER_LEVELWISE)
-        r1, m1 = grid_search(*args, defaults={"n_trees": 4}, threads=1)
-        r2, m2 = grid_search(*args, defaults={"n_trees": 4}, threads=3)
-        for c1, c2 in zip(r1.candidates, r2.candidates):
-            assert c1.fold_scores == c2.fold_scores
-        assert r1.best_index == r2.best_index
-        assert json.dumps(model_to_doc(m1)) == json.dumps(model_to_doc(m2))
-
-
 class TestLeakage:
     def test_validation_label_poisoning_never_changes_fold_model(self):
         data = make_data(n=120, seed=10)
