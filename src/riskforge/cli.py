@@ -254,39 +254,31 @@ def _raw_test_assessment_inputs(cfg: RunConfig, prepared_ids) -> tuple[list, lis
 
 
 def _evaluate_models(
-    cfg: RunConfig, models: dict, test_split, amounts, terms
+    cfg: RunConfig, models: dict, test_split, amounts
 ) -> list[report_mod.ModelEvaluation]:
     """Per-model metrics and business impact on the prepared test split."""
-    ids_te, test, y_te = test_split
+    _, test, y_te = test_split
     evaluations = []
     for order, (kind, model) in enumerate(models.items()):
         probs = predict_proba(model, test)
         cm = metrics_mod.confusion(y_te, probs, cfg.threshold)
-        curve = metrics_mod.roc_auc(y_te, probs)
-        assessments = [
-            assess(float(p), a, t, cfg.risk, applicant_id=i)
-            for p, a, t, i in zip(probs, amounts, terms, ids_te)
-        ]
-        impact = portfolio_impact(assessments, y_te, cfg.threshold)
         evaluations.append(
             (
                 order,
                 report_mod.ModelEvaluation(
                     name=kind,
                     confusion=cm,
-                    accuracy=metrics_mod.accuracy(cm).value,
-                    precision=metrics_mod.precision(cm).value,
-                    recall=metrics_mod.recall(cm).value,
-                    f1=metrics_mod.f1_score(cm).value,
-                    roc_auc=curve.auc,
-                    roc_curve=curve,
-                    business=impact.business,
-                    impact=impact,
-                    assessments=tuple(assessments),
+                    accuracy=metrics_mod.accuracy(cm),
+                    precision=metrics_mod.precision(cm),
+                    recall=metrics_mod.recall(cm),
+                    f1=metrics_mod.f1_score(cm),
+                    roc_curve=metrics_mod.roc_auc(y_te, probs),
+                    impact=portfolio_impact(probs, amounts, y_te, cfg.risk, cfg.threshold),
+                    probabilities=probs,
                 ),
             )
         )
-    evaluations.sort(key=lambda pair: (-pair[1].roc_auc, pair[0]))
+    evaluations.sort(key=lambda pair: (-pair[1].roc_curve.auc, pair[0]))
     return [ev for _, ev in evaluations]
 
 
@@ -294,8 +286,8 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
     """Per-model metrics and business impact at the configured threshold."""
     models = _load_models(cfg)
     _, _, test_split = _load_prepared(cfg)
-    amounts, terms = _raw_test_assessment_inputs(cfg, test_split[0])
-    evaluations = _evaluate_models(cfg, models, test_split, amounts, terms)
+    amounts, _ = _raw_test_assessment_inputs(cfg, test_split[0])
+    evaluations = _evaluate_models(cfg, models, test_split, amounts)
     doc = {
         "format": "riskforge.evaluation/1",
         "threshold": cfg.threshold,
@@ -313,7 +305,7 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     pipeline, (_, train, _), test_split = _load_prepared(cfg)
     ids_te, test, _ = test_split
     amounts, terms = _raw_test_assessment_inputs(cfg, ids_te)
-    evaluations = _evaluate_models(cfg, models, test_split, amounts, terms)
+    evaluations = _evaluate_models(cfg, models, test_split, amounts)
     written = []
 
     business = report_mod.BusinessImpactReport(evaluations, cfg.threshold)
@@ -335,7 +327,7 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     if report_kind == "best":
         report_kind = evaluations[0].name
     model = models[report_kind]
-    assessments = next(ev.assessments for ev in evaluations if ev.name == report_kind)
+    probs = next(ev.probabilities for ev in evaluations if ev.name == report_kind)
     explainer = TreeShapExplainer(model)
     # Applicants in the SHAP sample reuse the summary's phi and margin.
     summary = summaries[report_kind]
@@ -367,7 +359,9 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
             instance_id=applicant_id,
         )
         applicant = report_mod.ApplicantReport(
-            assessment=assessments[k],
+            assessment=assess(
+                float(probs[k]), amounts[k], terms[k], cfg.risk, applicant_id=applicant_id
+            ),
             shap=shap_exp,
             lime=lime_exp,
             model_name=report_kind,

@@ -2,9 +2,8 @@
 
 The positive class is the defaulter (label 1) throughout, and threshold
 comparisons are inclusive: a row is predicted positive when its probability
-is >= the threshold. Degenerate denominators never raise; the affected rate
-comes back as 0 with its ``degenerate`` flag set so grid search can score
-pathological folds.
+is >= the threshold. Rates are plain floats. Degenerate denominators never
+raise: a 0/0 rate returns 0.0, so grid search can score pathological folds.
 """
 
 from __future__ import annotations
@@ -30,17 +29,6 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class Rate:
-    """A rate in [0, 1]; ``degenerate`` marks a 0/0 convention result."""
-
-    value: float
-    degenerate: bool = False
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
 class RocCurve:
     """Operating points from threshold +inf down to -inf, plus the area."""
 
@@ -50,10 +38,10 @@ class RocCurve:
 
 @dataclass(frozen=True)
 class BusinessMetrics:
-    approval_rate: Rate
-    default_rate_among_approved: Rate
-    fpr: Rate
-    fnr: Rate
+    approval_rate: float
+    default_rate_among_approved: float
+    fpr: float
+    fnr: float
 
 
 def _as_arrays(labels, probabilities) -> tuple[np.ndarray, np.ndarray]:
@@ -77,38 +65,32 @@ def confusion(labels, probabilities, threshold: float) -> ConfusionMatrix:
     )
 
 
-def _rate(num: int, den: int) -> Rate:
-    if den == 0:
-        return Rate(0.0, degenerate=True)
-    return Rate(num / den)
+def _rate(num: int, den: int) -> float:
+    return num / den if den else 0.0
 
 
-def accuracy(cm: ConfusionMatrix) -> Rate:
+def accuracy(cm: ConfusionMatrix) -> float:
     return _rate(cm.tp + cm.tn, cm.total)
 
 
-def precision(cm: ConfusionMatrix) -> Rate:
+def precision(cm: ConfusionMatrix) -> float:
     return _rate(cm.tp, cm.tp + cm.fp)
 
 
-def recall(cm: ConfusionMatrix) -> Rate:
+def recall(cm: ConfusionMatrix) -> float:
     return _rate(cm.tp, cm.tp + cm.fn)
 
 
-def f1_score(cm: ConfusionMatrix) -> Rate:
+def f1_score(cm: ConfusionMatrix) -> float:
     p, r = precision(cm), recall(cm)
-    if p.degenerate and r.degenerate:
-        return Rate(0.0, degenerate=True)
-    if p.value + r.value == 0:
-        return Rate(0.0, degenerate=True)
-    return Rate(2 * p.value * r.value / (p.value + r.value))
+    return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def false_positive_rate(cm: ConfusionMatrix) -> Rate:
+def false_positive_rate(cm: ConfusionMatrix) -> float:
     return _rate(cm.fp, cm.fp + cm.tn)
 
 
-def false_negative_rate(cm: ConfusionMatrix) -> Rate:
+def false_negative_rate(cm: ConfusionMatrix) -> float:
     return _rate(cm.fn, cm.fn + cm.tp)
 
 
@@ -155,7 +137,7 @@ def business_metrics(
     n_approved = int(np.sum(approved))
     cm = confusion(y, p, threshold)
     return BusinessMetrics(
-        approval_rate=Rate(n_approved / y.size),
+        approval_rate=_rate(n_approved, y.size),
         default_rate_among_approved=_rate(int(np.sum(approved & (y == 1))), n_approved),
         fpr=false_positive_rate(cm),
         fnr=false_negative_rate(cm),

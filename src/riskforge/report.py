@@ -16,7 +16,7 @@ import numpy as np
 
 from . import svgplots
 from .explain import LimeExplanation, ShapExplanation, ShapSummary
-from .metrics import APPROVE, REVIEW, BusinessMetrics, ConfusionMatrix, RocCurve
+from .metrics import APPROVE, REVIEW, ConfusionMatrix, RocCurve
 from .risk import ApplicantAssessment, PortfolioImpact
 from .utils import dump_json, round6, write_text
 from .validation import validate
@@ -73,11 +73,6 @@ class ApplicantReport:
     shap: ShapExplanation
     lime: LimeExplanation
     model_name: str
-    narrative: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.narrative:
-            self.narrative = tuple(_narrative(self.assessment, self.lime))
 
 
 def _narrative(assessment: ApplicantAssessment, lime: LimeExplanation) -> list[str]:
@@ -152,7 +147,7 @@ def applicant_report_doc(report: ApplicantReport) -> dict:
                 {"feature": name, "weight": round6(w)} for name, w in report.lime.weights
             ],
         },
-        "narrative": list(report.narrative),
+        "narrative": _narrative(a, report.lime),
     }
     validate(doc, "applicant_report")
     return doc
@@ -229,15 +224,14 @@ class ModelEvaluation:
     precision: float
     recall: float
     f1: float
-    roc_auc: float
     roc_curve: RocCurve
-    business: BusinessMetrics
     impact: PortfolioImpact
-    #: one per test-split row, in test-split order
-    assessments: tuple[ApplicantAssessment, ...]
+    #: default probability per test-split row, in test-split order
+    probabilities: np.ndarray
 
 
 def evaluation_block(ev: ModelEvaluation) -> dict:
+    business = ev.impact.business
     return {
         "name": ev.name,
         "evaluation": {
@@ -245,7 +239,7 @@ def evaluation_block(ev: ModelEvaluation) -> dict:
             "accuracy_percent": round6(ev.accuracy * 100.0),
             "precision": round6(ev.precision),
             "recall": round6(ev.recall),
-            "roc_auc": round6(ev.roc_auc),
+            "roc_auc": round6(ev.roc_curve.auc),
             "f1": round6(ev.f1),
         },
         "confusion": {
@@ -255,12 +249,10 @@ def evaluation_block(ev: ModelEvaluation) -> dict:
             "fn": ev.confusion.fn,
         },
         "business": {
-            "approval_rate": round6(ev.business.approval_rate.value),
-            "default_rate_among_approved": round6(
-                ev.business.default_rate_among_approved.value
-            ),
-            "fpr": round6(ev.business.fpr.value),
-            "fnr": round6(ev.business.fnr.value),
+            "approval_rate": round6(business.approval_rate),
+            "default_rate_among_approved": round6(business.default_rate_among_approved),
+            "fpr": round6(business.fpr),
+            "fnr": round6(business.fnr),
         },
         "exposure": {
             "approved_count": ev.impact.approved_count,

@@ -9,7 +9,6 @@ condition caps without touching code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -123,7 +122,7 @@ def assess(
     applicant_id: str = "",
 ) -> ApplicantAssessment:
     """Map one applicant's default probability to a full loan decision."""
-    if not (0.0 <= probability <= 1.0) or math.isnan(probability):
+    if not (0.0 <= probability <= 1.0):  # NaN fails every comparison
         raise DataError(f"probability must be in [0, 1], got {probability}")
     if loan_amount <= 0:
         raise DataError(f"loan amount must be positive, got {loan_amount}")
@@ -171,27 +170,30 @@ class PortfolioImpact:
 
 
 def portfolio_impact(
-    assessments, labels, threshold: float = 0.5
+    probabilities, amounts, labels, cfg: RiskConfig, threshold: float = 0.5
 ) -> PortfolioImpact:
-    """Business metrics plus approved principal and expected loss.
+    """Business metrics plus approved principal and expected loss of a book.
 
-    Expected loss sums probability * amount over approved applicants.
+    Each row's decision comes from its risk band. Expected loss sums
+    probability * amount over approved applicants.
     """
-    assessments = list(assessments)
+    probs = np.asarray(probabilities, dtype=np.float64).tolist()
+    amounts = np.asarray(amounts, dtype=np.float64).tolist()
     y = np.asarray(labels, dtype=np.int64)
-    if len(assessments) != y.size:
-        raise DataError(f"assessments ({len(assessments)}) and labels ({y.size}) differ")
-    probs = np.array([a.probability_of_default for a in assessments])
-    decisions = [a.decision for a in assessments]
+    if not len(probs) == len(amounts) == y.size:
+        raise DataError(
+            f"probabilities ({len(probs)}), amounts ({len(amounts)}) "
+            f"and labels ({y.size}) differ"
+        )
+    for p in probs:
+        if not (0.0 <= p <= 1.0):  # NaN fails every comparison
+            raise DataError(f"probability must be in [0, 1], got {p}")
+    decisions = [cfg.decisions[band_for(p, cfg)] for p in probs]
     business = metrics.business_metrics(y, decisions, probs, threshold)
-    approved = [a for a in assessments if a.decision == APPROVE]
-    principal = float(sum(a.loan_amount for a in approved))
-    expected_loss = float(
-        sum(a.probability_of_default * a.loan_amount for a in approved)
-    )
+    approved = [(p, a) for p, a, d in zip(probs, amounts, decisions) if d == APPROVE]
     return PortfolioImpact(
         business=business,
         approved_count=len(approved),
-        total_approved_principal=principal,
-        expected_loss=expected_loss,
+        total_approved_principal=float(sum(a for _, a in approved)),
+        expected_loss=float(sum(p * a for p, a in approved)),
     )

@@ -21,6 +21,14 @@ BLUE = "#1f77b4"
 
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
+ROC_WIDTH, ROC_HEIGHT = 520, 420
+BAR_WIDTH = 560  # signed bars and the mean |SHAP| bar chart
+BEESWARM_WIDTH = 620
+LIME_MIN_ABS_WEIGHT = 1e-12  # LIME weights at or below this get no bar
+INSTANCE_SHAP_FEATURES = 12
+SHAP_BAR_FEATURES = 15
+BEESWARM_FEATURES = 10
+
 
 def _f(x: float) -> str:
     return f"{x:.2f}"
@@ -45,12 +53,12 @@ def _axis_text(x: float, y: float, text: str, anchor="middle", size=12, extra=""
     )
 
 
-def plot_roc(curves: Mapping[str, RocCurve], width: int = 520, height: int = 420) -> str:
+def plot_roc(curves: Mapping[str, RocCurve]) -> str:
     """One path per model plus a dashed diagonal reference line."""
     if not curves:
         raise DataError("no curves to plot")
     left, right, top, bottom = 60, 20, 24, 56
-    pw, ph = width - left - right, height - top - bottom
+    pw, ph = ROC_WIDTH - left - right, ROC_HEIGHT - top - bottom
 
     def sx(v: float) -> float:
         return left + v * pw
@@ -90,14 +98,14 @@ def plot_roc(curves: Mapping[str, RocCurve], width: int = 520, height: int = 420
                 left + pw - 152, ly - 2, f"{name} (AUC {curve.auc:.4f})", anchor="start", size=11
             )
         )
-    body.append(_axis_text(left + pw / 2, height - 12, "False Positive Rate"))
+    body.append(_axis_text(left + pw / 2, ROC_HEIGHT - 12, "False Positive Rate"))
     body.append(
         _axis_text(
             16, top + ph / 2, "True Positive Rate",
             extra=f' transform="rotate(-90 16 {_f(top + ph / 2)})"',
         )
     )
-    return _svg(width, height, body)
+    return _svg(ROC_WIDTH, ROC_HEIGHT, body)
 
 
 def _signed_bars(
@@ -105,13 +113,12 @@ def _signed_bars(
     pos_color: str,
     neg_color: str,
     title: str,
-    width: int = 560,
 ) -> str:
     """Horizontal signed bars with a zero axis; lengths proportional to |value|."""
     row_h = 24
     left, right, top, bottom = 210, 70, 30, 16
     height = top + bottom + row_h * max(len(entries), 1)
-    pw = width - left - right
+    pw = BAR_WIDTH - left - right
     peak = max((abs(v) for _, v in entries), default=0.0) or 1.0
     zero_x = left + pw / 2.0
     unit = (pw / 2.0) / peak
@@ -138,29 +145,29 @@ def _signed_bars(
                 anchor="start" if value >= 0 else "end", size=10,
             )
         )
-    return _svg(width, height, body)
+    return _svg(BAR_WIDTH, height, body)
 
 
-def plot_lime(explanation, min_abs_weight: float = 1e-12) -> str:
+def plot_lime(explanation) -> str:
     """LIME bars: positive weights green, negative red."""
-    entries = [(n, w) for n, w in explanation.weights if abs(w) > min_abs_weight]
+    entries = [(n, w) for n, w in explanation.weights if abs(w) > LIME_MIN_ABS_WEIGHT]
     return _signed_bars(entries, GREEN, RED, "LIME feature weights (standardized features)")
 
 
-def plot_instance_shap(explanation, max_features: int = 12) -> str:
+def plot_instance_shap(explanation) -> str:
     """Signed per-feature SHAP contributions for one instance."""
-    order = np.argsort(-np.abs(explanation.phi), kind="stable")[:max_features]
+    order = np.argsort(-np.abs(explanation.phi), kind="stable")[:INSTANCE_SHAP_FEATURES]
     entries = [(explanation.feature_names[int(j)], float(explanation.phi[int(j)])) for j in order]
     return _signed_bars(entries, RED, BLUE, f"SHAP contributions ({explanation.scale} scale)")
 
 
-def plot_shap_bar(summary, max_features: int = 15, width: int = 560) -> str:
+def plot_shap_bar(summary) -> str:
     """Global importance: mean |SHAP| per feature in ranking order."""
-    ranks = list(summary.ranking[:max_features])
+    ranks = list(summary.ranking[:SHAP_BAR_FEATURES])
     row_h = 24
     left, right, top, bottom = 210, 80, 30, 16
     height = top + bottom + row_h * max(len(ranks), 1)
-    pw = width - left - right
+    pw = BAR_WIDTH - left - right
     peak = max((float(summary.mean_abs[j]) for j in ranks), default=0.0) or 1.0
     body = [_axis_text(left + pw / 2, 18, "mean |SHAP value|", size=12)]
     for i, j in enumerate(ranks):
@@ -175,7 +182,7 @@ def plot_shap_bar(summary, max_features: int = 15, width: int = 560) -> str:
             _axis_text(left - 6, y + row_h / 2 + 4, summary.feature_names[j], anchor="end", size=11)
         )
         body.append(_axis_text(left + bar_w + 4, y + row_h / 2 + 4, f"{value:.4f}", anchor="start", size=10))
-    return _svg(width, height, body)
+    return _svg(BAR_WIDTH, height, body)
 
 
 def _heat_color(t: float) -> str:
@@ -187,16 +194,14 @@ def _heat_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def plot_beeswarm(
-    summary, max_features: int = 10, seed: int = 0, width: int = 620
-) -> str:
+def plot_beeswarm(summary, seed: int = 0) -> str:
     """One dot per (instance, feature): x is the SHAP value, color the
     feature value, with seeded vertical jitter to show density."""
-    ranks = list(summary.ranking[:max_features])
+    ranks = list(summary.ranking[:BEESWARM_FEATURES])
     row_h = 34
     left, right, top, bottom = 210, 30, 30, 40
     height = top + bottom + row_h * max(len(ranks), 1)
-    pw = width - left - right
+    pw = BEESWARM_WIDTH - left - right
 
     sub = summary.shap_values[:, ranks]
     lo = float(sub.min()) if sub.size else -1.0
@@ -230,4 +235,4 @@ def plot_beeswarm(
             )
     for tick in (lo, 0.0 if lo < 0 < hi else (lo + hi) / 2, hi):
         body.append(_axis_text(sx(tick), height - 14, f"{tick:.2f}", size=10))
-    return _svg(width, height, body)
+    return _svg(BEESWARM_WIDTH, height, body)

@@ -139,13 +139,13 @@ def score_predictions(metric: str, labels, probabilities, threshold: float = 0.5
         return metrics.roc_auc(labels, probabilities).auc
     cm = metrics.confusion(labels, probabilities, threshold)
     if metric == "accuracy":
-        return metrics.accuracy(cm).value
+        return metrics.accuracy(cm)
     if metric == "precision":
-        return metrics.precision(cm).value
+        return metrics.precision(cm)
     if metric == "recall":
-        return metrics.recall(cm).value
+        return metrics.recall(cm)
     if metric == "f1":
-        return metrics.f1_score(cm).value
+        return metrics.f1_score(cm)
     raise ConfigError(f"unknown metric {metric!r}; expected one of {_METRIC_NAMES}")
 
 

@@ -16,6 +16,7 @@ import riskforge
 from riskforge.cli import main
 from riskforge.config import default_config_dict, load_config, parse_config
 from riskforge.errors import ConfigError
+from riskforge.risk import assess
 from riskforge.validation import validate
 
 
@@ -219,6 +220,48 @@ class TestRawLoanInputs:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert applicant_id in lines[0] and "amt_credit" in lines[0]
+
+
+class TestLoanDecisions:
+    def test_assess_called_only_for_reported_applicants(self, workdir, monkeypatch):
+        root, config_path = workdir
+        calls = []
+
+        def counting_assess(*args, **kwargs):
+            calls.append(kwargs.get("applicant_id"))
+            return assess(*args, **kwargs)
+
+        monkeypatch.setattr("riskforge.cli.assess", counting_assess)
+        assert main(["evaluate", "--config", str(config_path)]) == 0
+        assert calls == []
+        with open(root / "out" / "prepared" / "test_labels.csv") as fh:
+            a, b = [row[0] for row in list(csv.reader(fh))[1:3]]
+        assert main(["assess", "--config", str(config_path), "--ids", f"{a},{b}"]) == 0
+        assert calls == [a, b]
+
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    def test_nan_leaf_exits_2(self, workdir, tmp_path, capsys, command):
+        root, config_path = workdir
+        shutil.copytree(root / "out" / "prepared", tmp_path / "out" / "prepared")
+        shutil.copytree(root / "out" / "models", tmp_path / "out" / "models")
+        model_path = tmp_path / "out" / "models" / "boosted_leafwise.json"
+        doc = json.loads(model_path.read_text())
+        stack = [doc["trees"][0]]
+        while stack:  # every leaf of the first tree, so every row scores NaN
+            node = stack.pop()
+            if "value" in node:
+                node["value"] = float("nan")
+            else:
+                stack.extend((node["left"], node["right"]))
+        model_path.write_text(json.dumps(doc))
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(p)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "probability must be in [0, 1], got nan" in lines[0]
 
 
 def _set_cell(column, value, row=1):

@@ -55,27 +55,25 @@ class TestConfusion:
 
 class TestRates:
     def test_precision_perfect(self):
-        assert precision(ConfusionMatrix(tp=1, fp=0, tn=3, fn=2)).value == 1.0
+        assert precision(ConfusionMatrix(tp=1, fp=0, tn=3, fn=2)) == 1.0
 
     def test_recall_counts(self):
-        r = recall(ConfusionMatrix(tp=3, fp=0, tn=0, fn=1))
-        assert r.value == 0.75 and not r.degenerate
+        assert recall(ConfusionMatrix(tp=3, fp=0, tn=0, fn=1)) == 0.75
 
     def test_degenerate_precision(self):
-        p = precision(ConfusionMatrix(tp=0, fp=0, tn=5, fn=2))
-        assert p.value == 0.0 and p.degenerate
+        assert precision(ConfusionMatrix(tp=0, fp=0, tn=5, fn=2)) == 0.0
 
     def test_accuracy(self):
-        assert accuracy(ConfusionMatrix(tp=2, fp=1, tn=6, fn=1)).value == 0.8
+        assert accuracy(ConfusionMatrix(tp=2, fp=1, tn=6, fn=1)) == 0.8
 
     def test_f1_from_precision_recall(self):
         cm = ConfusionMatrix(tp=2, fp=2, tn=4, fn=2)
-        p, r = precision(cm).value, recall(cm).value
-        assert f1_score(cm).value == pytest.approx(2 * p * r / (p + r))
+        p, r = precision(cm), recall(cm)
+        assert f1_score(cm) == pytest.approx(2 * p * r / (p + r))
 
     def test_fnr_is_one_minus_recall(self):
         cm = ConfusionMatrix(tp=3, fp=1, tn=2, fn=2)
-        assert false_negative_rate(cm).value == pytest.approx(1 - recall(cm).value)
+        assert false_negative_rate(cm) == pytest.approx(1 - recall(cm))
 
 
 class TestRocAuc:
@@ -184,22 +182,21 @@ class TestBusinessMetrics:
         decisions = [APPROVE] * 9 + [REJECT]
         probs = [0.9] + [0.1] * 9
         bm = business_metrics(labels, decisions, probs, 0.5)
-        assert bm.approval_rate.value == pytest.approx(0.9)
-        assert bm.default_rate_among_approved.value == pytest.approx(1 / 9, abs=1e-9)
-        assert bm.default_rate_among_approved.value == pytest.approx(0.1111, abs=1e-4)
+        assert bm.approval_rate == pytest.approx(0.9)
+        assert bm.default_rate_among_approved == pytest.approx(1 / 9, abs=1e-9)
+        assert bm.default_rate_among_approved == pytest.approx(0.1111, abs=1e-4)
 
     def test_nobody_approved_is_degenerate_zero(self):
         bm = business_metrics([0, 1], [REJECT, REVIEW], [0.1, 0.9], 0.5)
-        assert bm.approval_rate.value == 0.0
-        assert bm.default_rate_among_approved.value == 0.0
-        assert bm.default_rate_among_approved.degenerate
+        assert bm.approval_rate == 0.0
+        assert bm.default_rate_among_approved == 0.0
 
     def test_fnr_complements_recall(self):
         labels = [1, 1, 0, 1, 0]
         probs = [0.9, 0.2, 0.7, 0.6, 0.1]
         bm = business_metrics(labels, [APPROVE] * 5, probs, 0.5)
         cm = confusion(labels, probs, 0.5)
-        assert bm.fnr.value == pytest.approx(1 - recall(cm).value)
+        assert bm.fnr == pytest.approx(1 - recall(cm))
 
     def test_rates_in_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -209,4 +206,4 @@ class TestBusinessMetrics:
         decisions = rng.choice([APPROVE, REVIEW, REJECT], 30)
         bm = business_metrics(labels, list(decisions), probs, 0.4)
         for rate in (bm.approval_rate, bm.default_rate_among_approved, bm.fpr, bm.fnr):
-            assert 0.0 <= rate.value <= 1.0
+            assert 0.0 <= rate <= 1.0

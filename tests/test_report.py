@@ -11,7 +11,6 @@ from riskforge.metrics import (
     APPROVE,
     BusinessMetrics,
     ConfusionMatrix,
-    Rate,
     RocCurve,
 )
 from riskforge.report import (
@@ -126,10 +125,10 @@ def sample_summary(n=6, d=3, seed=0):
 
 def sample_evaluation(name="boosted_leafwise", auc=0.9):
     bm = BusinessMetrics(
-        approval_rate=Rate(0.5),
-        default_rate_among_approved=Rate(0.01),
-        fpr=Rate(0.1),
-        fnr=Rate(0.4),
+        approval_rate=0.5,
+        default_rate_among_approved=0.01,
+        fpr=0.1,
+        fnr=0.4,
     )
     return ModelEvaluation(
         name=name,
@@ -138,11 +137,9 @@ def sample_evaluation(name="boosted_leafwise", auc=0.9):
         precision=0.67,
         recall=0.67,
         f1=0.67,
-        roc_auc=auc,
         roc_curve=RocCurve(((0.0, 0.0), (0.2, 0.9), (1.0, 1.0)), auc),
-        business=bm,
         impact=PortfolioImpact(bm, 50, 5_000_000.0, 123_456.0),
-        assessments=(),
+        probabilities=np.array([]),
     )
 
 
@@ -220,7 +217,7 @@ class TestBusinessReport:
         ev.accuracy = 0.9007
         ev.precision = 0.2757
         ev.recall = 0.1434
-        ev.roc_auc = 0.7203
+        ev.roc_curve = RocCurve(ev.roc_curve.points, 0.7203)
         ev.f1 = 2 * 0.2757 * 0.1434 / (0.2757 + 0.1434)
         report = BusinessImpactReport([ev], threshold=0.5)
         html = business_report_html(report, business_report_doc(report))

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from riskforge.errors import ConfigError, DataError
 from riskforge.metrics import APPROVE, REJECT, REVIEW, business_metrics
 from riskforge.risk import (
-    ApplicantAssessment,
     Band,
     BandRule,
+    PortfolioImpact,
     RiskConfig,
     amortized_payment,
     assess,
@@ -131,23 +131,34 @@ class TestValidation:
             RiskConfig(premiums={Band.LOW: -1.0, Band.MODERATE: 0.0, Band.HIGH: 0.0})
 
 
+def per_row_reference(probs, amounts, labels, cfg, threshold):
+    """The portfolio as scored before: one full assess() per row, then sums."""
+    assessments = [assess(float(p), a, 12, cfg) for p, a in zip(probs, amounts)]
+    decisions = [a.decision for a in assessments]
+    business = business_metrics(
+        labels, decisions, np.array([a.probability_of_default for a in assessments]), threshold
+    )
+    approved = [a for a in assessments if a.decision == APPROVE]
+    return PortfolioImpact(
+        business=business,
+        approved_count=len(approved),
+        total_approved_principal=float(sum(a.loan_amount for a in approved)),
+        expected_loss=float(sum(a.probability_of_default * a.loan_amount for a in approved)),
+    )
+
+
 class TestPortfolio:
-    def make(self, p, decision, amount=1000.0):
-        return ApplicantAssessment(
-            applicant_id="x", probability_of_default=p,
-            band=band_for(p, CFG), decision=decision, annual_rate=8.0,
-            conditions=(), monthly_payment=None, loan_amount=amount, term_months=12,
-        )
+    # Low below 0.3, Moderate below 0.6, High from 0.6.
+    WIDE = RiskConfig(t_low=0.3, t_high=0.6)
 
     def test_all_rejected_zero_exposure(self):
-        assessments = [self.make(0.9, REJECT), self.make(0.8, REJECT)]
-        impact = portfolio_impact(assessments, [1, 0])
+        impact = portfolio_impact([0.9, 0.8], [1000.0, 1000.0], [1, 0], CFG)
         assert impact.total_approved_principal == 0.0
         assert impact.expected_loss == 0.0
         assert impact.approved_count == 0
 
     def test_expected_loss_is_probability_times_amount(self):
-        impact = portfolio_impact([self.make(0.1, APPROVE, 1000.0)], [0])
+        impact = portfolio_impact([0.1], [1000.0], [0], self.WIDE)
         assert impact.expected_loss == pytest.approx(100.0)
         assert impact.total_approved_principal == 1000.0
 
@@ -158,19 +169,43 @@ class TestPortfolio:
         decisions = [
             APPROVE if p < 0.3 else (REVIEW if p < 0.6 else REJECT) for p in probs
         ]
-        assessments = [
-            self.make(float(p), d) for p, d in zip(probs, decisions)
-        ]
-        impact = portfolio_impact(assessments, labels, threshold=0.5)
+        impact = portfolio_impact(probs, [1000.0] * 40, labels, self.WIDE, threshold=0.5)
         direct = business_metrics(labels, decisions, probs, 0.5)
-        assert impact.business.approval_rate.value == direct.approval_rate.value
-        assert impact.business.fpr.value == direct.fpr.value
-        assert impact.business.fnr.value == direct.fnr.value
+        assert impact.business.approval_rate == direct.approval_rate
+        assert impact.business.fpr == direct.fpr
+        assert impact.business.fnr == direct.fnr
         assert (
-            impact.business.default_rate_among_approved.value
-            == direct.default_rate_among_approved.value
+            impact.business.default_rate_among_approved
+            == direct.default_rate_among_approved
         )
+
+    def test_matches_per_row_reference(self):
+        remapped = RiskConfig(
+            t_low=0.15,
+            t_high=0.35,
+            decisions={Band.LOW: APPROVE, Band.MODERATE: APPROVE, Band.HIGH: REVIEW},
+        )
+        rng = np.random.default_rng(11)
+        for cfg in (CFG, self.WIDE, remapped):
+            for _ in range(40):
+                n = int(rng.integers(1, 80))
+                probs = rng.random(n)
+                ties = rng.random(n)
+                probs[ties < 0.15] = cfg.t_low
+                probs[(ties >= 0.15) & (ties < 0.3)] = cfg.t_high
+                probs[ties > 0.97] = rng.choice([0.0, 1.0])
+                amounts = rng.uniform(1_000.0, 900_000.0, n).round(2)
+                labels = rng.integers(0, 2, n)
+                threshold = float(rng.choice([0.5, cfg.t_low, cfg.t_high]))
+                got = portfolio_impact(probs, amounts, labels, cfg, threshold)
+                want = per_row_reference(probs, amounts.tolist(), labels, cfg, threshold)
+                assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.5])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(DataError, match=r"probability must be in \[0, 1\]"):
+            portfolio_impact([0.1, bad], [1000.0, 1000.0], [0, 1], CFG)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="differ"):
-            portfolio_impact([self.make(0.1, APPROVE)], [0, 1])
+            portfolio_impact([0.1], [1000.0], [0, 1], CFG)
