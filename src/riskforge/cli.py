@@ -22,7 +22,7 @@ from . import report as report_mod
 from .config import RunConfig, load_config
 from .corpus import generate_corpus
 from .errors import ConfigError, DataError, RiskforgeError, UserError
-from .explain import TreeShapExplainer, lime_explain, shap_summary
+from .explain import lime_explain, shap_summary
 from .features import apply_recipes
 from .preprocess import (
     FittedPipeline,
@@ -328,10 +328,6 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
         report_kind = evaluations[0].name
     model = models[report_kind]
     probs = next(ev.probabilities for ev in evaluations if ev.name == report_kind)
-    explainer = TreeShapExplainer(model)
-    # Applicants in the SHAP sample reuse the summary's phi and margin.
-    summary = summaries[report_kind]
-    sample_position = {int(k): j for j, k in enumerate(sample_rows)}
 
     index_of = {i: k for k, i in enumerate(ids_te)}
     chosen = list(ids_te) if ids is None else list(ids)
@@ -339,14 +335,20 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
         if applicant_id not in index_of:
             raise ConfigError(f"unknown applicant id {applicant_id!r}")
 
+    # Applicants in the SHAP sample reuse the summary's phi and margin; the
+    # others are explained together, in one batch.
+    shap_of = {int(k): (summaries[report_kind], j) for j, k in enumerate(sample_rows)}
+    outside = sorted({index_of[a] for a in chosen} - shap_of.keys())
+    if outside:
+        batch = shap_summary(model, test[outside])
+        shap_of.update((k, (batch, j)) for j, k in enumerate(outside))
+
     mu = train.mean(axis=0)
     sd = train.std(axis=0)
     for applicant_id in chosen:
         k = index_of[applicant_id]
-        if k in sample_position:
-            shap_exp = summary.explanation(sample_position[k], instance_id=applicant_id)
-        else:
-            shap_exp = explainer.explain(test[k], instance_id=applicant_id)
+        summary, row = shap_of[k]
+        shap_exp = summary.explanation(row, instance_id=applicant_id)
         lime_params = dataclasses.replace(
             cfg.lime, seed=stage_seed(cfg.seed, f"lime-{applicant_id}")
         )

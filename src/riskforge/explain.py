@@ -1,15 +1,16 @@
-"""Model explanations: path-dependent TreeSHAP, a brute-force Shapley
+"""Model explanations: exact path-dependent TreeSHAP, a brute-force Shapley
 oracle, summary aggregation, and LIME local surrogates.
 
-TreeSHAP walks every root-to-leaf path once, maintaining the weighted set
-of feature subsets along the path (the extend/unwind bookkeeping of the
-polynomial-time algorithm). A feature that is absent from a subset sends
-weight down both children in proportion to their training cover. It reads
-the fitted ``TreeNode`` trees directly: each node's split, children, cover
-and leaf value are all it needs, and the base value is each tree's
-cover-weighted leaf expectation. The exponential-time ``brute_shapley``
-computes the same attributions straight from the Shapley definition and
-exists purely to cross-check the fast path.
+TreeSHAP (Lundberg et al. 2020) explains a whole batch of rows at once, one
+tree at a time, over merged root-to-leaf paths as in GPUTreeShap (Mitchell
+et al. 2022). A feature split more than once on a path is one path element:
+its zero fraction is the product of its cover ratios, and a row's one
+fraction is 0 or 1 by whether the row lies in the element's interval. The
+extend and unwound-sum steps of the polynomial-time algorithm then run as
+numpy updates over (rows, paths, elements), for paths grouped by element
+count. The base value is each tree's cover-weighted leaf expectation. The
+exponential-time ``brute_shapley`` computes the same attributions straight
+from the Shapley definition and exists purely to cross-check the fast path.
 
 Boosted ensembles are explained on the margin (log-odds) scale, where
 additivity is exact; forests on the probability scale. Every explanation
@@ -28,6 +29,12 @@ from .trees import BoostedModel, ForestModel, TreeNode, predict_margin
 
 SCALE_MARGIN = "margin"
 SCALE_PROBABILITY = "probability"
+
+#: Float64 cells in one (rows, paths, elements) array of the batch kernel.
+#: Rows are explained in chunks sized from this and the model's widest path
+#: group, never from the row count, so a row's values do not depend on the
+#: batch it is explained in, and scratch memory does not grow with the rows.
+CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -99,86 +106,73 @@ def _expected_value(node: TreeNode) -> float:
     return (left.cover * el + right.cover * er) / (left.cover + right.cover)
 
 
-def _unwind(fi, zf, of, pw, path_index):
-    depth = len(fi) - 1
-    one_fraction = of[path_index]
-    zero_fraction = zf[path_index]
-    next_one = pw[depth]
-    for i in range(depth - 1, -1, -1):
-        if one_fraction != 0.0:
-            tmp = pw[i]
-            pw[i] = next_one * (depth + 1) / ((i + 1) * one_fraction)
-            next_one = tmp - pw[i] * zero_fraction * (depth - i) / (depth + 1)
-        else:
-            pw[i] = pw[i] * (depth + 1) / (zero_fraction * (depth - i))
-    for i in range(path_index, depth):
-        fi[i] = fi[i + 1]
-        zf[i] = zf[i + 1]
-        of[i] = of[i + 1]
-    fi.pop()
-    zf.pop()
-    of.pop()
-    pw.pop()
+def _path_groups(root: TreeNode) -> list[tuple]:
+    """A tree's root-to-leaf paths as merged elements, grouped by count.
+
+    An element is a distinct split feature, placed at its last split, with
+    its cover ratios multiplied into a zero fraction and its turns merged
+    into an interval (lo, hi]: lo is NaN with no right turn and hi is free
+    with no left turn. One tuple per group, paths in depth-first order:
+    (features, zero fractions, lo, hi, hi free, leaf values).
+    """
+    groups: dict[int, list] = {}
+
+    def walk(node: TreeNode, path: dict):
+        if node.is_leaf:
+            if path:
+                groups.setdefault(len(path), []).append((node.value, path))
+            return
+        f, t = node.feature, node.threshold
+        zero, lo, hi, free = path.get(f, (1.0, math.nan, math.inf, True))
+        rest = {k: v for k, v in path.items() if k != f}
+        for child, left in ((node.left, True), (node.right, False)):
+            z = child.cover / node.cover * zero
+            if left:
+                walk(child, {**rest, f: (z, lo, min(hi, t), False)})
+            else:
+                walk(child, {**rest, f: (z, t if math.isnan(lo) else max(lo, t), hi, free)})
+
+    walk(root, {})
+    packed = []
+    for _, leaves in sorted(groups.items()):
+        zero, lo, hi, free = np.array([list(p.values()) for _, p in leaves]).transpose(2, 0, 1)
+        features = np.array([list(p) for _, p in leaves], dtype=np.intp)
+        packed.append((features, zero, lo, hi, free == 1.0, np.array([v for v, _ in leaves])))
+    return packed
 
 
-def _unwound_sum(fi, zf, of, pw, path_index):
-    depth = len(fi) - 1
-    one_fraction = of[path_index]
-    zero_fraction = zf[path_index]
-    next_one = pw[depth]
-    total = 0.0
-    for i in range(depth - 1, -1, -1):
-        if one_fraction != 0.0:
-            tmp = next_one * (depth + 1) / ((i + 1) * one_fraction)
-            total += tmp
-            next_one = pw[i] - tmp * zero_fraction * (depth - i) / (depth + 1)
-        else:
-            total += pw[i] / zero_fraction * (depth + 1) / (depth - i)
-    return total
+def _add_group_phi(x, group, phi) -> None:
+    """Add one path group's TreeSHAP values for the rows ``x`` into ``phi``.
 
-
-def _shap_recurse(node: TreeNode, x, phi, fi, zf, of, pw, pzf, pof, pfi):
-    # Copy the parent path, then extend it with the incoming fractions
-    # (inlined _extend: this is the hottest loop in the package).
-    fi = fi.copy()
-    zf = zf.copy()
-    of = of.copy()
-    pw = pw.copy()
-    depth = len(fi)
-    fi.append(pfi)
-    zf.append(pzf)
-    of.append(pof)
-    pw.append(1.0 if depth == 0 else 0.0)
-    inv = 1.0 / (depth + 1)
-    for i in range(depth - 1, -1, -1):
-        pw[i + 1] += pof * pw[i] * (i + 1) * inv
-        pw[i] = pzf * pw[i] * (depth - i) * inv
-
-    left = node.left
-    if left is None:
-        leaf_value = node.value
-        for i in range(1, depth + 1):
-            w = _unwound_sum(fi, zf, of, pw, i)
-            phi[fi[i]] += w * (of[i] - zf[i]) * leaf_value
-        return
-
-    f = node.feature
-    right = node.right
-    hot, cold = (left, right) if x[f] <= node.threshold else (right, left)
-    w = node.cover
-    hot_zero = hot.cover / w
-    cold_zero = cold.cover / w
-    incoming_zero = 1.0
-    incoming_one = 1.0
-
-    if f in fi:
-        path_index = fi.index(f)
-        incoming_zero = zf[path_index]
-        incoming_one = of[path_index]
-        _unwind(fi, zf, of, pw, path_index)
-
-    _shap_recurse(hot, x, phi, fi, zf, of, pw, hot_zero * incoming_zero, incoming_one, f)
-    _shap_recurse(cold, x, phi, fi, zf, of, pw, cold_zero * incoming_zero, 0.0, f)
+    The one fraction tests the row as ``predict_margin`` does, so a NaN cell
+    goes right. ``pw[j]`` is the weight of the element subsets of size j;
+    every path starts from the root's [1] and is extended one element at a
+    time. Each element's unwound sum takes the branch of its one fraction.
+    """
+    features, zero, lo, hi, hi_free, values = group
+    n = features.shape[1]
+    xg = x[:, features]
+    one = (xg <= hi) | hi_free
+    one &= ~(xg <= lo)
+    steps = np.arange(n + 1, dtype=np.float64)
+    pw = np.zeros(xg.shape[:2] + (n + 1,))
+    pw[..., 0] = 1.0
+    for k in range(n):
+        old, inv = pw[..., : k + 1], 1.0 / (k + 2)
+        grow = one[..., k, None] * old * steps[1 : k + 2] * inv
+        old *= zero[:, k, None]
+        old *= steps[k + 1 : 0 : -1]
+        old *= inv
+        pw[..., 1 : k + 2] += grow
+    next_one = pw[..., n, None]
+    total = np.zeros(xg.shape)
+    for i in range(n - 1, -1, -1):
+        tmp = next_one * (n + 1) / (i + 1)
+        total += np.where(one, tmp, pw[..., i, None] / zero * (n + 1) / (n - i))
+        next_one = pw[..., i, None] - tmp * zero * (n - i) / (n + 1)
+    total = total * (one - zero) * values[:, None]
+    cells = np.arange(x.shape[0])[:, None, None] * phi.shape[1] + features
+    phi += np.bincount(cells.ravel(), total.ravel(), phi.size).reshape(phi.shape)
 
 
 class TreeShapExplainer:
@@ -200,26 +194,35 @@ class TreeShapExplainer:
         self.base_value = self.offset + self.coef * sum(
             _expected_value(t) for t in model.trees
         )
+        self.paths = [_path_groups(t) for t in model.trees]
+        widest = max((g[0].size + len(g[5]) for p in self.paths for g in p), default=1)
+        self.chunk_rows = max(1, CHUNK_CELLS // widest)
 
-    def explain(self, instance, instance_id: str = "", margin: float | None = None) -> ShapExplanation:
-        x = np.asarray(instance, dtype=np.float64).ravel()
-        if x.size != self.n_features:
-            raise SchemaError(
-                f"instance has {x.size} features, model expects {self.n_features}"
-            )
-        phi = np.zeros(self.n_features, dtype=np.float64)
-        xl = x.tolist()  # plain floats are faster in the recursion
-        for tree in self.model.trees:
-            _shap_recurse(tree, xl, phi, [], [], [], [], 1.0, 1.0, -1)
+    def shap_values(self, matrix) -> np.ndarray:
+        """TreeSHAP values (rows, features) of every row of ``matrix``."""
+        x = np.asarray(matrix, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise SchemaError(f"matrix {x.shape} does not have {self.n_features} columns")
+        phi = np.zeros(x.shape)
+        for start in range(0, x.shape[0], self.chunk_rows):
+            rows = slice(start, start + self.chunk_rows)
+            for groups in self.paths:
+                for group in groups:
+                    _add_group_phi(x[rows], group, phi[rows])
         phi *= self.coef
-        if margin is None:
-            margin = float(predict_margin(self.model, x.reshape(1, -1))[0])
+        return phi
+
+    def explain(self, instance, instance_id: str = "") -> ShapExplanation:
+        """One row's explanation, from a batch of one."""
+        x = np.asarray(instance, dtype=np.float64).reshape(1, -1)
+        if x.shape[1] != self.n_features:
+            raise SchemaError(f"instance has {x.shape[1]} features, model expects {self.n_features}")
         return ShapExplanation(
             instance_id=instance_id,
             scale=self.scale,
             base_value=self.base_value,
-            phi=phi,
-            margin=margin,
+            phi=self.shap_values(x)[0],
+            margin=float(predict_margin(self.model, x)[0]),
             feature_names=tuple(self.model.feature_names),
         )
 
@@ -303,11 +306,8 @@ def shap_summary(model, sample: np.ndarray) -> ShapSummary:
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("summary needs a non-empty 2-D sample")
     explainer = TreeShapExplainer(model)
-    shap_values = np.empty_like(x)
+    shap_values = explainer.shap_values(x)
     margins = predict_margin(model, x)
-    for i in range(x.shape[0]):
-        exp = explainer.explain(x[i], margin=float(margins[i]))
-        shap_values[i] = exp.phi
     mean_abs = np.abs(shap_values).mean(axis=0)
     ranking = tuple(int(i) for i in np.argsort(-mean_abs, kind="stable"))
     return ShapSummary(

@@ -8,16 +8,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import riskforge
-from riskforge.cli import main
+from riskforge.cli import main, read_labels_csv, read_matrix_csv
 from riskforge.config import default_config_dict, load_config, parse_config
 from riskforge.errors import ConfigError
+from riskforge.explain import TreeShapExplainer
 from riskforge.risk import assess
+from riskforge.trees import model_from_doc
+from riskforge.utils import load_json
 from riskforge.validation import validate
+from shap_oracle import oracle_phi
 
 
 def small_config(corpus_dir, out_dir, n_rows=600, seed=7):
@@ -191,6 +196,52 @@ class TestAssess:
         assert main(args) == 0
         after = (root / "out" / "applicants" / applicant_id / "report.html").read_bytes()
         assert before == after
+
+
+class TestShapBatch:
+    @pytest.mark.parametrize("kind", ["boosted_leafwise", "boosted_levelwise", "forest"])
+    def test_batch_matches_scalar_oracle_on_corpus_models(self, workdir, kind):
+        root, _ = workdir
+        model = model_from_doc(load_json(root / "out" / "models" / f"{kind}.json"))
+        _, test = read_matrix_csv(str(root / "out" / "prepared" / "test_features.csv"))
+        batch = TreeShapExplainer(model).shap_values(test)
+        for row, phi in zip(test, batch):
+            assert np.max(np.abs(phi - oracle_phi(model, row))) <= 1e-12
+
+    def test_applicants_outside_shap_sample_explained_in_one_batch(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        root, config_path = workdir
+        for sub in ("prepared", "models"):
+            shutil.copytree(root / "out" / sub, tmp_path / "out" / sub)
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["explain"]["shap_sample"] = 1
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        batches = []
+        shap_values = TreeShapExplainer.shap_values
+
+        def counting(self, matrix):
+            batches.append(len(matrix))
+            return shap_values(self, matrix)
+
+        monkeypatch.setattr(TreeShapExplainer, "shap_values", counting)
+        ids, _ = read_labels_csv(str(root / "out" / "prepared" / "test_labels.csv"))
+        chosen = ids[:3]
+        assert main(["assess", "--config", str(p), "--ids", ",".join(chosen)]) == 0
+        # One one-row summary per model, then one batch for the chosen
+        # applicants outside the sample: at least two of the three.
+        assert batches[:3] == [1, 1, 1]
+        assert len(batches) == 4 and batches[3] in (2, 3)
+        _, test = read_matrix_csv(str(root / "out" / "prepared" / "test_features.csv"))
+        for applicant_id in chosen:
+            doc = load_json(tmp_path / "out" / "applicants" / applicant_id / "report.json")
+            model = model_from_doc(load_json(tmp_path / "out" / "models" / f"{doc['model']}.json"))
+            expected = oracle_phi(model, test[ids.index(applicant_id)])
+            got = {c["feature"]: c["phi"] for c in doc["shap"]["contributions"]}
+            for name, phi in zip(model.feature_names, expected):
+                assert got[name] == pytest.approx(phi, abs=1e-6)
 
 
 class TestRawLoanInputs:

@@ -1,7 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from shap_oracle import oracle_phi
+from test_acceptance import _random_small_model
 from test_trees import GOLDEN_DIGESTS, golden_data
 
 from riskforge.errors import DataError, SchemaError
@@ -307,24 +310,149 @@ class TestLime:
         assert 0.0 <= exp.prediction <= 1.0
 
 
+def golden_model(learner):
+    params, _ = GOLDEN_DIGESTS[learner]
+    fit = fit_forest if isinstance(params, ForestParams) else fit_boosted
+    return fit(golden_data(), params)
+
+
 #: SHA-256 of the base value's bytes followed by every row's ``phi`` bytes,
-#: explaining ``golden_data()`` with each model of ``GOLDEN_DIGESTS``;
-#: recorded with numpy 2.4 on x86-64. The oracle tests allow 1e-9, so only
-#: this catches a last-bit change in TreeSHAP or its base value.
+#: explaining ``golden_data()`` with each model of ``GOLDEN_DIGESTS`` by the
+#: scalar oracle; recorded with numpy 2.4 on x86-64. The oracle tests allow
+#: 1e-9, so only this catches a last-bit change in the oracle or the base value.
 SHAP_GOLDEN_DIGESTS = {
     "forest": "41aa48fbbb0791a3204020f9750dc16bb6178c07485eb232e35a56d9593886b0",
     "leaf_wise": "31e1781b8f677b7faf12ae9b8db5d4a0cafa2a5e9970c2c6e1d7e31f49a8f563",
     "level_wise": "7a5bfd65388b838774d205b51cf8c3148d5c47a727485c899566fc0c7402aa88",
 }
 
+#: The same digests for the batch kernel (``TreeShapExplainer.shap_values``),
+#: recorded with numpy 2.4 on x86-64.
+SHAP_BATCH_GOLDEN_DIGESTS = {
+    "forest": "f8600221635bda3e81618dda2090294333ed67554cdacdc69a5132afd8c4c20c",
+    "leaf_wise": "d36adb76e2902d2277ba239ffd6f607ba36fb016274ec2c8721e5f084ac1ad56",
+    "level_wise": "eb856066c1c19e9bbfe8ec0fde9beffb8289bd78e1aaf802f55e794577a11211",
+}
+
 
 @pytest.mark.parametrize("learner", sorted(SHAP_GOLDEN_DIGESTS))
 def test_shap_matches_golden_digest(learner):
-    params, _ = GOLDEN_DIGESTS[learner]
-    data = golden_data()
-    fit = fit_forest if isinstance(params, ForestParams) else fit_boosted
-    explainer = TreeShapExplainer(fit(data, params))
-    digest = hashlib.sha256(np.float64(explainer.base_value).tobytes())
-    for row in data.features:
-        digest.update(explainer.explain(row).phi.tobytes())
+    model = golden_model(learner)
+    digest = hashlib.sha256(np.float64(TreeShapExplainer(model).base_value).tobytes())
+    for row in golden_data().features:
+        digest.update(oracle_phi(model, row).tobytes())
     assert digest.hexdigest() == SHAP_GOLDEN_DIGESTS[learner]
+
+
+@pytest.mark.parametrize("learner", sorted(SHAP_BATCH_GOLDEN_DIGESTS))
+def test_batch_shap_matches_golden_digest(learner):
+    explainer = TreeShapExplainer(golden_model(learner))
+    digest = hashlib.sha256(np.float64(explainer.base_value).tobytes())
+    digest.update(explainer.shap_values(golden_data().features).tobytes())
+    assert digest.hexdigest() == SHAP_BATCH_GOLDEN_DIGESTS[learner]
+
+
+def assert_batch_matches_oracle(model, x):
+    batch = TreeShapExplainer(model).shap_values(x)
+    assert batch.shape == x.shape
+    for row, phi in zip(x, batch):
+        assert np.max(np.abs(phi - oracle_phi(model, row))) <= 1e-12
+
+
+class TestBatchShap:
+    @pytest.mark.parametrize("learner", sorted(GOLDEN_DIGESTS))
+    def test_matches_scalar_oracle_on_golden_models(self, learner):
+        assert_batch_matches_oracle(golden_model(learner), golden_data().features)
+
+    @pytest.mark.parametrize("learner", sorted(GOLDEN_DIGESTS))
+    def test_nan_column_goes_right_like_the_oracle(self, learner):
+        model = golden_model(learner)
+        x = golden_data().features.copy()
+        x[:, 0] = np.nan
+        assert_batch_matches_oracle(model, x)
+        x[::2, 1] = np.nan
+        assert_batch_matches_oracle(model, x)
+
+    def test_matches_brute_shapley_on_random_models(self):
+        # The random ensembles of acceptance criterion 1, four rows each; one
+        # row has a NaN cell, which brute_shapley also sends right.
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            model = _random_small_model(rng)
+            x = rng.normal(size=(4, len(model.feature_names)))
+            x[3, int(rng.integers(x.shape[1]))] = np.nan
+            batch = TreeShapExplainer(model).shap_values(x)
+            for row, phi in zip(x, batch):
+                assert np.max(np.abs(phi - brute_shapley(model, row).phi)) < 1e-9
+
+    def test_feature_split_twice_in_both_directions(self):
+        # Path to leaf 0.6: f0 <= 1, then f1 <= 0, then f0 > -1, so f0 is one
+        # element with interval (-1, 1] and both cover ratios multiplied.
+        root = TreeNode(feature=0, threshold=1.0, cover=10.0)
+        root.right = TreeNode(value=-0.5, cover=4.0)
+        mid = root.left = TreeNode(feature=1, threshold=0.0, cover=6.0)
+        mid.right = TreeNode(value=0.2, cover=2.0)
+        inner = mid.left = TreeNode(feature=0, threshold=-1.0, cover=4.0)
+        inner.left = TreeNode(value=-0.3, cover=1.0)
+        inner.right = TreeNode(value=0.6, cover=3.0)
+        model = boosted([root], d=2, eta=0.5, base=0.1)
+        x = np.array(
+            [[v, w] for v in (-2.0, -1.0, 0.0, 1.0, 2.0, np.nan) for w in (-1.0, 0.0, 1.0, np.nan)]
+        )
+        assert_batch_matches_oracle(model, x)
+        batch = TreeShapExplainer(model).shap_values(x)
+        for row, phi in zip(x, batch):
+            assert np.max(np.abs(phi - brute_shapley(model, row).phi)) < 1e-12
+
+    def test_root_leaf_tree_adds_nothing(self):
+        lone = TreeNode(value=0.4, cover=5.0)
+        x = np.array([[-1.0, 0.0], [1.0, np.nan]])
+        assert np.all(TreeShapExplainer(boosted([lone], d=2)).shap_values(x) == 0.0)
+        model = boosted([lone, stump(1, 0.0, -1.0, 1.0)], d=2)
+        with_lone = TreeShapExplainer(model).shap_values(x)
+        alone = TreeShapExplainer(boosted([stump(1, 0.0, -1.0, 1.0)], d=2)).shap_values(x)
+        assert np.array_equal(with_lone, alone)
+        assert_batch_matches_oracle(model, x)
+
+    def test_zero_tree_model(self):
+        phi = TreeShapExplainer(boosted([], d=3, base=-1.7)).shap_values(np.ones((4, 3)))
+        assert phi.shape == (4, 3) and np.all(phi == 0.0)
+
+    @pytest.mark.parametrize("learner", sorted(GOLDEN_DIGESTS))
+    def test_row_phi_does_not_depend_on_its_batch(self, learner):
+        explainer = TreeShapExplainer(golden_model(learner))
+        x = golden_data().features
+        tiled = np.tile(x, (explainer.chunk_rows // len(x) + 2, 1))  # spans two chunks
+        order = np.random.default_rng(3).permutation(len(tiled))
+        batch = explainer.shap_values(tiled)
+        shuffled = explainer.shap_values(tiled[order])
+        assert np.array_equal(shuffled, batch[order])
+        for i in range(len(x)):
+            alone = explainer.shap_values(x[i : i + 1])[0]
+            assert np.array_equal(alone, batch[i])
+            assert np.array_equal(alone, batch[i + len(x)])
+
+    def test_scratch_memory_does_not_grow_with_rows(self):
+        rng = np.random.default_rng(11)
+
+        def full_tree(depth, cover):
+            if depth == 0:
+                return TreeNode(value=float(rng.normal()), cover=cover)
+            node = TreeNode(feature=int(rng.integers(8)), threshold=float(rng.normal()), cover=cover)
+            node.left, node.right = full_tree(depth - 1, cover / 3), full_tree(depth - 1, cover * 2 / 3)
+            return node
+
+        explainer = TreeShapExplainer(boosted([full_tree(7, 100.0) for _ in range(3)], d=8))
+        assert explainer.chunk_rows < 1000
+        x = rng.normal(size=(4000, 8))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for rows in (1000, 4000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                explainer.shap_values(x[:rows])
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 4000 * 8 * 8
