@@ -58,7 +58,7 @@ def write_matrix_csv(path: str, feature_names, matrix: np.ndarray) -> None:
 def read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        names = next(reader)
+        names = next(reader, [])
         rows = list(reader)
     cells = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64)
     return names, cells.reshape(len(rows), len(names))
@@ -164,16 +164,30 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
     return written
 
 
+def _read_stage_file(path: str, read, schema: str | None = None):
+    """``read`` applied to a file an earlier stage wrote: to its path, or, when
+    ``schema`` is named, to its JSON document checked against that schema. A
+    missing, unreadable or corrupt file is a user error that names it."""
+    try:
+        if schema is None:
+            return read(path)
+        doc = load_json(path)
+        validate(doc, schema)
+        return read(doc)
+    except (OSError, ValueError, LookupError, UserError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _load_prepared(cfg: RunConfig):
     out = _prepared_dir(cfg)
     pipe_path = os.path.join(out, "pipeline.json")
     if not os.path.exists(pipe_path):
         raise UserError(f"prepared artifacts not found under {out}; run prepare first")
-    pipeline = pipeline_from_doc(load_json(pipe_path))
-    names_tr, train = read_matrix_csv(os.path.join(out, "train_features.csv"))
-    names_te, test = read_matrix_csv(os.path.join(out, "test_features.csv"))
-    ids_tr, y_tr = read_labels_csv(os.path.join(out, "train_labels.csv"))
-    ids_te, y_te = read_labels_csv(os.path.join(out, "test_labels.csv"))
+    pipeline = _read_stage_file(pipe_path, pipeline_from_doc, "pipeline")
+    names_tr, train = _read_stage_file(os.path.join(out, "train_features.csv"), read_matrix_csv)
+    names_te, test = _read_stage_file(os.path.join(out, "test_features.csv"), read_matrix_csv)
+    ids_tr, y_tr = _read_stage_file(os.path.join(out, "train_labels.csv"), read_labels_csv)
+    ids_te, y_te = _read_stage_file(os.path.join(out, "test_labels.csv"), read_labels_csv)
     if tuple(names_tr) != tuple(pipeline.feature_names) or tuple(names_te) != tuple(
         pipeline.feature_names
     ):
@@ -216,7 +230,7 @@ def _load_models(cfg: RunConfig) -> dict:
         path = os.path.join(_models_dir(cfg), f"{spec.kind}.json")
         if not os.path.exists(path):
             raise UserError(f"model file {path} not found; run train first")
-        models[spec.kind] = model_from_doc(load_json(path))
+        models[spec.kind] = _read_stage_file(path, model_from_doc, "model")
     return models
 
 

@@ -1,9 +1,12 @@
 """Declarative run configuration: one JSON file drives every command.
 
-Unknown keys are rejected anywhere in the tree so typos fail fast. The
-global seed fans out to per-stage seeds through ``utils.stage_seed`` with
-fixed stage names, which makes whole runs reproducible while keeping the
-stages' random streams independent.
+A section backed by a dataclass is read by ``_read`` from its fields: the
+keys are the field names, a missing key takes the field default, and a field
+without one is required. Other scalars are read by ``_get``, each default
+written once, in ``parse_config``. Values must have the annotated type (a
+JSON integer passes as a float; no string or bool is coerced), and unknown
+keys are rejected anywhere in the tree, so typos fail fast. The global seed
+fans out to independent per-stage seeds through ``utils.stage_seed``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass
 
 from .errors import ConfigError
 from .explain import LimeParams
@@ -24,6 +28,8 @@ from .tuning import LEARNER_KINDS, CvPlan
 from .utils import stage_seed
 
 _BAND_KEYS = {"low": Band.LOW, "moderate": Band.MODERATE, "high": Band.HIGH}
+_RECIPES = {"ratio": Ratio, "days_to_years": DaysToYears, "flag": Flag}
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str, "list": list, "dict": dict}
 
 
 @dataclass(frozen=True)
@@ -71,112 +77,112 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _check_keys(node: dict, allowed: set, path: str):
-    _require(isinstance(node, dict), f"{path}: expected an object")
-    unknown = set(node) - allowed
+def _check_keys(node: dict, allowed: set, path: str) -> dict:
+    unknown = set(_value(node, "dict", path)) - allowed
     _require(not unknown, f"{path}: unknown keys {sorted(unknown)}")
+    return node
+
+
+def _value(value, annotation: str, path: str):
+    """``value`` if it has the type ``annotation`` names: ``int``, ``float``,
+    ``bool``, ``str``, ``list``, ``dict``, ``list[<type>]`` or ``<type> | None``.
+    A JSON integer passes as a float and is returned as one."""
+    kind, _, rest = annotation.partition(" | ")
+    if value is None and rest == "None":
+        return None
+    if kind.startswith("list["):
+        items = _value(value, "list", path)
+        return [_value(v, kind[5:-1], f"{path}[{i}]") for i, v in enumerate(items)]
+    if kind == "float" and type(value) is int:
+        _require(abs(value) <= sys.float_info.max, f"{path}: {kind} out of range")
+        return float(value)
+    _require(
+        type(value) is _TYPES[kind], f"{path}: expected {annotation}, got {json.dumps(value)}"
+    )
+    return value
+
+
+def _get(node: dict, path: str, annotation: str, default=MISSING):
+    """The value under the last key of ``path`` in ``node``, or ``default``;
+    without a default the key is required."""
+    key = path.rpartition(".")[2]
+    if key in node:
+        return _value(node[key], annotation, path)
+    _require(default is not MISSING, f"{path} is required")
+    return default
+
+
+def _read(cls, node: dict, path: str, extra=(), **fixed):
+    """Dataclass ``cls`` from the JSON object ``node``, whose keys are the
+    fields not in ``fixed`` plus the ``extra`` keys that the caller reads. A
+    missing key takes the field's default; a field without one is required.
+    Values are checked against the (string) field annotations."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    _check_keys(node, {f.name for f in fields} | set(extra), path)
+    for f in fields:
+        if f.name in node or f.default is MISSING and f.default_factory is MISSING:
+            fixed[f.name] = _get(node, f"{path}.{f.name}", f.type)
+    return cls(**fixed)
 
 
 def _parse_recipe(entry: dict, i: int) -> FeatureRecipe:
     path = f"features[{i}]"
-    _require(isinstance(entry, dict), f"{path}: expected an object")
-    kind = entry.get("kind")
-    if kind == "ratio":
-        _check_keys(entry, {"name", "kind", "numerator", "denominator"}, path)
-        return FeatureRecipe(entry["name"], Ratio(entry["numerator"], entry["denominator"]))
-    if kind == "days_to_years":
-        _check_keys(entry, {"name", "kind", "source"}, path)
-        return FeatureRecipe(entry["name"], DaysToYears(entry["source"]))
-    if kind == "flag":
-        _check_keys(entry, {"name", "kind", "source", "op", "value"}, path)
-        return FeatureRecipe(
-            entry["name"], Flag(entry["source"], entry["op"], float(entry["value"]))
-        )
-    raise ConfigError(f"{path}: unknown recipe kind {kind!r}")
+    kind = _get(_value(entry, "dict", path), f"{path}.kind", "str", None)
+    _require(kind in _RECIPES, f"{path}: unknown recipe kind {kind!r}")
+    recipe = _read(_RECIPES[kind], entry, path, ("name", "kind"))
+    return FeatureRecipe(_get(entry, f"{path}.name", "str"), recipe)
 
 
 def _parse_aux(entry: dict, i: int) -> AuxTableSpec:
     path = f"data.aux[{i}]"
     _check_keys(entry, {"path", "key_column", "value_columns", "statistics"}, path)
     try:
-        stats = tuple(Statistic(s) for s in entry["statistics"])
+        stats = tuple(Statistic(s) for s in _get(entry, f"{path}.statistics", "list[str]"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return AuxTableSpec(
-        entry["path"],
-        AggregationSpec(entry["key_column"], tuple(entry["value_columns"]), stats),
+        _get(entry, f"{path}.path", "str"),
+        AggregationSpec(
+            _get(entry, f"{path}.key_column", "str"),
+            tuple(_get(entry, f"{path}.value_columns", "list[str]")),
+            stats,
+        ),
     )
 
 
-_FOREST_KEYS = {f.name for f in dataclasses.fields(ForestParams)}
-_BOOSTED_KEYS = {f.name for f in dataclasses.fields(BoostingParams)} - {"growth"}
-
-
 def _parse_models(node: dict, seed: int) -> tuple[ModelSpec, ...]:
-    _require(isinstance(node, dict), "models: expected an object")
+    """Learner params and grids are checked against the params dataclass's
+    annotations but kept as written, so the model files echo them."""
     specs = []
-    for kind in node:
+    for kind, entry in _value(node, "dict", "models").items():
         _require(kind in LEARNER_KINDS, f"models: unknown learner {kind!r}")
-        entry = node[kind]
-        _check_keys(entry, {"params", "grid"}, f"models.{kind}")
-        params = dict(entry.get("params", {}))
-        grid = {k: list(v) for k, v in entry.get("grid", {}).items()}
-        allowed = _FOREST_KEYS if kind == "forest" else _BOOSTED_KEYS
-        for source, keys in (("params", params), ("grid", grid)):
-            unknown = set(keys) - allowed
-            _require(
-                not unknown, f"models.{kind}.{source}: unknown parameters {sorted(unknown)}"
-            )
+        path = f"models.{kind}"
+        _check_keys(entry, {"params", "grid"}, path)
+        cls = ForestParams if kind == "forest" else BoostingParams
+        types = {f.name: f.type for f in dataclasses.fields(cls) if f.name != "growth"}
+        params = dict(_get(entry, f"{path}.params", "dict", {}))
+        grid = _get(entry, f"{path}.grid", "dict", {})
+        for source, values, form in (("params", params, "{}"), ("grid", grid, "list[{}]")):
+            unknown = set(values) - set(types)
+            _require(not unknown, f"{path}.{source}: unknown parameters {sorted(unknown)}")
+            for key, v in values.items():
+                _value(v, form.format(types[key]), f"{path}.{source}.{key}")
         params.setdefault("seed", stage_seed(seed, f"model-{kind}"))
-        specs.append(ModelSpec(kind, params, grid))
+        specs.append(ModelSpec(kind, params, {k: list(v) for k, v in grid.items()}))
     _require(bool(specs), "models: at least one learner must be configured")
     return tuple(specs)
 
 
-def _parse_risk(node: dict) -> tuple[RiskConfig, str, str]:
-    _check_keys(
-        node,
-        {
-            "t_low", "t_high", "base_rate", "premiums", "decisions", "band_rules",
-            "amount_column", "term_column",
-        },
-        "risk",
-    )
-    kwargs = {}
-    for key in ("t_low", "t_high", "base_rate"):
-        if key in node:
-            kwargs[key] = float(node[key])
+def _per_band(node: dict, path: str, read) -> dict:
+    _check_keys(node, set(_BAND_KEYS), path)
+    return {_BAND_KEYS[k]: read(v, f"{path}.{k}") for k, v in node.items()}
 
-    def per_band(section: str, parse):
-        raw = node.get(section)
-        if raw is None:
-            return None
-        _check_keys(raw, set(_BAND_KEYS), f"risk.{section}")
-        return {_BAND_KEYS[k]: parse(v, f"risk.{section}.{k}") for k, v in raw.items()}
 
-    premiums = per_band("premiums", lambda v, p: float(v))
-    decisions = per_band("decisions", lambda v, p: str(v))
-
-    def parse_rule(v: dict, path: str) -> BandRule:
-        _check_keys(v, {"max_term_months", "collateral_above", "require_cosigner"}, path)
-        return BandRule(
-            max_term_months=int(v["max_term_months"]),
-            collateral_above=(
-                None if v.get("collateral_above") is None else float(v["collateral_above"])
-            ),
-            require_cosigner=bool(v.get("require_cosigner", False)),
-        )
-
-    rules = per_band("band_rules", parse_rule)
-    if premiums is not None:
-        kwargs["premiums"] = premiums
-    if decisions is not None:
-        kwargs["decisions"] = decisions
-    if rules is not None:
-        kwargs["band_rules"] = rules
-    cfg = RiskConfig(**kwargs)
-    return cfg, node.get("amount_column", "amt_credit"), node.get("term_column", "term_months")
-
+_BAND_READERS = {
+    "premiums": lambda v, path: _value(v, "float", path),
+    "decisions": lambda v, path: _value(v, "str", path),
+    "band_rules": lambda v, path: _read(BandRule, v, path),
+}
 
 _TOP_KEYS = {
     "seed", "output_dir", "corpus", "data", "features", "smote", "cv",
@@ -186,84 +192,56 @@ _TOP_KEYS = {
 
 def parse_config(doc: dict) -> RunConfig:
     _check_keys(doc, _TOP_KEYS, "config")
-    seed = int(doc.get("seed", 42))
-
-    corpus = doc.get("corpus", {})
-    _check_keys(corpus, {"dir", "n_rows", "train_fraction"}, "corpus")
-
-    data = doc.get("data", {})
-    _check_keys(
-        data,
+    seed = _get(doc, "seed", "int", 42)
+    corpus = _check_keys(doc.get("corpus", {}), {"dir", "n_rows", "train_fraction"}, "corpus")
+    data = _check_keys(
+        doc.get("data", {}),
         {"application_train", "application_test", "id_column", "label_column", "aux"},
         "data",
     )
-    _require("application_train" in data, "data.application_train is required")
-    _require("application_test" in data, "data.application_test is required")
-
-    smote_node = doc.get("smote", {})
-    _check_keys(smote_node, {"enabled", "k", "target_ratio"}, "smote")
-    smote = SmoteParams(
-        k=int(smote_node.get("k", 5)),
-        seed=stage_seed(seed, "smote"),
-        target_ratio=float(smote_node.get("target_ratio", 1.0)),
-    )
-
-    cv_node = doc.get("cv", {})
-    _check_keys(cv_node, {"n_folds"}, "cv")
-    cv = CvPlan(n_folds=int(cv_node.get("n_folds", 5)), seed=stage_seed(seed, "cv"))
-
-    risk_cfg, amount_column, term_column = _parse_risk(doc.get("risk", {}))
-
-    explain_node = doc.get("explain", {})
-    _check_keys(explain_node, {"shap_sample", "lime"}, "explain")
-    lime_node = explain_node.get("lime", {})
-    _check_keys(lime_node, {"n_samples", "kernel_width", "top_k", "alpha"}, "explain.lime")
-    lime = LimeParams(
-        n_samples=int(lime_node.get("n_samples", 5000)),
-        kernel_width=(
-            None if lime_node.get("kernel_width") is None else float(lime_node["kernel_width"])
-        ),
-        top_k=int(lime_node.get("top_k", 10)),
-        alpha=float(lime_node.get("alpha", 1.0)),
-        seed=0,  # replaced per applicant at explanation time
-    )
-
-    report_node = doc.get("report", {})
-    _check_keys(report_node, {"model"}, "report")
-    report_model = report_node.get("model", "best")
+    smote = _get(doc, "smote", "dict", {})
+    risk = _get(doc, "risk", "dict", {})
+    bands = {
+        section: _per_band(risk[section], f"risk.{section}", read)
+        for section, read in _BAND_READERS.items()
+        if section in risk
+    }
+    explain = _check_keys(doc.get("explain", {}), {"shap_sample", "lime"}, "explain")
+    report = _check_keys(doc.get("report", {}), {"model"}, "report")
+    report_model = _get(report, "report.model", "str", "best")
     _require(
         report_model == "best" or report_model in LEARNER_KINDS,
         f"report.model must be 'best' or one of {LEARNER_KINDS}",
     )
-
-    recipes = tuple(_parse_recipe(e, i) for i, e in enumerate(doc.get("features", [])))
-    metric = doc.get("metric", "roc_auc")
-    threshold = float(doc.get("threshold", 0.5))
+    threshold = _get(doc, "threshold", "float", 0.5)
     _require(0.0 <= threshold <= 1.0, "threshold must be in [0, 1]")
+    aux = _get(data, "data.aux", "list", [])
+    features = _get(doc, "features", "list", [])
 
     return RunConfig(
         seed=seed,
-        output_dir=doc.get("output_dir", "out"),
-        corpus_dir=corpus.get("dir", "corpus"),
-        corpus_rows=int(corpus.get("n_rows", 10000)),
-        corpus_train_fraction=float(corpus.get("train_fraction", 0.8)),
-        application_train=data["application_train"],
-        application_test=data["application_test"],
-        id_column=data.get("id_column", "applicant_id"),
-        label_column=data.get("label_column", "target"),
-        aux_tables=tuple(_parse_aux(e, i) for i, e in enumerate(data.get("aux", []))),
-        catalog=FeatureCatalog(recipes),
-        smote_enabled=bool(smote_node.get("enabled", True)),
-        smote=smote,
-        cv=cv,
-        metric=metric,
+        output_dir=_get(doc, "output_dir", "str", "out"),
+        corpus_dir=_get(corpus, "corpus.dir", "str", "corpus"),
+        corpus_rows=_get(corpus, "corpus.n_rows", "int", 10000),
+        corpus_train_fraction=_get(corpus, "corpus.train_fraction", "float", 0.8),
+        application_train=_get(data, "data.application_train", "str"),
+        application_test=_get(data, "data.application_test", "str"),
+        id_column=_get(data, "data.id_column", "str", "applicant_id"),
+        label_column=_get(data, "data.label_column", "str", "target"),
+        aux_tables=tuple(_parse_aux(e, i) for i, e in enumerate(aux)),
+        catalog=FeatureCatalog(tuple(_parse_recipe(e, i) for i, e in enumerate(features))),
+        smote=_read(SmoteParams, smote, "smote", ("enabled",), seed=stage_seed(seed, "smote")),
+        smote_enabled=_get(smote, "smote.enabled", "bool", True),
+        cv=_read(CvPlan, doc.get("cv", {}), "cv", seed=stage_seed(seed, "cv")),
+        metric=_get(doc, "metric", "str", "roc_auc"),
         threshold=threshold,
         models=_parse_models(doc.get("models", {}), seed),
-        risk=risk_cfg,
-        amount_column=amount_column,
-        term_column=term_column,
-        shap_sample=int(explain_node.get("shap_sample", 1000)),
-        lime=lime,
+        risk=_read(RiskConfig, risk, "risk", ("amount_column", "term_column", *bands), **bands),
+        amount_column=_get(risk, "risk.amount_column", "str", "amt_credit"),
+        term_column=_get(risk, "risk.term_column", "str", "term_months"),
+        shap_sample=_get(explain, "explain.shap_sample", "int", 1000),
+        # The LIME seed is replaced per applicant at explanation time.
+        lime=_read(LimeParams, explain.get("lime", {}), "explain.lime", seed=0),
         report_model=report_model,
     )
 
@@ -278,12 +256,7 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    # Environment override for the output directory.
-    cfg = parse_config(doc)
-    env_out = os.environ.get("RISKFORGE_OUT")
-    if env_out:
-        cfg = dataclasses.replace(cfg, output_dir=env_out)
-    return cfg
+    return parse_config(doc)
 
 
 def default_config_dict(

@@ -180,7 +180,7 @@ class TreeShapExplainer:
 
     def __init__(self, model):
         if isinstance(model, BoostedModel):
-            self.coef = model.learning_rate
+            self.coef = model.params.learning_rate
             self.offset = model.base_score
             self.scale = SCALE_MARGIN
         elif isinstance(model, ForestModel):

@@ -124,9 +124,7 @@ class BinIndex:
 @dataclass
 class BoostedModel:
     trees: list[TreeNode]
-    learning_rate: float
     base_score: float
-    growth: str
     params: BoostingParams
     bins: BinIndex
     feature_names: tuple[str, ...]
@@ -375,9 +373,7 @@ def fit_boosted(
 
     return BoostedModel(
         trees=trees,
-        learning_rate=params.learning_rate,
         base_score=base,
-        growth=params.growth,
         params=params,
         bins=bins,
         feature_names=names,
@@ -462,7 +458,7 @@ def predict_margin(model, matrix: np.ndarray) -> np.ndarray:
         total = np.full(x.shape[0], model.base_score, dtype=np.float64)
         for tree in model.trees:
             _predict_tree(tree, x, rows, buf)
-            total += model.learning_rate * buf
+            total += model.params.learning_rate * buf
         return total
     if isinstance(model, ForestModel):
         total = np.zeros(x.shape[0], dtype=np.float64)
@@ -496,15 +492,26 @@ def _node_to_doc(node: TreeNode) -> dict:
     }
 
 
-def _node_from_doc(doc: dict) -> TreeNode:
-    if "value" in doc:
+def _node_from_doc(doc: dict, n_features: int) -> TreeNode:
+    """One node and its subtree; SchemaError for a node that is not an object,
+    lacks a number, or splits on a feature outside [0, n_features)."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"tree node must be an object, got {doc!r}")
+    leaf = "value" in doc
+    for key in ("value", "cover") if leaf else ("threshold", "cover"):
+        if type(doc.get(key)) not in (int, float):
+            raise SchemaError(f"tree node {key!r} must be a number, got {doc.get(key)!r}")
+    if leaf:
         return TreeNode(value=doc["value"], cover=doc["cover"])
+    f = doc.get("feature")
+    if type(f) is not int or not 0 <= f < n_features:
+        raise SchemaError(f"tree node feature {f!r} is outside [0, {n_features})")
     return TreeNode(
-        feature=doc["feature"],
+        feature=f,
         threshold=doc["threshold"],
         cover=doc["cover"],
-        left=_node_from_doc(doc["left"]),
-        right=_node_from_doc(doc["right"]),
+        left=_node_from_doc(doc.get("left"), n_features),
+        right=_node_from_doc(doc.get("right"), n_features),
     )
 
 
@@ -517,9 +524,9 @@ def model_to_doc(model) -> dict:
         "trees": [_node_to_doc(t) for t in model.trees],
     }
     if isinstance(model, BoostedModel):
-        doc["growth"] = model.growth
+        doc["growth"] = model.params.growth
         doc["base_score"] = model.base_score
-        doc["learning_rate"] = model.learning_rate
+        doc["learning_rate"] = model.params.learning_rate
         doc["train_loss"] = list(model.train_loss)
     doc["params"] = asdict(model.params)
     return doc
@@ -529,22 +536,25 @@ def model_from_doc(doc: dict):
     if doc.get("format") != MODEL_FORMAT:
         raise SchemaError(f"unsupported model format {doc.get('format')!r}")
     bins = BinIndex(tuple(np.asarray(e, dtype=np.float64) for e in doc["bin_edges"]))
-    trees = [_node_from_doc(t) for t in doc["trees"]]
     names = tuple(doc["feature_names"])
-    if doc["kind"] == "boosted":
-        params = BoostingParams(**doc["params"])
-        return BoostedModel(
-            trees=trees,
-            learning_rate=doc["learning_rate"],
-            base_score=doc["base_score"],
-            growth=doc["growth"],
-            params=params,
-            bins=bins,
-            feature_names=names,
-            train_loss=tuple(doc.get("train_loss", ())),
-        )
-    if doc["kind"] == "forest":
-        return ForestModel(
-            trees=trees, params=ForestParams(**doc["params"]), bins=bins, feature_names=names
-        )
-    raise SchemaError(f"unknown model kind {doc['kind']!r}")
+    trees = [_node_from_doc(t, len(names)) for t in doc["trees"]]
+    kinds = {"boosted": BoostingParams, "forest": ForestParams}
+    if doc["kind"] not in kinds:
+        raise SchemaError(f"unknown model kind {doc['kind']!r}")
+    try:
+        params = kinds[doc["kind"]](**doc["params"])
+    except TypeError as exc:  # an unknown key, or a value of the wrong type
+        raise SchemaError(f"model params: {exc}") from exc
+    if isinstance(params, ForestParams):
+        return ForestModel(trees=trees, params=params, bins=bins, feature_names=names)
+    for key in ("learning_rate", "growth"):  # readers may predict from either
+        if doc.get(key) != getattr(params, key):
+            raise SchemaError(f"model {key} {doc.get(key)!r} differs from its params")
+    return BoostedModel(
+        trees=trees,
+        base_score=doc["base_score"],
+        params=params,
+        bins=bins,
+        feature_names=names,
+        train_loss=tuple(doc.get("train_loss", ())),
+    )

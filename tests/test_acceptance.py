@@ -126,10 +126,8 @@ def _random_small_model(rng):
     if rng.random() < 0.5:
         return BoostedModel(
             trees=trees,
-            learning_rate=float(rng.uniform(0.05, 1.0)),
             base_score=float(rng.normal()),
-            growth="leaf_wise",
-            params=BoostingParams(),
+            params=BoostingParams(learning_rate=float(rng.uniform(0.05, 1.0))),
             bins=bins,
             feature_names=names,
         )

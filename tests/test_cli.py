@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 
 import riskforge
 from riskforge.cli import main, read_labels_csv, read_matrix_csv
-from riskforge.config import default_config_dict, load_config, parse_config
+from riskforge.config import default_config_dict, parse_config
 from riskforge.errors import ConfigError
-from riskforge.explain import TreeShapExplainer
-from riskforge.risk import assess
+from riskforge.explain import LimeParams, TreeShapExplainer
+from riskforge.risk import Band, RiskConfig, assess
+from riskforge.sampling import SmoteParams
 from riskforge.trees import model_from_doc
+from riskforge.tuning import CvPlan
 from riskforge.utils import load_json
 from riskforge.validation import validate
 from shap_oracle import oracle_phi
@@ -352,6 +355,14 @@ def _edited_config(workdir, tmp_dir, edits):
     return p
 
 
+DELETE = object()
+
+#: SHA-256 of ``repr(parse_config(default_config_dict()))``, recorded before
+#: each config section was read from its dataclass, so that no parsed value or
+#: type (an int where a float was read, say) can drift.
+DEFAULT_CONFIG_REPR_SHA256 = "ee9a776aa30f84de03e8e4385ea9b4e2767277fcddc10ee78db03a78385b5f75"
+
+
 def _assert_clean_exit(code, err):
     """Exit 0 with nothing on stderr, or exit 2 with one short error line."""
     lines = err.strip().splitlines()
@@ -395,6 +406,89 @@ class TestCorruptCells:
         lines = _assert_clean_exit(code, capsys.readouterr().err)
         if code == 2:
             assert needle in lines[0]
+
+
+def _edit_json(edit):
+    def apply(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+def _write_text(text):
+    return lambda path: path.write_text(text)
+
+
+def _text_in_first_cell(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "high" + lines[1][lines[1].index(","):]
+    path.write_text("".join(lines))
+
+
+class TestCorruptStageFiles:
+    """A corrupted model or prepared file: evaluate and assess exit 2 with one
+    stderr line that names the file."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    @pytest.mark.parametrize(
+        "rel, corrupt, needle",
+        [
+            ("models/forest.json", _edit_json(lambda d: d["trees"][0].pop("cover")),
+             "'cover' must be a number"),
+            ("models/forest.json", _edit_json(lambda d: d.update(trees=[])),
+             "fewer than 1 items"),
+            ("models/boosted_leafwise.json",
+             _edit_json(lambda d: d["trees"][0].update(feature=999)),
+             "feature 999 is outside"),
+            ("models/boosted_levelwise.json", _write_text("[1]"), "expected ['object']"),
+            ("models/boosted_levelwise.json", _write_text("{bad"), "Expecting property name"),
+            ("models/boosted_leafwise.json", _edit_json(lambda d: d.update(learning_rate=0.5)),
+             "learning_rate 0.5 differs from its params"),
+            ("models/forest.json", _edit_json(lambda d: d["params"].update(depth=3)),
+             "unexpected keyword argument 'depth'"),
+            ("prepared/pipeline.json", _edit_json(lambda d: d.pop("scaler")),
+             "missing required key 'scaler'"),
+            ("prepared/pipeline.json", _write_text("{bad"), "Expecting property name"),
+            ("prepared/test_features.csv", _text_in_first_cell,
+             "could not convert string to float"),
+            ("prepared/test_features.csv", Path.unlink, "No such file"),
+            ("prepared/test_labels.csv", _write_text("id\r\n7\r\n"), "list index out of range"),
+        ],
+        ids=[
+            "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
+            "learning-rate-differs", "unknown-param", "no-scaler", "pipeline-not-json",
+            "text-in-features", "no-test-features", "short-label-row",
+        ],
+    )
+    def test_exits_2_naming_file(self, workdir, tmp_path, capsys, command, rel, corrupt, needle):
+        root, config_path = workdir
+        out = tmp_path / "out"
+        for sub in ("prepared", "models"):
+            shutil.copytree(root / "out" / sub, out / sub)
+        corrupt(out / rel)
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(out)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main([command, "--config", str(p)])
+        assert code == 2
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line.startswith(f"error: {out / rel}: ") and needle in line
+
+    def test_empty_features_file_exits_2(self, workdir, tmp_path, capsys):
+        root, config_path = workdir
+        shutil.copytree(root / "out" / "prepared", tmp_path / "out" / "prepared")
+        (tmp_path / "out" / "prepared" / "train_features.csv").write_text("")
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = main(["train", "--config", str(p)])
+        assert code == 2
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert "do not match the pipeline feature names" in line
 
 
 CORPUS_CSVS = ("application_train.csv", "application_test.csv", "bureau.csv", "payments.csv")
@@ -526,12 +620,82 @@ class TestConfig:
         cfg["report"]["model"] = "forest"
         assert parse_config(cfg).report_model == "forest"
 
-    def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(default_config_dict(output_dir="out")))
-        monkeypatch.setenv("RISKFORGE_OUT", str(tmp_path / "elsewhere"))
-        cfg = load_config(cfg_path)
-        assert cfg.output_dir == str(tmp_path / "elsewhere")
+    @pytest.mark.parametrize(
+        "path, value, needle",
+        [
+            ("seed", "abc", 'seed: expected int, got "abc"'),
+            ("threshold", None, "threshold: expected float, got null"),
+            ("smote.k", "x", 'smote.k: expected int, got "x"'),
+            ("risk.premiums.low", "x", 'risk.premiums.low: expected float, got "x"'),
+            ("features.0.numerator", DELETE, "features[0].numerator is required"),
+            ("risk.band_rules.low.max_term_months", DELETE,
+             "risk.band_rules.low.max_term_months is required"),
+            ("data.aux.0.statistics", DELETE, "data.aux[0].statistics is required"),
+            ("models.boosted_levelwise.grid.max_depth", 3,
+             "models.boosted_levelwise.grid.max_depth: expected list, got 3"),
+            ("data.aux.0.statistics", 5, "data.aux[0].statistics: expected list, got 5"),
+            ("data.aux.0.value_columns", "amt", "data.aux[0].value_columns: expected list"),
+            ("data.aux.0.statistics", ["mean", 1], "data.aux[0].statistics[1]: expected str"),
+            ("data.aux.0.value_columns", [None], "data.aux[0].value_columns[0]: expected str"),
+            ("threshold", "0.5", 'threshold: expected float, got "0.5"'),
+            ("explain.lime.top_k", "3", 'explain.lime.top_k: expected int, got "3"'),
+            ("seed", True, "seed: expected int, got true"),
+            ("explain.lime.kernel_width", "wide",
+             'explain.lime.kernel_width: expected float | None, got "wide"'),
+            ("risk.band_rules.high.require_cosigner", 1,
+             "risk.band_rules.high.require_cosigner: expected bool, got 1"),
+            ("models.forest.params.n_trees", "40", "models.forest.params.n_trees: expected int"),
+            ("features.1.kind", "log", "features[1]: unknown recipe kind 'log'"),
+            ("features.0.name", DELETE, "features[0].name is required"),
+            ("smote.seed", 3, "smote: unknown keys ['seed']"),
+            ("threshold", 10**400, "threshold: float out of range"),
+        ],
+        ids=[
+            "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
+            "band-rule-no-term", "aux-no-statistics", "grid-not-list", "statistics-not-list",
+            "value-columns-not-list", "statistic-not-text", "value-column-not-text",
+            "threshold-text", "top-k-text", "seed-bool", "kernel-width-text",
+            "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
+            "smote-seed-is-fixed", "integer-beyond-float-range",
+        ],
+    )
+    def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):
+        cfg = default_config_dict()
+        *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = cfg
+        for k in parents:
+            node = node[k]
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = main(["prepare", "--config", str(p)])
+        assert code == 2
+        assert needle in _assert_clean_exit(code, capsys.readouterr().err)[0]
+
+    def test_default_config_parses_to_golden_repr(self):
+        parsed = repr(parse_config(default_config_dict()))
+        assert hashlib.sha256(parsed.encode()).hexdigest() == DEFAULT_CONFIG_REPR_SHA256
+
+    def test_minimal_config_takes_dataclass_defaults(self):
+        cfg = parse_config(
+            {"data": {"application_train": "a.csv", "application_test": "b.csv"},
+             "models": {"forest": {}}}
+        )
+        assert repr(dataclasses.replace(cfg.smote, seed=0)) == repr(SmoteParams())
+        assert repr(dataclasses.replace(cfg.cv, seed=0)) == repr(CvPlan())
+        assert repr(cfg.lime) == repr(LimeParams())
+        assert repr(cfg.risk) == repr(RiskConfig())
+
+    def test_integer_for_float_is_stored_as_float(self):
+        cfg = default_config_dict()
+        cfg["threshold"] = 1
+        cfg["risk"]["premiums"]["high"] = 9
+        parsed = parse_config(cfg)
+        assert repr(parsed.threshold) == "1.0"
+        assert repr(parsed.risk.premiums[Band.HIGH]) == "9.0"
 
     def test_bad_json_exits_2(self, tmp_path, capsys):
         p = tmp_path / "broken.json"

@@ -36,8 +36,8 @@ def empty_bins(d):
 
 def boosted(trees, d, eta=1.0, base=0.0):
     return BoostedModel(
-        trees=trees, learning_rate=eta, base_score=base, growth="leaf_wise",
-        params=BoostingParams(), bins=empty_bins(d),
+        trees=trees, base_score=base, params=BoostingParams(learning_rate=eta),
+        bins=empty_bins(d),
         feature_names=tuple(f"f{i}" for i in range(d)),
     )
 

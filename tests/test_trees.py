@@ -25,6 +25,7 @@ from riskforge.trees import (
     logistic_grad_hess,
     model_from_doc,
     model_to_doc,
+    predict_margin,
     predict_proba,
     split_gain,
 )
@@ -393,22 +394,20 @@ def empty_bins(d):
 class TestPredict:
     def test_zero_tree_boosted_predicts_sigmoid_base(self):
         model = BoostedModel(
-            trees=[], learning_rate=0.1, base_score=-1.5, growth=GROWTH_LEAF,
-            params=BoostingParams(), bins=empty_bins(2), feature_names=("a", "b"),
+            trees=[], base_score=-1.5, params=BoostingParams(), bins=empty_bins(2),
+            feature_names=("a", "b"),
         )
         probs = predict_proba(model, np.zeros((3, 2)))
         assert probs == pytest.approx([sigmoid(-1.5)] * 3)
 
-    def test_zero_learning_rate_field_freezes_predictions(self):
-        # The params type forbids eta=0, but a model constructed with a zero
-        # learning-rate field must predict sigmoid(base_score) everywhere.
+    def test_learning_rate_comes_from_params(self):
         model = BoostedModel(
-            trees=[stump(0, 0.0, -3.0, 3.0)], learning_rate=0.0, base_score=0.4,
-            growth=GROWTH_LEAF, params=BoostingParams(), bins=empty_bins(1),
+            trees=[stump(0, 0.0, -3.0, 3.0)], base_score=0.4,
+            params=BoostingParams(learning_rate=0.25), bins=empty_bins(1),
             feature_names=("a",),
         )
-        probs = predict_proba(model, np.array([[-1.0], [1.0]]))
-        assert probs == pytest.approx([sigmoid(0.4)] * 2)
+        margin = predict_margin(model, np.array([[-1.0], [1.0]]))
+        assert margin.tolist() == [0.4 - 0.75, 0.4 + 0.75]
 
     def test_sigmoid_zero_is_half(self):
         assert sigmoid(0.0) == 0.5
@@ -535,6 +534,42 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(SchemaError, match="format"):
             model_from_doc({"format": "bogus/9"})
+
+    @pytest.mark.parametrize(
+        "key, value, needle",
+        [
+            ("learning_rate", 0.5, "learning_rate 0.5 differs"),
+            ("growth", GROWTH_LEVEL, "growth 'level_wise' differs"),
+        ],
+    )
+    def test_top_level_copy_must_match_params(self, key, value, needle):
+        doc = model_to_doc(fit_boosted(random_data(seed=16), BoostingParams(n_trees=2)))
+        doc[key] = value
+        with pytest.raises(SchemaError, match=needle):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            (lambda root: root.pop("cover"), "'cover' must be a number, got None"),
+            (lambda root: root.update(left={"cover": 1.0}), "'threshold' must be a number"),
+            (lambda root: root.update(threshold="x"), "'threshold' must be a number"),
+            (lambda root: root.update(feature=3), r"feature 3 is outside \[0, 3\)"),
+            (lambda root: root.update(feature=-1), "feature -1 is outside"),
+            (lambda root: root.update(feature=1.0), "feature 1.0 is outside"),
+            (lambda root: root.update(right=[1]), "must be an object, got \\[1\\]"),
+        ],
+        ids=["no-cover", "child-without-value", "text-threshold", "feature-past-end",
+             "negative-feature", "float-feature", "list-child"],
+    )
+    def test_corrupt_tree_node_is_schema_error(self, edit, needle):
+        data = random_data(d=3, seed=17)
+        model = fit_forest(data, ForestParams(n_trees=1, max_depth=3, seed=5))
+        doc = model_to_doc(model)
+        assert len(doc["feature_names"]) == 3 and "feature" in doc["trees"][0]
+        edit(doc["trees"][0])
+        with pytest.raises(SchemaError, match=needle):
+            model_from_doc(doc)
 
 
 def golden_data():
