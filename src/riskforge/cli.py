@@ -75,7 +75,11 @@ def write_labels_csv(path: str, ids, labels: np.ndarray) -> None:
 def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    return [row[0] for row in rows], np.array([int(row[1]) for row in rows], dtype=np.int64)
+    labels = np.array([int(row[1]) for row in rows], dtype=np.int64)
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise DataError(f"row {bad[0] + 2}: label must be 0 or 1, got {labels[bad[0]]}")
+    return [row[0] for row in rows], labels
 
 
 def _load_application(cfg: RunConfig, path: str) -> Table:
@@ -198,20 +202,16 @@ def _load_prepared(cfg: RunConfig):
 def cmd_train(cfg: RunConfig) -> list[str]:
     """Grid-search each configured learner and persist model + search record."""
     pipeline, (_, train, y_tr), _ = _load_prepared(cfg)
-    data = LabeledMatrix(train, y_tr)
-    smote_params = cfg.smote if cfg.smote_enabled else None
+    searches = grid_search(
+        LabeledMatrix(train, y_tr),
+        [(spec.kind, spec.grid, spec.params) for spec in cfg.models],
+        cfg.cv,
+        metric=cfg.metric,
+        smote_params=cfg.smote if cfg.smote_enabled else None,
+        feature_names=pipeline.feature_names,
+    )
     written = []
-    for spec in cfg.models:
-        result, model = grid_search(
-            data,
-            spec.grid,
-            cfg.cv,
-            spec.kind,
-            metric=cfg.metric,
-            defaults=spec.params,
-            smote_params=smote_params,
-            feature_names=pipeline.feature_names,
-        )
+    for spec, (result, model) in zip(cfg.models, searches):
         model_doc = model_to_doc(model)
         validate(model_doc, "model")
         model_path = os.path.join(_models_dir(cfg), f"{spec.kind}.json")

@@ -24,7 +24,7 @@ from .risk import Band, BandRule, RiskConfig
 from .sampling import SmoteParams
 from .tabular import AggregationSpec, Statistic
 from .trees import BoostingParams, ForestParams
-from .tuning import LEARNER_KINDS, CvPlan
+from .tuning import _METRIC_NAMES, LEARNER_KINDS, CvPlan
 from .utils import stage_seed
 
 _BAND_KEYS = {"low": Band.LOW, "moderate": Band.MODERATE, "high": Band.HIGH}
@@ -213,6 +213,10 @@ def parse_config(doc: dict) -> RunConfig:
         report_model == "best" or report_model in LEARNER_KINDS,
         f"report.model must be 'best' or one of {LEARNER_KINDS}",
     )
+    metric = _get(doc, "metric", "str", "roc_auc")
+    _require(
+        metric in _METRIC_NAMES, f"unknown metric {metric!r}; expected one of {_METRIC_NAMES}"
+    )
     threshold = _get(doc, "threshold", "float", 0.5)
     _require(0.0 <= threshold <= 1.0, "threshold must be in [0, 1]")
     aux = _get(data, "data.aux", "list", [])
@@ -233,7 +237,7 @@ def parse_config(doc: dict) -> RunConfig:
         smote=_read(SmoteParams, smote, "smote", ("enabled",), seed=stage_seed(seed, "smote")),
         smote_enabled=_get(smote, "smote.enabled", "bool", True),
         cv=_read(CvPlan, doc.get("cv", {}), "cv", seed=stage_seed(seed, "cv")),
-        metric=_get(doc, "metric", "str", "roc_auc"),
+        metric=metric,
         threshold=threshold,
         models=_parse_models(doc.get("models", {}), seed),
         risk=_read(RiskConfig, risk, "risk", ("amount_column", "term_column", *bands), **bands),

@@ -24,6 +24,7 @@ from .validation import validate
 APPLICANT_FORMAT = "riskforge.applicant_report/1"
 BUSINESS_FORMAT = "riskforge.business_impact/1"
 XAI_FORMAT = "riskforge.xai_report/1"
+TOP_FEATURES = 5  # rows of the XAI report's side-by-side ranking table
 
 _CSS = """
 body { font-family: Helvetica, Arial, sans-serif; margin: 2em auto; max-width: 60em;
@@ -272,7 +273,7 @@ def business_report_doc(report: BusinessImpactReport) -> dict:
     doc = {
         "format": BUSINESS_FORMAT,
         "threshold": round6(report.threshold),
-        "best_model": report.evaluations[0].name if report.evaluations else None,
+        "best_model": report.evaluations[0].name,
         "models": [
             {k: v for k, v in evaluation_block(ev).items() if k != "confusion"}
             for ev in report.evaluations
@@ -283,10 +284,6 @@ def business_report_doc(report: BusinessImpactReport) -> dict:
 
 
 def business_report_html(report: BusinessImpactReport, doc: dict) -> str:
-    if not doc["models"]:
-        body = "<h1>Business Impact Report</h1>\n<p><strong>no models evaluated</strong></p>"
-        return _page("Business Impact Report", body)
-
     # Evaluation table keeps the column order Accuracy, Precision, Recall, ROC AUC.
     header = (
         "<tr><th>Model</th><th>Accuracy</th><th>Precision</th><th>Recall</th>"
@@ -356,7 +353,6 @@ class XaiReport:
     summaries: dict[str, ShapSummary]  # model name -> summary, insertion-ordered
     sample_size: int
     seed: int = 0
-    top_n: int = 5
 
 
 def xai_report_doc(report: XaiReport) -> dict:
@@ -372,7 +368,7 @@ def xai_report_doc(report: XaiReport) -> dict:
         ]
         models.append({"name": name, "scale": summary.scale, "ranking": ranking})
     top = []
-    for i in range(report.top_n):
+    for i in range(TOP_FEATURES):
         row = {"rank": i + 1, "features": {}}
         for name, summary in report.summaries.items():
             if i < len(summary.ranking):
@@ -389,9 +385,6 @@ def xai_report_doc(report: XaiReport) -> dict:
 
 
 def xai_report_html(report: XaiReport, doc: dict) -> str:
-    if not doc["models"]:
-        body = "<h1>XAI Report</h1>\n<p><strong>no models evaluated</strong></p>"
-        return _page("XAI Report", body)
     names = [m["name"] for m in doc["models"]]
     header = "<tr><th>Rank</th>" + "".join(f"<th>{_esc(n)}</th>" for n in names) + "</tr>"
     rows = []

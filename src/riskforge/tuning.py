@@ -3,8 +3,10 @@
 Candidates are the cartesian product of the grid's value lists, enumerated
 with parameter names sorted and each list kept in declared order. SMOTE,
 when enabled, is applied inside the training folds only; validation rows
-never contribute to synthesis or tree fitting. A candidate that fails to
-train scores -inf and is reported rather than aborting the search.
+never contribute to synthesis or tree fitting. Every learner's candidates
+share each fold's SMOTE'd training set, built once per search. A candidate
+that fails to train scores -inf and is reported rather than aborting the
+search.
 """
 
 from __future__ import annotations
@@ -112,23 +114,16 @@ def fit_learner(kind: str, data: LabeledMatrix, params, feature_names=None):
     return fit_boosted(data, params, feature_names=feature_names)
 
 
-def fit_fold_model(
-    data: LabeledMatrix,
-    train_mask: np.ndarray,
-    kind: str,
-    params,
-    smote_params: SmoteParams | None = None,
-    feature_names=None,
-):
-    """Train one fold's model from training rows only.
+def fold_training_set(
+    data: LabeledMatrix, train_mask, smote_params: SmoteParams | None = None
+) -> LabeledMatrix:
+    """The rows selected by ``train_mask``, SMOTE'd when ``smote_params`` is set.
 
-    Validation rows are excluded before SMOTE and fitting, so perturbing a
-    validation label can never change the resulting model.
+    Validation rows are excluded before SMOTE, so perturbing a validation
+    label can never change the set or a model fitted on it.
     """
-    fold_data = LabeledMatrix(data.features[train_mask], data.labels[train_mask])
-    if smote_params is not None:
-        fold_data = smote(fold_data, smote_params)
-    return fit_learner(kind, fold_data, params, feature_names=feature_names)
+    rows = LabeledMatrix(data.features[train_mask], data.labels[train_mask])
+    return rows if smote_params is None else smote(rows, smote_params)
 
 
 _METRIC_NAMES = ("roc_auc", "accuracy", "precision", "recall", "f1")
@@ -151,62 +146,58 @@ def score_predictions(metric: str, labels, probabilities, threshold: float = 0.5
 
 def grid_search(
     data: LabeledMatrix,
-    grid: dict,
+    learners: list[tuple[str, dict, dict]],
     plan: CvPlan,
-    kind: str,
     metric: str = "roc_auc",
-    defaults: dict | None = None,
     smote_params: SmoteParams | None = None,
     feature_names=None,
-) -> tuple[SearchResult, object]:
-    """Evaluate every candidate with stratified CV and retrain the winner.
+) -> list[tuple[SearchResult, object]]:
+    """Cross-validate every candidate of every ``(kind, grid, defaults)``
+    learner and retrain each learner's winner on the full training data.
 
-    Returns the search record and the final model fitted on the full
-    training data with the best parameters.
+    The fold loop is outermost: each fold's training set is cut and SMOTE'd
+    once and shared by every candidate, then dropped before the next fold.
+    Returns one (search record, final model) pair per learner, in order.
     """
-    candidates = enumerate_grid(grid)
-    defaults = dict(defaults or {})
     folds = make_folds(data.labels, plan)
+    searches = [
+        (kind, grid, defaults, [CandidateResult(o, [], -math.inf) for o in enumerate_grid(grid)])
+        for kind, grid, defaults in learners
+    ]
+    for f in range(plan.n_folds):
+        train_mask = folds != f
+        fold_data = fold_training_set(data, train_mask, smote_params)
+        val_x, val_y = data.features[~train_mask], data.labels[~train_mask]
+        for kind, _, defaults, candidates in searches:
+            for cand in candidates:
+                if cand.error is None:
+                    try:
+                        params = _build_params(kind, defaults, cand.params)
+                        probs = predict_proba(fit_learner(kind, fold_data, params), val_x)
+                        cand.fold_scores.append(score_predictions(metric, val_y, probs))
+                    except DataError as exc:
+                        cand.error = str(exc)
+        del fold_data
 
-    def evaluate(overrides: dict) -> CandidateResult:
-        fold_scores: list[float] = []
-        try:
-            params = _build_params(kind, defaults, overrides)
-            for f in range(plan.n_folds):
-                train_mask = folds != f
-                model = fit_fold_model(data, train_mask, kind, params, smote_params)
-                probs = predict_proba(model, data.features[~train_mask])
-                fold_scores.append(
-                    score_predictions(metric, data.labels[~train_mask], probs)
-                )
-        except DataError as exc:
-            return CandidateResult(overrides, fold_scores, -math.inf, error=str(exc))
-        return CandidateResult(overrides, fold_scores, float(np.mean(fold_scores)))
+    winners = []
+    for kind, grid, defaults, candidates in searches:
+        for cand in candidates:
+            if cand.error is None:
+                cand.mean_score = float(np.mean(cand.fold_scores))
+        best_index = max(range(len(candidates)), key=lambda i: candidates[i].mean_score)
+        best = candidates[best_index]
+        if not math.isfinite(best.mean_score):
+            raise DataError("every grid candidate failed to train")
+        result = SearchResult(
+            metric, candidates, best_index, best.params, best.mean_score, used_defaults=not grid
+        )
+        winners.append((kind, result, _build_params(kind, defaults, best.params)))
 
-    results = [evaluate(overrides) for overrides in candidates]
-
-    best_index = 0
-    for i, res in enumerate(results):
-        if res.mean_score > results[best_index].mean_score:
-            best_index = i
-    best = results[best_index]
-    if not math.isfinite(best.mean_score):
-        raise DataError("every grid candidate failed to train")
-
-    final_params = _build_params(kind, defaults, best.params)
-    final_data = data
-    if smote_params is not None:
-        final_data = smote(final_data, smote_params)
-    final_model = fit_learner(kind, final_data, final_params, feature_names=feature_names)
-    result = SearchResult(
-        metric=metric,
-        candidates=results,
-        best_index=best_index,
-        best_params=best.params,
-        best_score=best.mean_score,
-        used_defaults=not grid,
-    )
-    return result, final_model
+    final_data = fold_training_set(data, slice(None), smote_params)
+    return [
+        (result, fit_learner(kind, final_data, params, feature_names=feature_names))
+        for kind, result, params in winners
+    ]
 
 
 def search_result_to_doc(result: SearchResult) -> dict:

@@ -45,7 +45,14 @@ from riskforge.trees import (
     model_to_doc,
     predict_margin,
 )
-from riskforge.tuning import LEARNER_LEAFWISE, _build_params, fit_fold_model, make_folds, CvPlan
+from riskforge.tuning import (
+    LEARNER_LEAFWISE,
+    CvPlan,
+    _build_params,
+    fit_learner,
+    fold_training_set,
+    make_folds,
+)
 from riskforge.utils import load_json, stage_seed
 from riskforge.validation import validate
 
@@ -275,20 +282,18 @@ def test_criterion_8_leakage(corpus_run):
     params = _build_params(LEARNER_LEAFWISE, {"n_trees": 5, "seed": 3}, {})
     smote_params = SmoteParams(k=3, seed=4)
     mask = folds != 0
-    baseline = json.dumps(
-        model_to_doc(fit_fold_model(data, mask, LEARNER_LEAFWISE, params, smote_params))
-    )
+
+    def fold_model_doc(source):
+        fold_data = fold_training_set(source, mask, smote_params)
+        return json.dumps(model_to_doc(fit_learner(LEARNER_LEAFWISE, fold_data, params)))
+
+    baseline = fold_model_doc(data)
     val_rows = np.flatnonzero(~mask)
     rng = np.random.default_rng(80)
     for row in rng.choice(val_rows, size=5, replace=False):
         poisoned = LabeledMatrix(data.features.copy(), data.labels.copy())
         poisoned.labels[row] = 1 - poisoned.labels[row]
-        doc = json.dumps(
-            model_to_doc(
-                fit_fold_model(poisoned, mask, LEARNER_LEAFWISE, params, smote_params)
-            )
-        )
-        assert doc == baseline
+        assert fold_model_doc(poisoned) == baseline
 
 
 @criterion(9, "informative features top the XAI ranking")

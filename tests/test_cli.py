@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import riskforge
+from riskforge import tuning
 from riskforge.cli import main, read_labels_csv, read_matrix_csv
 from riskforge.config import default_config_dict, parse_config
 from riskforge.errors import ConfigError
@@ -130,6 +131,19 @@ class TestPrepare:
         assert train_header == test_header
 
 
+def _train_config(workdir, tmp_path, **smote):
+    """Config whose fresh output directory holds a copy of the shared prepared
+    files, with ``smote`` merged into its SMOTE section."""
+    root, config_path = workdir
+    shutil.copytree(root / "out" / "prepared", tmp_path / "out" / "prepared")
+    cfg = json.loads(config_path.read_text())
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg["smote"].update(smote)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return p, cfg
+
+
 class TestTrain:
     def test_model_files_per_learner(self, workdir):
         root, _ = workdir
@@ -148,6 +162,28 @@ class TestTrain:
         )
         assert sr["used_defaults"] is True
         assert len(sr["candidates"]) == 1
+
+    def test_one_smote_per_fold_plus_full_set(self, workdir, tmp_path, monkeypatch):
+        p, cfg = _train_config(workdir, tmp_path)
+        calls = []
+        smote = tuning.smote
+
+        def counting_smote(*args):
+            calls.append(args)
+            return smote(*args)
+
+        monkeypatch.setattr(tuning, "smote", counting_smote)
+        assert len(cfg["models"]) == 3
+        assert main(["train", "--config", str(p)]) == 0
+        assert len(calls) == cfg["cv"]["n_folds"] + 1
+
+    def test_fold_smote_failure_exits_2_with_its_message(self, workdir, tmp_path, capsys):
+        p, _ = _train_config(workdir, tmp_path, k=1000)
+        capsys.readouterr()
+        code = main(["train", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2 and "k=1000 must be below the minority count" in line
+        assert not (tmp_path / "out" / "models").exists()
 
     def test_training_before_prepare_exits_2(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "c", tmp_path / "o")
@@ -420,6 +456,12 @@ def _write_text(text):
     return lambda path: path.write_text(text)
 
 
+def _first_label_3(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].split(",")[0] + ",3\n"
+    path.write_text("".join(lines))
+
+
 def _text_in_first_cell(path):
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = "high" + lines[1][lines[1].index(","):]
@@ -454,11 +496,12 @@ class TestCorruptStageFiles:
              "could not convert string to float"),
             ("prepared/test_features.csv", Path.unlink, "No such file"),
             ("prepared/test_labels.csv", _write_text("id\r\n7\r\n"), "list index out of range"),
+            ("prepared/test_labels.csv", _first_label_3, "row 2: label must be 0 or 1, got 3"),
         ],
         ids=[
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
             "learning-rate-differs", "unknown-param", "no-scaler", "pipeline-not-json",
-            "text-in-features", "no-test-features", "short-label-row",
+            "text-in-features", "no-test-features", "short-label-row", "label-3",
         ],
     )
     def test_exits_2_naming_file(self, workdir, tmp_path, capsys, command, rel, corrupt, needle):
@@ -649,6 +692,7 @@ class TestConfig:
             ("features.0.name", DELETE, "features[0].name is required"),
             ("smote.seed", 3, "smote: unknown keys ['seed']"),
             ("threshold", 10**400, "threshold: float out of range"),
+            ("metric", "auroc", "unknown metric 'auroc'"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -656,7 +700,7 @@ class TestConfig:
             "value-columns-not-list", "statistic-not-text", "value-column-not-text",
             "threshold-text", "top-k-text", "seed-bool", "kernel-width-text",
             "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
-            "smote-seed-is-fixed", "integer-beyond-float-range",
+            "smote-seed-is-fixed", "integer-beyond-float-range", "metric-unknown",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):

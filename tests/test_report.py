@@ -14,6 +14,7 @@ from riskforge.metrics import (
     RocCurve,
 )
 from riskforge.report import (
+    TOP_FEATURES,
     ApplicantReport,
     BusinessImpactReport,
     ModelEvaluation,
@@ -226,13 +227,6 @@ class TestBusinessReport:
         )
         assert row in html.replace("\n", "")
 
-    def test_empty_model_list_renders_marker(self):
-        report = BusinessImpactReport([], threshold=0.5)
-        doc = business_report_doc(report)
-        html = business_report_html(report, doc)
-        assert "no models evaluated" in html
-        assert doc["models"] == [] and doc["best_model"] is None
-
     def test_doc_validates(self, tmp_path):
         report = BusinessImpactReport(
             [sample_evaluation(), sample_evaluation("forest", 0.8)], threshold=0.5
@@ -265,13 +259,13 @@ class TestXaiReport:
         assert got == want
 
     def test_top_features_table_shape(self):
+        d = TOP_FEATURES + 1
         report = XaiReport(
-            {"m1": sample_summary(seed=1), "m2": sample_summary(seed=2)},
+            {"m1": sample_summary(d=d, seed=1), "m2": sample_summary(d=d, seed=2)},
             sample_size=6,
-            top_n=3,
         )
         doc = xai_report_doc(report)
-        assert [row["rank"] for row in doc["top_features"]] == [1, 2, 3]
+        assert [row["rank"] for row in doc["top_features"]] == list(range(1, TOP_FEATURES + 1))
         for row in doc["top_features"]:
             assert set(row["features"]) == {"m1", "m2"}
 

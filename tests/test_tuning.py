@@ -13,7 +13,8 @@ from riskforge.tuning import (
     CvPlan,
     _build_params,
     enumerate_grid,
-    fit_fold_model,
+    fit_learner,
+    fold_training_set,
     grid_search,
     make_folds,
     score_predictions,
@@ -28,6 +29,12 @@ def make_data(n=160, d=4, seed=0):
     if y.sum() < 10:  # keep folds feasible
         y[:10] = 1
     return LabeledMatrix(x, y)
+
+
+def search_one(data, grid, plan, kind, defaults=None, **kwargs):
+    """Search a single learner; returns its (search record, final model)."""
+    (pair,) = grid_search(data, [(kind, grid, defaults or {})], plan, **kwargs)
+    return pair
 
 
 class TestMakeFolds:
@@ -94,7 +101,7 @@ class TestEnumerateGrid:
 class TestGridSearch:
     def test_singleton_grid_wins_by_default(self):
         data = make_data()
-        result, model = grid_search(
+        result, model = search_one(
             data,
             {"learning_rate": [0.1]},
             CvPlan(n_folds=3, seed=0),
@@ -106,31 +113,51 @@ class TestGridSearch:
         assert model is not None
 
     def test_means_match_independent_re_evaluation(self):
-        # Oracle: rerun both candidates on the same folds by hand and
-        # recompute every fold score with the metrics module.
+        # Oracle: rerun every candidate of both learners on the same folds by
+        # hand and recompute every fold score with the metrics module.
         data = make_data(seed=3)
         plan = CvPlan(n_folds=3, seed=5)
-        grid = {"max_depth": [1, 3]}
-        defaults = {"n_trees": 4, "seed": 11}
-        result, _ = grid_search(data, grid, plan, LEARNER_LEVELWISE, defaults=defaults)
+        smote = SmoteParams(k=3, seed=2)
+        learners = [
+            (LEARNER_LEVELWISE, {"max_depth": [1, 3]}, {"n_trees": 4, "seed": 11}),
+            (LEARNER_FOREST, {"max_depth": [2]}, {"n_trees": 3, "seed": 12}),
+        ]
+        searches = grid_search(data, learners, plan, smote_params=smote)
 
         folds = make_folds(data.labels, plan)
-        for cand in result.candidates:
-            params = _build_params(LEARNER_LEVELWISE, defaults, cand.params)
-            scores = []
-            for f in range(plan.n_folds):
-                mask = folds != f
-                model = fit_fold_model(data, mask, LEARNER_LEVELWISE, params)
-                probs = predict_proba(model, data.features[~mask])
-                scores.append(score_predictions("roc_auc", data.labels[~mask], probs))
-            assert scores == pytest.approx(cand.fold_scores, abs=1e-12)
-            assert cand.mean_score == pytest.approx(float(np.mean(scores)), abs=1e-12)
-        best_mean = max(c.mean_score for c in result.candidates)
-        assert result.best_score == best_mean
+        for (kind, _, defaults), (result, _) in zip(learners, searches):
+            for cand in result.candidates:
+                params = _build_params(kind, defaults, cand.params)
+                scores = []
+                for f in range(plan.n_folds):
+                    mask = folds != f
+                    model = fit_learner(kind, fold_training_set(data, mask, smote), params)
+                    probs = predict_proba(model, data.features[~mask])
+                    scores.append(score_predictions("roc_auc", data.labels[~mask], probs))
+                assert scores == pytest.approx(cand.fold_scores, abs=1e-12)
+                assert cand.mean_score == pytest.approx(float(np.mean(scores)), abs=1e-12)
+            best_mean = max(c.mean_score for c in result.candidates)
+            assert result.best_score == best_mean
+
+    def test_failed_candidate_leaves_other_learner_unchanged(self):
+        data = make_data(seed=12)
+        plan = CvPlan(n_folds=2, seed=0)
+        levelwise = (LEARNER_LEVELWISE, {"max_depth": [2, 3]}, {"n_trees": 3})
+
+        def search(leafwise_grid):
+            learners = [(LEARNER_LEAFWISE, leafwise_grid, {"n_trees": 3}), levelwise]
+            return grid_search(data, learners, plan, smote_params=SmoteParams(k=3))
+
+        clean = search({"learning_rate": [0.1]})
+        mixed = search({"learning_rate": [5.0, 0.1]})  # 5.0 fails to build
+        assert mixed[0][0].candidates[0].error is not None
+        assert mixed[0][0].best_index == 1
+        want = [c.fold_scores for c in clean[1][0].candidates]
+        assert [c.fold_scores for c in mixed[1][0].candidates] == want
 
     def test_product_grid_evaluates_every_candidate(self):
         data = make_data(seed=4)
-        result, _ = grid_search(
+        result, _ = search_one(
             data,
             {"learning_rate": [0.1, 0.3], "max_leaves": [3, 5]},
             CvPlan(n_folds=2, seed=0),
@@ -142,7 +169,7 @@ class TestGridSearch:
     def test_tie_breaks_toward_earlier_candidate(self):
         data = make_data(seed=5)
         # Identical candidates produce identical means; index 0 must win.
-        result, _ = grid_search(
+        result, _ = search_one(
             data,
             {"learning_rate": [0.1, 0.1]},
             CvPlan(n_folds=2, seed=0),
@@ -160,14 +187,14 @@ class TestGridSearch:
             CvPlan(n_folds=3, seed=2),
             LEARNER_LEVELWISE,
         )
-        r1, _ = grid_search(*args, defaults={"n_trees": 4})
-        r2, _ = grid_search(*args, defaults={"n_trees": 4})
+        r1, _ = search_one(*args, defaults={"n_trees": 4})
+        r2, _ = search_one(*args, defaults={"n_trees": 4})
         for c1, c2 in zip(r1.candidates, r2.candidates):
             assert c1.fold_scores == c2.fold_scores
 
     def test_failed_candidate_recorded_not_fatal(self):
         data = make_data(seed=7)
-        result, _ = grid_search(
+        result, _ = search_one(
             data,
             {"learning_rate": [0.1, 5.0]},  # 5.0 violates the params contract
             CvPlan(n_folds=2, seed=0),
@@ -182,7 +209,7 @@ class TestGridSearch:
     def test_all_candidates_failing_is_an_error(self):
         data = make_data(seed=8)
         with pytest.raises(DataError, match="every grid candidate"):
-            grid_search(
+            search_one(
                 data,
                 {"learning_rate": [5.0]},
                 CvPlan(n_folds=2, seed=0),
@@ -192,7 +219,7 @@ class TestGridSearch:
 
     def test_forest_kind_supported(self):
         data = make_data(seed=9)
-        result, model = grid_search(
+        result, model = search_one(
             data,
             {},
             CvPlan(n_folds=2, seed=0),
@@ -204,13 +231,13 @@ class TestGridSearch:
 
     def test_unknown_learner_rejected(self):
         with pytest.raises(ConfigError, match="unknown learner"):
-            grid_search(
+            search_one(
                 make_data(), {}, CvPlan(n_folds=2, seed=0), "perceptron"
             )
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigError, match="unknown metric"):
-            grid_search(
+            search_one(
                 make_data(),
                 {},
                 CvPlan(n_folds=2, seed=0),
@@ -228,14 +255,14 @@ class TestLeakage:
         params = _build_params(LEARNER_LEAFWISE, {"n_trees": 4, "seed": 1}, {})
         smote = SmoteParams(k=3, seed=2)
         mask = folds != 0
-        baseline = model_to_doc(
-            fit_fold_model(data, mask, LEARNER_LEAFWISE, params, smote)
-        )
+
+        def fold_model_doc(source):
+            model = fit_learner(LEARNER_LEAFWISE, fold_training_set(source, mask, smote), params)
+            return json.dumps(model_to_doc(model))
+
+        baseline = fold_model_doc(data)
         val_rows = np.flatnonzero(~mask)
         for row in val_rows[:5]:
             poisoned = LabeledMatrix(data.features.copy(), data.labels.copy())
             poisoned.labels[row] = 1 - poisoned.labels[row]
-            doc = model_to_doc(
-                fit_fold_model(poisoned, mask, LEARNER_LEAFWISE, params, smote)
-            )
-            assert json.dumps(doc) == json.dumps(baseline)
+            assert fold_model_doc(poisoned) == baseline
