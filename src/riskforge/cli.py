@@ -182,26 +182,28 @@ def _read_stage_file(path: str, read, schema: str | None = None):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _load_prepared(cfg: RunConfig):
+def _load_pipeline(cfg: RunConfig) -> FittedPipeline:
     out = _prepared_dir(cfg)
     pipe_path = os.path.join(out, "pipeline.json")
     if not os.path.exists(pipe_path):
         raise UserError(f"prepared artifacts not found under {out}; run prepare first")
-    pipeline = _read_stage_file(pipe_path, pipeline_from_doc, "pipeline")
-    names_tr, train = _read_stage_file(os.path.join(out, "train_features.csv"), read_matrix_csv)
-    names_te, test = _read_stage_file(os.path.join(out, "test_features.csv"), read_matrix_csv)
-    ids_tr, y_tr = _read_stage_file(os.path.join(out, "train_labels.csv"), read_labels_csv)
-    ids_te, y_te = _read_stage_file(os.path.join(out, "test_labels.csv"), read_labels_csv)
-    if tuple(names_tr) != tuple(pipeline.feature_names) or tuple(names_te) != tuple(
-        pipeline.feature_names
-    ):
+    return _read_stage_file(pipe_path, pipeline_from_doc, "pipeline")
+
+
+def _load_split(cfg: RunConfig, pipeline: FittedPipeline, split: str):
+    """(ids, matrix, labels) of the prepared ``split``, "train" or "test"."""
+    out = _prepared_dir(cfg)
+    names, matrix = _read_stage_file(os.path.join(out, f"{split}_features.csv"), read_matrix_csv)
+    ids, labels = _read_stage_file(os.path.join(out, f"{split}_labels.csv"), read_labels_csv)
+    if tuple(names) != tuple(pipeline.feature_names):
         raise DataError("prepared matrices do not match the pipeline feature names")
-    return pipeline, (ids_tr, train, y_tr), (ids_te, test, y_te)
+    return ids, matrix, labels
 
 
 def cmd_train(cfg: RunConfig) -> list[str]:
     """Grid-search each configured learner and persist model + search record."""
-    pipeline, (_, train, y_tr), _ = _load_prepared(cfg)
+    pipeline = _load_pipeline(cfg)
+    _, train, y_tr = _load_split(cfg, pipeline, "train")
     searches = grid_search(
         LabeledMatrix(train, y_tr),
         [(spec.kind, spec.grid, spec.params) for spec in cfg.models],
@@ -270,36 +272,28 @@ def _raw_test_assessment_inputs(cfg: RunConfig, prepared_ids) -> tuple[list, lis
 def _evaluate_models(
     cfg: RunConfig, models: dict, test_split, amounts
 ) -> list[report_mod.ModelEvaluation]:
-    """Per-model metrics and business impact on the prepared test split."""
+    """Per-model measurements on the prepared test split, best ROC AUC first;
+    the sort is stable, so models of equal AUC keep the configured order."""
     _, test, y_te = test_split
     evaluations = []
-    for order, (kind, model) in enumerate(models.items()):
+    for kind, model in models.items():
         probs = predict_proba(model, test)
-        cm = metrics_mod.confusion(y_te, probs, cfg.threshold)
         evaluations.append(
-            (
-                order,
-                report_mod.ModelEvaluation(
-                    name=kind,
-                    confusion=cm,
-                    accuracy=metrics_mod.accuracy(cm),
-                    precision=metrics_mod.precision(cm),
-                    recall=metrics_mod.recall(cm),
-                    f1=metrics_mod.f1_score(cm),
-                    roc_curve=metrics_mod.roc_auc(y_te, probs),
-                    impact=portfolio_impact(probs, amounts, y_te, cfg.risk, cfg.threshold),
-                    probabilities=probs,
-                ),
+            report_mod.ModelEvaluation(
+                name=kind,
+                confusion=metrics_mod.confusion(y_te, probs, cfg.threshold),
+                roc_curve=metrics_mod.roc_auc(y_te, probs),
+                impact=portfolio_impact(probs, amounts, y_te, cfg.risk, cfg.threshold),
+                probabilities=probs,
             )
         )
-    evaluations.sort(key=lambda pair: (-pair[1].roc_curve.auc, pair[0]))
-    return [ev for _, ev in evaluations]
+    return sorted(evaluations, key=lambda ev: -ev.roc_curve.auc)
 
 
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
     """Per-model metrics and business impact at the configured threshold."""
     models = _load_models(cfg)
-    _, _, test_split = _load_prepared(cfg)
+    test_split = _load_split(cfg, _load_pipeline(cfg), "test")
     amounts, _ = _raw_test_assessment_inputs(cfg, test_split[0])
     evaluations = _evaluate_models(cfg, models, test_split, amounts)
     doc = {
@@ -316,14 +310,15 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
 def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     """Applicant reports for the selected ids plus business and XAI reports."""
     models = _load_models(cfg)
-    pipeline, (_, train, _), test_split = _load_prepared(cfg)
+    pipeline = _load_pipeline(cfg)
+    _, train, _ = _load_split(cfg, pipeline, "train")  # LIME's feature stats
+    test_split = _load_split(cfg, pipeline, "test")
     ids_te, test, _ = test_split
     amounts, terms = _raw_test_assessment_inputs(cfg, ids_te)
     evaluations = _evaluate_models(cfg, models, test_split, amounts)
     written = []
 
-    business = report_mod.BusinessImpactReport(evaluations, cfg.threshold)
-    written.extend(report_mod.render_business(business, cfg.output_dir))
+    written.extend(report_mod.render_business(evaluations, cfg.threshold, cfg.output_dir))
 
     # XAI summaries over a seeded sample of test rows, best model first.
     rng = np.random.default_rng(stage_seed(cfg.seed, "shap-sample"))
@@ -332,10 +327,9 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     summaries = {}
     for ev in evaluations:
         summaries[ev.name] = shap_summary(models[ev.name], test[sample_rows])
-    xai = report_mod.XaiReport(
-        summaries, sample_size, seed=stage_seed(cfg.seed, "beeswarm")
+    written.extend(
+        report_mod.render_xai(summaries, stage_seed(cfg.seed, "beeswarm"), cfg.output_dir)
     )
-    written.extend(report_mod.render_xai(xai, cfg.output_dir))
 
     report_kind = cfg.report_model
     if report_kind == "best":
@@ -362,27 +356,20 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     for applicant_id in chosen:
         k = index_of[applicant_id]
         summary, row = shap_of[k]
-        shap_exp = summary.explanation(row, instance_id=applicant_id)
         lime_params = dataclasses.replace(
             cfg.lime, seed=stage_seed(cfg.seed, f"lime-{applicant_id}")
         )
         lime_exp = lime_explain(
-            model,
-            test[k],
-            (mu, sd),
-            lime_params,
-            feature_names=pipeline.feature_names,
-            instance_id=applicant_id,
+            model, test[k], (mu, sd), lime_params, feature_names=pipeline.feature_names
         )
-        applicant = report_mod.ApplicantReport(
-            assessment=assess(
-                float(probs[k]), amounts[k], terms[k], cfg.risk, applicant_id=applicant_id
-            ),
-            shap=shap_exp,
-            lime=lime_exp,
-            model_name=report_kind,
+        assessment = assess(
+            float(probs[k]), amounts[k], terms[k], cfg.risk, applicant_id=applicant_id
         )
-        written.extend(report_mod.render_applicant(applicant, cfg.output_dir))
+        written.extend(
+            report_mod.render_applicant(
+                assessment, summary.explanation(row), lime_exp, report_kind, cfg.output_dir
+            )
+        )
     return written
 
 

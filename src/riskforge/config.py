@@ -24,7 +24,7 @@ from .risk import Band, BandRule, RiskConfig
 from .sampling import SmoteParams
 from .tabular import AggregationSpec, Statistic
 from .trees import BoostingParams, ForestParams
-from .tuning import _METRIC_NAMES, LEARNER_KINDS, CvPlan
+from .tuning import LEARNER_KINDS, METRIC_NAMES, CvPlan
 from .utils import stage_seed
 
 _BAND_KEYS = {"low": Band.LOW, "moderate": Band.MODERATE, "high": Band.HIGH}
@@ -215,10 +215,12 @@ def parse_config(doc: dict) -> RunConfig:
     )
     metric = _get(doc, "metric", "str", "roc_auc")
     _require(
-        metric in _METRIC_NAMES, f"unknown metric {metric!r}; expected one of {_METRIC_NAMES}"
+        metric in METRIC_NAMES, f"unknown metric {metric!r}; expected one of {METRIC_NAMES}"
     )
     threshold = _get(doc, "threshold", "float", 0.5)
     _require(0.0 <= threshold <= 1.0, "threshold must be in [0, 1]")
+    shap_sample = _get(explain, "explain.shap_sample", "int", 1000)
+    _require(shap_sample >= 1, f"explain.shap_sample must be >= 1, got {shap_sample}")
     aux = _get(data, "data.aux", "list", [])
     features = _get(doc, "features", "list", [])
 
@@ -243,7 +245,7 @@ def parse_config(doc: dict) -> RunConfig:
         risk=_read(RiskConfig, risk, "risk", ("amount_column", "term_column", *bands), **bands),
         amount_column=_get(risk, "risk.amount_column", "str", "amt_credit"),
         term_column=_get(risk, "risk.term_column", "str", "term_months"),
-        shap_sample=_get(explain, "explain.shap_sample", "int", 1000),
+        shap_sample=shap_sample,
         # The LIME seed is replaced per applicant at explanation time.
         lime=_read(LimeParams, explain.get("lime", {}), "explain.lime", seed=0),
         report_model=report_model,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .trees import BoostedModel, ForestModel, TreeNode, predict_margin
+from .trees import BoostedModel, ForestModel, TreeNode, predict_margin, predict_proba
 
 SCALE_MARGIN = "margin"
 SCALE_PROBABILITY = "probability"
@@ -39,7 +39,6 @@ CHUNK_CELLS = 1 << 15
 
 @dataclass(frozen=True)
 class ShapExplanation:
-    instance_id: str
     scale: str
     base_value: float
     phi: np.ndarray
@@ -58,10 +57,9 @@ class ShapSummary:
     mean_abs: np.ndarray
     ranking: tuple[int, ...]  # feature indices by mean |phi| desc, ties by index
 
-    def explanation(self, row: int, instance_id: str = "") -> ShapExplanation:
+    def explanation(self, row: int) -> ShapExplanation:
         """Sample row ``row`` as a single-instance explanation."""
         return ShapExplanation(
-            instance_id=instance_id,
             scale=self.scale,
             base_value=self.base_value,
             phi=self.shap_values[row],
@@ -89,7 +87,6 @@ class LimeParams:
 
 @dataclass(frozen=True)
 class LimeExplanation:
-    instance_id: str
     intercept: float
     weights: tuple[tuple[str, float], ...]  # (feature, weight), top_k by |weight|
     r2: float
@@ -212,13 +209,12 @@ class TreeShapExplainer:
         phi *= self.coef
         return phi
 
-    def explain(self, instance, instance_id: str = "") -> ShapExplanation:
+    def explain(self, instance) -> ShapExplanation:
         """One row's explanation, from a batch of one."""
         x = np.asarray(instance, dtype=np.float64).reshape(1, -1)
         if x.shape[1] != self.n_features:
             raise SchemaError(f"instance has {x.shape[1]} features, model expects {self.n_features}")
         return ShapExplanation(
-            instance_id=instance_id,
             scale=self.scale,
             base_value=self.base_value,
             phi=self.shap_values(x)[0],
@@ -247,7 +243,7 @@ def _leaf_paths(root: TreeNode, x) -> list:
     return paths
 
 
-def brute_shapley(model, instance, instance_id: str = "") -> ShapExplanation:
+def brute_shapley(model, instance) -> ShapExplanation:
     """Shapley values straight from the definition; exponential in features.
 
     The coalition value v(S) evaluates each tree with features outside S
@@ -291,7 +287,6 @@ def brute_shapley(model, instance, instance_id: str = "") -> ShapExplanation:
             phi[i] += weights[size] * (values[mask | bit] - values[mask])
 
     return ShapExplanation(
-        instance_id=instance_id,
         scale=explainer.scale,
         base_value=values[0],
         phi=phi,
@@ -328,7 +323,6 @@ def lime_explain(
     feature_stats: tuple[np.ndarray, np.ndarray],
     params: LimeParams,
     feature_names=None,
-    instance_id: str = "",
 ) -> LimeExplanation:
     """Weighted ridge surrogate around one instance.
 
@@ -348,12 +342,7 @@ def lime_explain(
         raise DataError(f"n_samples must be >= {d + 2} for {d} features")
     kernel_width = params.kernel_width or 0.75 * math.sqrt(d)
 
-    predict = model if callable(model) else None
-    if predict is None:
-        from .trees import predict_proba
-
-        def predict(matrix):
-            return predict_proba(model, matrix)
+    predict = model if callable(model) else lambda matrix: predict_proba(model, matrix)
 
     names = tuple(feature_names) if feature_names else tuple(f"f{i}" for i in range(d))
     if len(names) != d:
@@ -403,7 +392,6 @@ def lime_explain(
     order = np.argsort(-np.abs(coefs), kind="stable")[: params.top_k]
     weights = tuple((names[int(j)], float(coefs[int(j)])) for j in order)
     return LimeExplanation(
-        instance_id=instance_id,
         intercept=float(beta[0]),
         weights=weights,
         r2=r2,

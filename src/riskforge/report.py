@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svgplots
+from . import metrics, svgplots
 from .explain import LimeExplanation, ShapExplanation, ShapSummary
 from .metrics import APPROVE, REVIEW, ConfusionMatrix, RocCurve
 from .risk import ApplicantAssessment, PortfolioImpact
@@ -68,14 +68,6 @@ def _page(title: str, body: str) -> str:
     )
 
 
-@dataclass
-class ApplicantReport:
-    assessment: ApplicantAssessment
-    shap: ShapExplanation
-    lime: LimeExplanation
-    model_name: str
-
-
 def _narrative(assessment: ApplicantAssessment, lime: LimeExplanation) -> list[str]:
     """Plain-language summary from a fixed sentence bank."""
     p = round6(assessment.probability_of_default)
@@ -111,13 +103,18 @@ def _narrative(assessment: ApplicantAssessment, lime: LimeExplanation) -> list[s
     return lines
 
 
-def applicant_report_doc(report: ApplicantReport) -> dict:
-    a = report.assessment
-    order = np.argsort(-np.abs(report.shap.phi), kind="stable")
+def applicant_report_doc(
+    assessment: ApplicantAssessment,
+    shap: ShapExplanation,
+    lime: LimeExplanation,
+    model_name: str,
+) -> dict:
+    a = assessment
+    order = np.argsort(-np.abs(shap.phi), kind="stable")
     doc = {
         "format": APPLICANT_FORMAT,
         "applicant_id": a.applicant_id,
-        "model": report.model_name,
+        "model": model_name,
         "assessment": {
             "probability_of_default": round6(a.probability_of_default),
             "band": a.band.label,
@@ -129,26 +126,26 @@ def applicant_report_doc(report: ApplicantReport) -> dict:
             "term_months": int(a.term_months),
         },
         "shap": {
-            "scale": report.shap.scale,
-            "base_value": round6(report.shap.base_value),
-            "margin": round6(report.shap.margin),
+            "scale": shap.scale,
+            "base_value": round6(shap.base_value),
+            "margin": round6(shap.margin),
             "contributions": [
                 {
-                    "feature": report.shap.feature_names[int(j)],
-                    "phi": round6(report.shap.phi[int(j)]),
+                    "feature": shap.feature_names[int(j)],
+                    "phi": round6(shap.phi[int(j)]),
                 }
                 for j in order
             ],
         },
         "lime": {
-            "intercept": round6(report.lime.intercept),
-            "r2": round6(report.lime.r2),
-            "prediction": round6(report.lime.prediction),
+            "intercept": round6(lime.intercept),
+            "r2": round6(lime.r2),
+            "prediction": round6(lime.prediction),
             "weights": [
-                {"feature": name, "weight": round6(w)} for name, w in report.lime.weights
+                {"feature": name, "weight": round6(w)} for name, w in lime.weights
             ],
         },
-        "narrative": _narrative(a, report.lime),
+        "narrative": _narrative(a, lime),
     }
     validate(doc, "applicant_report")
     return doc
@@ -159,6 +156,13 @@ def _kv_table(pairs) -> str:
         f"<tr><th>{_esc(k)}</th><td>{_esc(v)}</td></tr>" for k, v in pairs
     )
     return f'<table class="kv">\n{rows}\n</table>'
+
+
+def _table(header, rows) -> str:
+    """A table of one header row and one row per entry of ``rows``; every cell is escaped."""
+    lines = ["<tr>" + "".join(f"<th>{_esc(h)}</th>" for h in header) + "</tr>"]
+    lines += ["<tr>" + "".join(f"<td>{_esc(c)}</td>" for c in row) + "</tr>" for row in rows]
+    return '<table class="kv">\n' + "\n".join(lines) + "\n</table>"
 
 
 def applicant_report_html(doc: dict, lime_svg: str, shap_svg: str) -> str:
@@ -198,14 +202,20 @@ def applicant_report_html(doc: dict, lime_svg: str, shap_svg: str) -> str:
     return _page(f"Applicant {doc['applicant_id']}", body)
 
 
-def render_applicant(report: ApplicantReport, out_dir: str) -> list[str]:
+def render_applicant(
+    assessment: ApplicantAssessment,
+    shap: ShapExplanation,
+    lime: LimeExplanation,
+    model_name: str,
+    out_dir: str,
+) -> list[str]:
     """Write the applicant report tree; returns the file paths written."""
-    doc = applicant_report_doc(report)
-    base = os.path.join(out_dir, "applicants", report.assessment.applicant_id)
+    doc = applicant_report_doc(assessment, shap, lime, model_name)
+    base = os.path.join(out_dir, "applicants", assessment.applicant_id)
     json_path = os.path.join(base, "report.json")
     dump_json(doc, json_path)
-    lime_svg = svgplots.plot_lime(report.lime)
-    shap_svg = svgplots.plot_instance_shap(report.shap)
+    lime_svg = svgplots.plot_lime(lime)
+    shap_svg = svgplots.plot_instance_shap(shap)
     html_path = os.path.join(base, "report.html")
     write_text(html_path, applicant_report_html(doc, lime_svg, shap_svg))
     lime_path = os.path.join(base, "charts", "lime.svg")
@@ -217,14 +227,11 @@ def render_applicant(report: ApplicantReport, out_dir: str) -> list[str]:
 
 @dataclass
 class ModelEvaluation:
-    """One model's evaluation block, computed by the metrics/risk modules."""
+    """What one model measured on the test split; the scores printed from
+    its confusion matrix are derived by ``evaluation_block``."""
 
     name: str
     confusion: ConfusionMatrix
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
     roc_curve: RocCurve
     impact: PortfolioImpact
     #: default probability per test-split row, in test-split order
@@ -233,15 +240,16 @@ class ModelEvaluation:
 
 def evaluation_block(ev: ModelEvaluation) -> dict:
     business = ev.impact.business
+    accuracy = metrics.accuracy(ev.confusion)
     return {
         "name": ev.name,
         "evaluation": {
-            "accuracy": round6(ev.accuracy),
-            "accuracy_percent": round6(ev.accuracy * 100.0),
-            "precision": round6(ev.precision),
-            "recall": round6(ev.recall),
+            "accuracy": round6(accuracy),
+            "accuracy_percent": round6(accuracy * 100.0),
+            "precision": round6(metrics.precision(ev.confusion)),
+            "recall": round6(metrics.recall(ev.confusion)),
             "roc_auc": round6(ev.roc_curve.auc),
-            "f1": round6(ev.f1),
+            "f1": round6(metrics.f1_score(ev.confusion)),
         },
         "confusion": {
             "tp": ev.confusion.tp,
@@ -263,66 +271,42 @@ def evaluation_block(ev: ModelEvaluation) -> dict:
     }
 
 
-@dataclass
-class BusinessImpactReport:
-    evaluations: list[ModelEvaluation]  # pre-sorted by AUC descending
-    threshold: float
-
-
-def business_report_doc(report: BusinessImpactReport) -> dict:
+def business_report_doc(evaluations: list[ModelEvaluation], threshold: float) -> dict:
+    """``evaluations`` come sorted by ROC AUC, best first."""
     doc = {
         "format": BUSINESS_FORMAT,
-        "threshold": round6(report.threshold),
-        "best_model": report.evaluations[0].name,
+        "threshold": round6(threshold),
+        "best_model": evaluations[0].name,
         "models": [
             {k: v for k, v in evaluation_block(ev).items() if k != "confusion"}
-            for ev in report.evaluations
+            for ev in evaluations
         ],
     }
     validate(doc, "business_impact")
     return doc
 
 
-def business_report_html(report: BusinessImpactReport, doc: dict) -> str:
+def business_report_html(evaluations: list[ModelEvaluation], doc: dict) -> str:
     # Evaluation table keeps the column order Accuracy, Precision, Recall, ROC AUC.
-    header = (
-        "<tr><th>Model</th><th>Accuracy</th><th>Precision</th><th>Recall</th>"
-        "<th>ROC AUC</th><th>F1</th></tr>"
-    )
-    rows = []
+    eval_rows, biz_rows = [], []
     for m in doc["models"]:
-        e = m["evaluation"]
-        rows.append(
-            f"<tr><td>{_esc(m['name'])}</td>"
-            f"<td>{_fmt(e['accuracy_percent'])}%</td>"
-            f"<td>{_fmt(e['precision'])}</td>"
-            f"<td>{_fmt(e['recall'])}</td>"
-            f"<td>{_fmt(e['roc_auc'])}</td>"
-            f"<td>{_fmt(e['f1'])}</td></tr>"
+        e, b, x = m["evaluation"], m["business"], m["exposure"]
+        eval_rows.append(
+            [m["name"], f"{_fmt(e['accuracy_percent'])}%", _fmt(e["precision"]),
+             _fmt(e["recall"]), _fmt(e["roc_auc"]), _fmt(e["f1"])]
         )
-    eval_table = f'<table class="kv">\n{header}\n' + "\n".join(rows) + "\n</table>"
-
-    bheader = (
-        "<tr><th>Model</th><th>Approval rate</th><th>Default rate among approved</th>"
-        "<th>FPR</th><th>FNR</th><th>Approved principal</th><th>Expected loss</th></tr>"
-    )
-    brows = []
-    for m in doc["models"]:
-        b, x = m["business"], m["exposure"]
-        brows.append(
-            f"<tr><td>{_esc(m['name'])}</td>"
-            f"<td>{_fmt(b['approval_rate'])}</td>"
-            f"<td>{_fmt(b['default_rate_among_approved'])}</td>"
-            f"<td>{_fmt(b['fpr'])}</td>"
-            f"<td>{_fmt(b['fnr'])}</td>"
-            f"<td>{_fmt(x['total_approved_principal'])}</td>"
-            f"<td>{_fmt(x['expected_loss'])}</td></tr>"
+        biz_rows.append(
+            [m["name"], _fmt(b["approval_rate"]), _fmt(b["default_rate_among_approved"]),
+             _fmt(b["fpr"]), _fmt(b["fnr"]), _fmt(x["total_approved_principal"]),
+             _fmt(x["expected_loss"])]
         )
-    biz_table = f'<table class="kv">\n{bheader}\n' + "\n".join(brows) + "\n</table>"
-
-    roc_svg = svgplots.plot_roc(
-        {ev.name: ev.roc_curve for ev in report.evaluations}
+    eval_table = _table(["Model", "Accuracy", "Precision", "Recall", "ROC AUC", "F1"], eval_rows)
+    biz_table = _table(
+        ["Model", "Approval rate", "Default rate among approved", "FPR", "FNR",
+         "Approved principal", "Expected loss"],
+        biz_rows,
     )
+    roc_svg = svgplots.plot_roc({ev.name: ev.roc_curve for ev in evaluations})
     body = "\n".join(
         [
             "<h1>Business Impact Report</h1>",
@@ -339,25 +323,22 @@ def business_report_html(report: BusinessImpactReport, doc: dict) -> str:
     return _page("Business Impact Report", body)
 
 
-def render_business(report: BusinessImpactReport, out_dir: str) -> list[str]:
-    doc = business_report_doc(report)
+def render_business(
+    evaluations: list[ModelEvaluation], threshold: float, out_dir: str
+) -> list[str]:
+    doc = business_report_doc(evaluations, threshold)
     json_path = os.path.join(out_dir, "business_impact.json")
     dump_json(doc, json_path)
     html_path = os.path.join(out_dir, "business_impact.html")
-    write_text(html_path, business_report_html(report, doc))
+    write_text(html_path, business_report_html(evaluations, doc))
     return [json_path, html_path]
 
 
-@dataclass
-class XaiReport:
-    summaries: dict[str, ShapSummary]  # model name -> summary, insertion-ordered
-    sample_size: int
-    seed: int = 0
-
-
-def xai_report_doc(report: XaiReport) -> dict:
+def xai_report_doc(summaries: dict[str, ShapSummary]) -> dict:
+    """``summaries`` maps model name to its summary over the same sample rows,
+    in report order."""
     models = []
-    for name, summary in report.summaries.items():
+    for name, summary in summaries.items():
         ranking = [
             {
                 "rank": i + 1,
@@ -370,13 +351,13 @@ def xai_report_doc(report: XaiReport) -> dict:
     top = []
     for i in range(TOP_FEATURES):
         row = {"rank": i + 1, "features": {}}
-        for name, summary in report.summaries.items():
+        for name, summary in summaries.items():
             if i < len(summary.ranking):
                 row["features"][name] = summary.feature_names[summary.ranking[i]]
         top.append(row)
     doc = {
         "format": XAI_FORMAT,
-        "sample_size": report.sample_size,
+        "sample_size": len(next(iter(summaries.values())).shap_values),
         "models": models,
         "top_features": top,
     }
@@ -384,16 +365,13 @@ def xai_report_doc(report: XaiReport) -> dict:
     return doc
 
 
-def xai_report_html(report: XaiReport, doc: dict) -> str:
+def xai_report_html(summaries: dict[str, ShapSummary], seed: int, doc: dict) -> str:
     names = [m["name"] for m in doc["models"]]
-    header = "<tr><th>Rank</th>" + "".join(f"<th>{_esc(n)}</th>" for n in names) + "</tr>"
-    rows = []
-    for row in doc["top_features"]:
-        cells = "".join(
-            f"<td>{_esc(row['features'].get(n, ''))}</td>" for n in names
-        )
-        rows.append(f"<tr><td>{row['rank']}</td>{cells}</tr>")
-    ranking_table = f'<table class="kv">\n{header}\n' + "\n".join(rows) + "\n</table>"
+    ranking_table = _table(
+        ["Rank"] + names,
+        [[row["rank"]] + [row["features"].get(n, "") for n in names]
+         for row in doc["top_features"]],
+    )
 
     sections = [
         "<h1>XAI Report</h1>",
@@ -402,9 +380,9 @@ def xai_report_html(report: XaiReport, doc: dict) -> str:
         "<h2>Top feature ranking</h2>",
         ranking_table,
     ]
-    for name, summary in report.summaries.items():
+    for name, summary in summaries.items():
         bar = svgplots.plot_shap_bar(summary)
-        swarm = svgplots.plot_beeswarm(summary, seed=report.seed)
+        swarm = svgplots.plot_beeswarm(summary, seed=seed)
         sections.extend(
             [
                 f"<h2>{_esc(name)}</h2>",
@@ -416,10 +394,10 @@ def xai_report_html(report: XaiReport, doc: dict) -> str:
     return _page("XAI Report", "\n".join(sections))
 
 
-def render_xai(report: XaiReport, out_dir: str) -> list[str]:
-    doc = xai_report_doc(report)
+def render_xai(summaries: dict[str, ShapSummary], seed: int, out_dir: str) -> list[str]:
+    doc = xai_report_doc(summaries)
     json_path = os.path.join(out_dir, "xai_report.json")
     dump_json(doc, json_path)
     html_path = os.path.join(out_dir, "xai_report.html")
-    write_text(html_path, xai_report_html(report, doc))
+    write_text(html_path, xai_report_html(summaries, seed, doc))
     return [json_path, html_path]

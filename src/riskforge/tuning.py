@@ -126,7 +126,7 @@ def fold_training_set(
     return rows if smote_params is None else smote(rows, smote_params)
 
 
-_METRIC_NAMES = ("roc_auc", "accuracy", "precision", "recall", "f1")
+METRIC_NAMES = ("roc_auc", "accuracy", "precision", "recall", "f1")
 
 
 def score_predictions(metric: str, labels, probabilities, threshold: float = 0.5) -> float:
@@ -141,7 +141,7 @@ def score_predictions(metric: str, labels, probabilities, threshold: float = 0.5
         return metrics.recall(cm)
     if metric == "f1":
         return metrics.f1_score(cm)
-    raise ConfigError(f"unknown metric {metric!r}; expected one of {_METRIC_NAMES}")
+    raise ConfigError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
 
 
 def grid_search(

@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 
 import riskforge
 from riskforge import tuning
-from riskforge.cli import main, read_labels_csv, read_matrix_csv
-from riskforge.config import default_config_dict, parse_config
+from riskforge.cli import (
+    _evaluate_models,
+    _raw_test_assessment_inputs,
+    main,
+    read_labels_csv,
+    read_matrix_csv,
+)
+from riskforge.config import default_config_dict, load_config, parse_config
 from riskforge.errors import ConfigError
 from riskforge.explain import LimeParams, TreeShapExplainer
 from riskforge.risk import Band, RiskConfig, assess
@@ -201,6 +207,19 @@ class TestEvaluate:
         aucs = [m["evaluation"]["roc_auc"] for m in doc["models"]]
         assert aucs == sorted(aucs, reverse=True)
         assert len(doc["models"]) == 3
+
+    def test_equal_auc_keeps_configured_order(self, workdir):
+        root, config_path = workdir
+        cfg = load_config(config_path)
+        prepared = root / "out" / "prepared"
+        ids, labels = read_labels_csv(str(prepared / "test_labels.csv"))
+        _, test = read_matrix_csv(str(prepared / "test_features.csv"))
+        amounts, _ = _raw_test_assessment_inputs(cfg, ids)
+        model = model_from_doc(load_json(root / "out" / "models" / "forest.json"))
+        for names in (["forest", "boosted_leafwise"], ["boosted_leafwise", "forest"]):
+            models = dict.fromkeys(names, model)
+            evaluations = _evaluate_models(cfg, models, (ids, test, labels), amounts)
+            assert [ev.name for ev in evaluations] == names
 
 
 class TestAssess:
@@ -638,6 +657,50 @@ class TestIngestGolden:
         assert _digests(tmp_path / "out" / "prepared") == INGEST_GOLDEN["gaps"]
 
 
+#: SHA-256 of every file that ``evaluate`` and then ``assess`` for the first
+#: two test applicants write from the ``workdir`` prepared and model files
+#: (600 rows, seed 7), recorded with numpy 2.4.6 on x86-64 while the reports
+#: were still built from report records. Another numpy build or CPU may change
+#: last-bit float results and so the digests; a refactor of the reports must
+#: keep them.
+REPORT_GOLDEN = {
+    "applicants/481/charts/lime.svg": "14e77464f5608b21b88ae87827ab9ed43f11f92c37336ceab3adff7d84b3be13",
+    "applicants/481/charts/shap.svg": "a69bef32e1a03a9b86522630db34cfdddf970dec44bf644c9e9ef0f12a7c4fc9",
+    "applicants/481/report.html": "86818f265686d1eaa1c1deb4fa5e0d4108f69de6c0228a15fbd7417830b79295",
+    "applicants/481/report.json": "676e932d6163cf9d7a47f14c6e617dfcd3d7cf4dc99d73c6c58ca1ec679d9d32",
+    "applicants/482/charts/lime.svg": "b46c15fd5a3170b6e2efdc13d36085afb66e110fa082d589cd8336057a34cff3",
+    "applicants/482/charts/shap.svg": "697fb1852e71f566290a873900f251cc62174ada0dd858c069b9700803e24375",
+    "applicants/482/report.html": "7726cd28d4fe7fd253e29fa861329f25e66d7dc546a1f4c6bef3748acd9bf63d",
+    "applicants/482/report.json": "d97b8826d265d216eaf8317814a5f627328c815a4ba3c44e3c329f421278a972",
+    "business_impact.html": "5466c8e1b6dbaa633b42f89ebcb8f3ca4968dce2cdd84784446f9621e77301ee",
+    "business_impact.json": "b374525474266c3149eacc9267af8acf8697ab31e9c535735d814f5f55526e60",
+    "evaluation.json": "3add93c2a2430e4e1c3e9e59640edfd900cef8996b5d176369e80fd4103828b3",
+    "xai_report.html": "c92f49885177998f12b6be5aba42fdcf74b82ac9123fcd9a76b7847243f22d9b",
+    "xai_report.json": "00bc7d6a7723c87e776e1b7026a1f343e2ea81efff4a4fe176d4b182a3cda505",
+}
+
+
+class TestReportGolden:
+    def test_reports_match_golden(self, workdir, tmp_path):
+        root, config_path = workdir
+        out = tmp_path / "out"
+        for sub in ("prepared", "models"):
+            shutil.copytree(root / "out" / sub, out / sub)
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(out)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        ids, _ = read_labels_csv(str(out / "prepared" / "test_labels.csv"))
+        assert main(["evaluate", "--config", str(p)]) == 0
+        assert main(["assess", "--config", str(p), "--ids", ",".join(ids[:2])]) == 0
+        written = sorted(
+            str(f.relative_to(out)) for f in out.rglob("*")
+            if f.is_file() and f.relative_to(out).parts[0] not in ("prepared", "models")
+        )
+        assert written == sorted(REPORT_GOLDEN)
+        assert _digests(out, written) == REPORT_GOLDEN
+
+
 class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -693,6 +756,8 @@ class TestConfig:
             ("smote.seed", 3, "smote: unknown keys ['seed']"),
             ("threshold", 10**400, "threshold: float out of range"),
             ("metric", "auroc", "unknown metric 'auroc'"),
+            ("explain.shap_sample", -1, "explain.shap_sample must be >= 1, got -1"),
+            ("explain.shap_sample", 0, "explain.shap_sample must be >= 1, got 0"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -701,6 +766,7 @@ class TestConfig:
             "threshold-text", "top-k-text", "seed-bool", "kernel-width-text",
             "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
             "smote-seed-is-fixed", "integer-beyond-float-range", "metric-unknown",
+            "shap-sample-negative", "shap-sample-zero",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):

@@ -15,14 +15,12 @@ from riskforge.metrics import (
 )
 from riskforge.report import (
     TOP_FEATURES,
-    ApplicantReport,
-    BusinessImpactReport,
     ModelEvaluation,
-    XaiReport,
     applicant_report_doc,
     applicant_report_html,
     business_report_doc,
     business_report_html,
+    evaluation_block,
     render_applicant,
     render_business,
     render_xai,
@@ -80,7 +78,6 @@ def sample_assessment(p=0.25, amount=600_000.0, term=480):
 
 def sample_shap():
     return ShapExplanation(
-        instance_id="42",
         scale="margin",
         base_value=-2.1,
         phi=np.array([0.8, -0.31, 0.05]),
@@ -91,7 +88,6 @@ def sample_shap():
 
 def sample_lime():
     return LimeExplanation(
-        instance_id="42",
         intercept=0.21,
         weights=(("ext_score_1", -0.4), ("age_years", 0.12), ("noise", 0.0)),
         r2=0.93,
@@ -100,12 +96,8 @@ def sample_lime():
 
 
 def sample_report():
-    return ApplicantReport(
-        assessment=sample_assessment(),
-        shap=sample_shap(),
-        lime=sample_lime(),
-        model_name="boosted_leafwise",
-    )
+    """(assessment, shap, lime, model name), as ``render_applicant`` takes them."""
+    return sample_assessment(), sample_shap(), sample_lime(), "boosted_leafwise"
 
 
 def sample_summary(n=6, d=3, seed=0):
@@ -134,10 +126,6 @@ def sample_evaluation(name="boosted_leafwise", auc=0.9):
     return ModelEvaluation(
         name=name,
         confusion=ConfusionMatrix(10, 5, 80, 5),
-        accuracy=0.9,
-        precision=0.67,
-        recall=0.67,
-        f1=0.67,
         roc_curve=RocCurve(((0.0, 0.0), (0.2, 0.9), (1.0, 1.0)), auc),
         impact=PortfolioImpact(bm, 50, 5_000_000.0, 123_456.0),
         probabilities=np.array([]),
@@ -145,13 +133,14 @@ def sample_evaluation(name="boosted_leafwise", auc=0.9):
 
 
 def applicant_html(report, doc=None):
-    doc = doc or applicant_report_doc(report)
-    return applicant_report_html(doc, plot_lime(report.lime), plot_instance_shap(report.shap))
+    _, shap, lime, _ = report
+    doc = doc or applicant_report_doc(*report)
+    return applicant_report_html(doc, plot_lime(lime), plot_instance_shap(shap))
 
 
 class TestApplicantReport:
     def test_doc_validates_and_round_trips(self):
-        doc = applicant_report_doc(sample_report())
+        doc = applicant_report_doc(*sample_report())
         validate(doc, "applicant_report")
         assert doc["assessment"]["band"] == "High"
         assert doc["assessment"]["decision"] == "reject"
@@ -163,7 +152,7 @@ class TestApplicantReport:
 
     def test_html_numbers_equal_json_values(self):
         report = sample_report()
-        doc = applicant_report_doc(report)
+        doc = applicant_report_doc(*report)
         html = applicant_html(report, doc)
         for value in (
             doc["assessment"]["probability_of_default"],
@@ -175,7 +164,7 @@ class TestApplicantReport:
 
     def test_every_condition_rendered(self):
         report = sample_report()
-        doc = applicant_report_doc(report)
+        doc = applicant_report_doc(*report)
         html = applicant_html(report, doc)
         for cond in doc["assessment"]["conditions"]:
             assert cond in html
@@ -187,7 +176,7 @@ class TestApplicantReport:
         )
 
     def test_render_writes_expected_tree(self, tmp_path):
-        files = render_applicant(sample_report(), str(tmp_path))
+        files = render_applicant(*sample_report(), str(tmp_path))
         names = {f.replace(str(tmp_path), "") for f in files}
         assert names == {
             "/applicants/42/report.json",
@@ -200,48 +189,50 @@ class TestApplicantReport:
 
     def test_render_idempotent(self, tmp_path):
         report = sample_report()
-        render_applicant(report, str(tmp_path))
+        render_applicant(*report, str(tmp_path))
         first = (tmp_path / "applicants/42/report.html").read_bytes()
-        render_applicant(report, str(tmp_path))
+        render_applicant(*report, str(tmp_path))
         assert (tmp_path / "applicants/42/report.html").read_bytes() == first
 
     def test_narrative_present(self):
-        doc = applicant_report_doc(sample_report())
+        doc = applicant_report_doc(*sample_report())
         assert any("High risk band" in line for line in doc["narrative"])
 
 
 class TestBusinessReport:
+    def test_scores_derived_from_confusion(self):
+        # ConfusionMatrix(tp=10, fp=5, tn=80, fn=5): 90 of 100 right, 10 of 15 each way.
+        scores = evaluation_block(sample_evaluation())["evaluation"]
+        assert scores["accuracy"] == 0.9
+        assert scores["accuracy_percent"] == 90.0
+        assert scores["precision"] == scores["recall"] == scores["f1"] == 0.666667
+
     def test_table3_row_renders_in_column_order(self):
         # Verified against the published evaluation table: accuracy 90.07%,
-        # precision 0.2757, recall 0.1434, ROC AUC 0.7203.
-        ev = sample_evaluation()
-        ev.accuracy = 0.9007
-        ev.precision = 0.2757
-        ev.recall = 0.1434
-        ev.roc_curve = RocCurve(ev.roc_curve.points, 0.7203)
-        ev.f1 = 2 * 0.2757 * 0.1434 / (0.2757 + 0.1434)
-        report = BusinessImpactReport([ev], threshold=0.5)
-        html = business_report_html(report, business_report_doc(report))
+        # precision 0.2757, recall 0.1434, ROC AUC 0.7203. The page prints the
+        # doc's values, so the published numbers are written into the doc.
+        evaluations = [sample_evaluation()]
+        doc = business_report_doc(evaluations, threshold=0.5)
+        doc["models"][0]["evaluation"].update(
+            accuracy_percent=90.07, precision=0.2757, recall=0.1434, roc_auc=0.7203
+        )
+        html = business_report_html(evaluations, doc)
         row = (
             "<td>90.07%</td><td>0.2757</td><td>0.1434</td><td>0.7203</td>"
         )
         assert row in html.replace("\n", "")
 
     def test_doc_validates(self, tmp_path):
-        report = BusinessImpactReport(
-            [sample_evaluation(), sample_evaluation("forest", 0.8)], threshold=0.5
-        )
-        files = render_business(report, str(tmp_path))
+        evaluations = [sample_evaluation(), sample_evaluation("forest", 0.8)]
+        files = render_business(evaluations, 0.5, str(tmp_path))
         doc = json.loads((tmp_path / "business_impact.json").read_text())
         validate(doc, "business_impact")
         assert doc["best_model"] == "boosted_leafwise"
         assert_html_well_formed((tmp_path / "business_impact.html").read_text())
 
     def test_roc_svg_one_path_per_model_plus_diagonal(self):
-        report = BusinessImpactReport(
-            [sample_evaluation(), sample_evaluation("forest", 0.8)], threshold=0.5
-        )
-        html = business_report_html(report, business_report_doc(report))
+        evaluations = [sample_evaluation(), sample_evaluation("forest", 0.8)]
+        html = business_report_html(evaluations, business_report_doc(evaluations, 0.5))
         start = html.index("<svg")
         end = html.index("</svg>") + 6
         svg = html[start:end]
@@ -252,28 +243,25 @@ class TestBusinessReport:
 class TestXaiReport:
     def test_ranking_table_matches_summary_order(self):
         summary = sample_summary()
-        report = XaiReport({"m1": summary}, sample_size=6)
-        doc = xai_report_doc(report)
+        doc = xai_report_doc({"m1": summary})
         want = [summary.feature_names[j] for j in summary.ranking]
         got = [r["feature"] for r in doc["models"][0]["ranking"]]
         assert got == want
 
     def test_top_features_table_shape(self):
         d = TOP_FEATURES + 1
-        report = XaiReport(
-            {"m1": sample_summary(d=d, seed=1), "m2": sample_summary(d=d, seed=2)},
-            sample_size=6,
+        doc = xai_report_doc(
+            {"m1": sample_summary(d=d, seed=1), "m2": sample_summary(d=d, seed=2)}
         )
-        doc = xai_report_doc(report)
         assert [row["rank"] for row in doc["top_features"]] == list(range(1, TOP_FEATURES + 1))
         for row in doc["top_features"]:
             assert set(row["features"]) == {"m1", "m2"}
 
     def test_render_validates_and_well_formed(self, tmp_path):
-        report = XaiReport({"m1": sample_summary()}, sample_size=6)
-        render_xai(report, str(tmp_path))
+        render_xai({"m1": sample_summary()}, 0, str(tmp_path))
         doc = json.loads((tmp_path / "xai_report.json").read_text())
         validate(doc, "xai_report")
+        assert doc["sample_size"] == 6
         assert_html_well_formed((tmp_path / "xai_report.html").read_text())
 
     def test_bar_chart_order_equals_ranking(self):
@@ -340,8 +328,8 @@ class TestGoldenStability:
     def test_applicant_render_byte_stable(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        render_applicant(sample_report(), str(a))
-        render_applicant(sample_report(), str(b))
+        render_applicant(*sample_report(), str(a))
+        render_applicant(*sample_report(), str(b))
         for rel in (
             "applicants/42/report.json",
             "applicants/42/report.html",
@@ -353,25 +341,25 @@ class TestGoldenStability:
 
 class TestValidator:
     def test_rejects_missing_required_key(self):
-        doc = applicant_report_doc(sample_report())
+        doc = applicant_report_doc(*sample_report())
         del doc["assessment"]
         with pytest.raises(SchemaError, match="assessment"):
             validate(doc, "applicant_report")
 
     def test_rejects_unknown_key(self):
-        doc = applicant_report_doc(sample_report())
+        doc = applicant_report_doc(*sample_report())
         doc["surprise"] = 1
         with pytest.raises(SchemaError, match="surprise"):
             validate(doc, "applicant_report")
 
     def test_rejects_wrong_type(self):
-        doc = applicant_report_doc(sample_report())
+        doc = applicant_report_doc(*sample_report())
         doc["assessment"]["probability_of_default"] = "high"
         with pytest.raises(SchemaError, match="probability_of_default"):
             validate(doc, "applicant_report")
 
     def test_rejects_out_of_range(self):
-        doc = applicant_report_doc(sample_report())
+        doc = applicant_report_doc(*sample_report())
         doc["assessment"]["probability_of_default"] = 2.0
         with pytest.raises(SchemaError, match="maximum"):
             validate(doc, "applicant_report")
