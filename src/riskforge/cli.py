@@ -89,6 +89,12 @@ def _load_application(cfg: RunConfig, path: str) -> Table:
         if not table.has_column(required):
             raise DataError(f"{path}: required column {required!r} is missing")
     ids = table.column(cfg.id_column)
+    unsafe = [k for k, v in enumerate(ids.vocabulary) if v in (".", "..") or set(v) & set("/\\\0")]
+    bad = np.flatnonzero(np.isin(ids.values, [-1, *unsafe]))
+    if bad.size:  # each id names its report directory under applicants/
+        k = bad[0]
+        what = repr(ids.cell(k)) + " cannot name a directory" if ids.values[k] >= 0 else "missing"
+        raise DataError(f"{path}: row {k + 2}: applicant id {what}")
     first = np.zeros(table.row_count, dtype=bool)
     first[np.unique(ids.values, return_index=True)[1]] = True
     repeats = np.flatnonzero(~first)
@@ -133,7 +139,8 @@ def cmd_gen_corpus(cfg: RunConfig) -> list[str]:
 
 
 def cmd_prepare(cfg: RunConfig) -> list[str]:
-    """Merge, engineer and fit-transform; test data uses train-fitted states."""
+    """Merge, engineer and fit-transform; test data uses the train-fitted pipeline.
+    LIME's per-feature mean and std of the train matrix go to feature_stats.csv."""
     train_raw = _load_application(cfg, cfg.application_train)
     test_raw = _load_application(cfg, cfg.application_test)
     train_full = _merge_and_engineer(cfg, train_raw)
@@ -157,7 +164,7 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
     ]
     for name, full, matrix in pairs:
         feat_path = os.path.join(out, f"{name}_features.csv")
-        write_matrix_csv(feat_path, matrix.feature_names, matrix.values)
+        write_matrix_csv(feat_path, pipeline.feature_names, matrix)
         label_path = os.path.join(out, f"{name}_labels.csv")
         write_labels_csv(
             label_path,
@@ -165,6 +172,10 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
             _labels_from(full, cfg.label_column),
         )
         written.extend([feat_path, label_path])
+    stats_path = os.path.join(out, "feature_stats.csv")
+    stats = np.array([train_matrix.mean(axis=0), train_matrix.std(axis=0)])
+    write_matrix_csv(stats_path, pipeline.feature_names, stats)
+    written.append(stats_path)
     return written
 
 
@@ -190,13 +201,23 @@ def _load_pipeline(cfg: RunConfig) -> FittedPipeline:
     return _read_stage_file(pipe_path, pipeline_from_doc, "pipeline")
 
 
+def _load_matrix(cfg: RunConfig, pipeline: FittedPipeline, name: str, rows=None):
+    """The prepared matrix file ``name``, whose header must be the feature names
+    and which must have ``rows`` rows when that is given."""
+    path = os.path.join(_prepared_dir(cfg), name)
+    names, matrix = _read_stage_file(path, read_matrix_csv)
+    if tuple(names) != pipeline.feature_names:
+        raise DataError(f"{path}: prepared matrices do not match the pipeline feature names")
+    if rows is not None and len(matrix) != rows:
+        raise DataError(f"{path}: expected {rows} rows, got {len(matrix)}")
+    return matrix
+
+
 def _load_split(cfg: RunConfig, pipeline: FittedPipeline, split: str):
     """(ids, matrix, labels) of the prepared ``split``, "train" or "test"."""
-    out = _prepared_dir(cfg)
-    names, matrix = _read_stage_file(os.path.join(out, f"{split}_features.csv"), read_matrix_csv)
-    ids, labels = _read_stage_file(os.path.join(out, f"{split}_labels.csv"), read_labels_csv)
-    if tuple(names) != tuple(pipeline.feature_names):
-        raise DataError("prepared matrices do not match the pipeline feature names")
+    matrix = _load_matrix(cfg, pipeline, f"{split}_features.csv")
+    path = os.path.join(_prepared_dir(cfg), f"{split}_labels.csv")
+    ids, labels = _read_stage_file(path, read_labels_csv)
     return ids, matrix, labels
 
 
@@ -311,7 +332,7 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     """Applicant reports for the selected ids plus business and XAI reports."""
     models = _load_models(cfg)
     pipeline = _load_pipeline(cfg)
-    _, train, _ = _load_split(cfg, pipeline, "train")  # LIME's feature stats
+    mu, sd = _load_matrix(cfg, pipeline, "feature_stats.csv", rows=2)  # LIME's feature stats
     test_split = _load_split(cfg, pipeline, "test")
     ids_te, test, _ = test_split
     amounts, terms = _raw_test_assessment_inputs(cfg, ids_te)
@@ -351,8 +372,6 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
         batch = shap_summary(model, test[outside])
         shap_of.update((k, (batch, j)) for j, k in enumerate(outside))
 
-    mu = train.mean(axis=0)
-    sd = train.std(axis=0)
     for applicant_id in chosen:
         k = index_of[applicant_id]
         summary, row = shap_of[k]

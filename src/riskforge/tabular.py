@@ -128,8 +128,8 @@ class Table:
     def has_column(self, name: str) -> bool:
         return any(c.name == name for c in self.columns)
 
-    def with_columns(self, new: Iterable[Column], name: str | None = None) -> "Table":
-        return Table(self.columns + tuple(new), name if name is not None else self.name)
+    def with_columns(self, new: Iterable[Column]) -> "Table":
+        return Table(self.columns + tuple(new), self.name)
 
 
 @dataclass(frozen=True)
@@ -270,23 +270,19 @@ def _keys(col: Column) -> tuple[list, np.ndarray]:
     return keys.tolist(), np.where(col.missing, -1, inverse)
 
 
-def aggregate_merge(
-    base: Table,
-    aux: Table,
-    spec: AggregationSpec,
-    aux_name: str | None = None,
-) -> Table:
+def aggregate_merge(base: Table, aux: Table, spec: AggregationSpec) -> Table:
     """Fold per-key statistics of ``aux`` value columns into ``base``.
 
     Adds one Numeric column per (value column, statistic) named
-    ``<aux>_<col>_<STAT>``. Rows without a matching aux key get missing
-    cells, except Count which gets 0. Missing aux cells are ignored.
+    ``<aux>_<col>_<STAT>``, where ``<aux>`` is the aux table's name. Rows
+    without a matching aux key get missing cells, except Count which gets 0.
+    Missing aux cells are ignored.
     """
     if not base.has_column(spec.key_column):
         raise SchemaError(f"key column {spec.key_column!r} absent from base table")
     if not aux.has_column(spec.key_column):
         raise SchemaError(f"key column {spec.key_column!r} absent from aux table")
-    prefix = aux_name or aux.name or "aux"
+    prefix = aux.name or "aux"
 
     value_cols = []
     for name in spec.value_columns:

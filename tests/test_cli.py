@@ -463,6 +463,37 @@ class TestCorruptCells:
             assert needle in lines[0]
 
 
+class TestApplicantIds:
+    """Each applicant id names its report directory under ``applicants/``: a
+    missing id, ``.``, ``..`` or one holding ``/``, ``\\`` or NUL makes prepare
+    exit 2 with one line naming the file and the row, before writing anything."""
+
+    @pytest.mark.parametrize("name", ["application_train.csv", "application_test.csv"])
+    @pytest.mark.parametrize(
+        "applicant_id, needle",
+        [
+            ("", "applicant id missing"),
+            ("NA", "applicant id missing"),
+            (".", "applicant id '.' cannot name a directory"),
+            ("..", "applicant id '..' cannot name a directory"),
+            ("../../escaped", "applicant id '../../escaped' cannot name a directory"),
+            ("a\\b", "applicant id 'a\\\\b' cannot name a directory"),
+            ("a\0b", "applicant id 'a\\x00b' cannot name a directory"),
+        ],
+        ids=["blank", "na", "dot", "dot-dot", "slash", "backslash", "nul"],
+    )
+    def test_prepare_exits_2_naming_row(
+        self, workdir, tmp_path, capsys, name, applicant_id, needle
+    ):
+        p = _edited_config(workdir, tmp_path, {name: _set_cell("applicant_id", applicant_id, 3)})
+        capsys.readouterr()
+        code = main(["prepare", "--config", str(p)])
+        assert code == 2
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line == f"error: {tmp_path / 'corpus' / name}: row 4: {needle}"
+        assert not (tmp_path / "out").exists()
+
+
 def _edit_json(edit):
     def apply(path):
         doc = json.loads(path.read_text())
@@ -479,6 +510,10 @@ def _first_label_3(path):
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = lines[1].split(",")[0] + ",3\n"
     path.write_text("".join(lines))
+
+
+def _drop_last_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
 
 def _text_in_first_cell(path):
@@ -539,6 +574,30 @@ class TestCorruptStageFiles:
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
         assert line.startswith(f"error: {out / rel}: ") and needle in line
 
+    @pytest.mark.parametrize(
+        "corrupt, needle",
+        [(Path.unlink, "No such file"), (_drop_last_line, "expected 2 rows, got 1")],
+        ids=["missing", "one-row"],
+    )
+    def test_assess_feature_stats_exits_2(self, workdir, tmp_path, capsys, corrupt, needle):
+        """Only assess reads LIME's feature stats; it needs no train matrix."""
+        root, config_path = workdir
+        out = tmp_path / "out"
+        for sub in ("prepared", "models"):
+            shutil.copytree(root / "out" / sub, out / sub)
+        (out / "prepared" / "train_features.csv").unlink()
+        path = out / "prepared" / "feature_stats.csv"
+        corrupt(path)
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(out)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["assess", "--config", str(p), "--ids", "481"])
+        assert code == 2
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line.startswith(f"error: {path}: ") and needle in line
+
     def test_empty_features_file_exits_2(self, workdir, tmp_path, capsys):
         root, config_path = workdir
         shutil.copytree(root / "out" / "prepared", tmp_path / "out" / "prepared")
@@ -591,7 +650,9 @@ def test_prepare_survives_any_corrupt_cell(workdir, capsys, name, corruption, da
 #: before tables became columnar. "gaps" is a prepare of that corpus after
 #: rewriting the cells of ``INGEST_GAPS``. Another numpy build or CPU may change
 #: last-bit float results and so the digests; a refactor of ingest must keep
-#: them.
+#: them. ``feature_stats.csv`` came later: its digests were recorded when
+#: prepare began writing it, after checking that its two rows have the bits of
+#: the train matrix's per-feature mean and std that assess used to compute.
 INGEST_GOLDEN = {
     "corpus": {
         "application_train.csv": "1a2b0fb27e034a9ad845ecbb9418124ebc8a1388f6a0947460a9d367c88b841d",
@@ -600,6 +661,7 @@ INGEST_GOLDEN = {
         "payments.csv": "76e595defd9612383e3163d85847bb117dc2a414439531be6b3a3b589654cf06",
     },
     "prepared": {
+        "feature_stats.csv": "364903080a987c48f0b9d64e7ade124c3e8fb47a78773cf0fff07e1d09b7ebc2",
         "pipeline.json": "73dae6a1b0a06b020d2cb60fb9fabc7a6258132ab169add4fce5d29dfa56b4e4",
         "test_features.csv": "5e038017ac8e110d7a187f632cfc69a3d335f9fe8a155d571253b9f66b136994",
         "test_labels.csv": "47d0835f938163642bc24a3d9b371f5399d0eab48505402840e62e55ad0b4cf1",
@@ -607,6 +669,7 @@ INGEST_GOLDEN = {
         "train_labels.csv": "858eaf232f131c6b878ce5437f7f4be48d7e0177b072e2371225564025758bad",
     },
     "gaps": {
+        "feature_stats.csv": "38ea778df4fbc80ed2d5af57cb153bc9f786dac4737aa1361e805626e8bd266c",
         "pipeline.json": "d30697b12480e37c2336fa060295081ec15185aca2076116122dfb01874d6169",
         "test_features.csv": "521c0870a78a8d9d82009906b102ee87b8268f1443248a815b647afd32d42352",
         "test_labels.csv": "47d0835f938163642bc24a3d9b371f5399d0eab48505402840e62e55ad0b4cf1",
@@ -686,6 +749,7 @@ class TestReportGolden:
         out = tmp_path / "out"
         for sub in ("prepared", "models"):
             shutil.copytree(root / "out" / sub, out / sub)
+        (out / "prepared" / "train_features.csv").unlink()  # neither stage reads it
         cfg = json.loads(config_path.read_text())
         cfg["output_dir"] = str(out)
         p = tmp_path / "cfg.json"
