@@ -103,13 +103,39 @@ def _load_application(cfg: RunConfig, path: str) -> Table:
     return table
 
 
-def _merge_and_engineer(cfg: RunConfig, table: Table) -> Table:
-    for aux_spec in cfg.aux_tables:
-        aux = read_csv(
-            aux_spec.path, schema_hint={aux_spec.spec.key_column: ColumnKind.CATEGORICAL}
+#: Header of prepared/test_loans.csv, and the rule each of its columns keeps.
+LOAN_COLUMNS = ("amount", "term_months")
+_LOAN_RULES = ("a finite number > 0", "a whole number >= 1")
+
+
+def _check_loans(path: str, ids, loans: np.ndarray, names, cell) -> None:
+    """The first row of ``loans`` whose amount or term breaks ``_LOAN_RULES``
+    fails, naming its applicant, its column ``names[j]`` and ``cell(k, j)``."""
+    a, t = loans.T
+    ok = np.column_stack((np.isfinite(a) & (a > 0), (t >= 1) & (np.floor(t) == t)))
+    bad = np.argwhere(~ok)  # a missing (NaN) cell breaks its rule
+    if bad.size:
+        k, j = bad[0]
+        raise DataError(
+            f"{path}: applicant {ids[k]}: {names[j]!r} must be {_LOAN_RULES[j]}, "
+            f"got {cell(k, j)!r}"
         )
-        table = aggregate_merge(table, aux, aux_spec.spec)
-    return apply_recipes(table, cfg.catalog)
+
+
+def _test_loans(cfg: RunConfig, table: Table) -> np.ndarray:
+    """(amount, term) per applicant of the raw test ``table``, checked."""
+    path = cfg.application_test
+    for column in (cfg.amount_column, cfg.term_column):
+        if not table.has_column(column):
+            raise DataError(f"{path}: assessment column {column!r} is missing")
+    cols = [table.column(cfg.amount_column), table.column(cfg.term_column)]
+    loans = np.column_stack([  # a text column breaks its rule in every row
+        c.values if c.kind is ColumnKind.NUMERIC else np.full(table.row_count, np.nan)
+        for c in cols
+    ])
+    ids = table.column(cfg.id_column).strings()
+    _check_loans(path, ids, loans, [c.name for c in cols], lambda k, j: cols[j].cell(k))
+    return loans
 
 
 def _labels_from(table: Table, label_column: str) -> np.ndarray:
@@ -140,11 +166,21 @@ def cmd_gen_corpus(cfg: RunConfig) -> list[str]:
 
 def cmd_prepare(cfg: RunConfig) -> list[str]:
     """Merge, engineer and fit-transform; test data uses the train-fitted pipeline.
-    LIME's per-feature mean and std of the train matrix go to feature_stats.csv."""
+    LIME's per-feature mean and std of the train matrix go to feature_stats.csv,
+    and each test applicant's loan amount and term to test_loans.csv."""
     train_raw = _load_application(cfg, cfg.application_train)
     test_raw = _load_application(cfg, cfg.application_test)
-    train_full = _merge_and_engineer(cfg, train_raw)
-    test_full = _merge_and_engineer(cfg, test_raw)
+    loans = _test_loans(cfg, test_raw)
+    auxes = [
+        (read_csv(a.path, schema_hint={a.spec.key_column: ColumnKind.CATEGORICAL}), a.spec)
+        for a in cfg.aux_tables
+    ]
+    fulls = []  # each aux table is read once and merged into both splits
+    for table in (train_raw, test_raw):
+        for aux, spec in auxes:
+            table = aggregate_merge(table, aux, spec)
+        fulls.append(apply_recipes(table, cfg.catalog))
+    train_full, test_full = fulls
 
     train_features = _feature_table(cfg, train_full)
     test_features = _feature_table(cfg, test_full)
@@ -175,7 +211,9 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
     stats_path = os.path.join(out, "feature_stats.csv")
     stats = np.array([train_matrix.mean(axis=0), train_matrix.std(axis=0)])
     write_matrix_csv(stats_path, pipeline.feature_names, stats)
-    written.append(stats_path)
+    loans_path = os.path.join(out, "test_loans.csv")
+    write_matrix_csv(loans_path, LOAN_COLUMNS, loans)
+    written.extend([stats_path, loans_path])
     return written
 
 
@@ -201,13 +239,13 @@ def _load_pipeline(cfg: RunConfig) -> FittedPipeline:
     return _read_stage_file(pipe_path, pipeline_from_doc, "pipeline")
 
 
-def _load_matrix(cfg: RunConfig, pipeline: FittedPipeline, name: str, rows=None):
-    """The prepared matrix file ``name``, whose header must be the feature names
-    and which must have ``rows`` rows when that is given."""
-    path = os.path.join(_prepared_dir(cfg), name)
+def _load_matrix(path: str, header, rows=None) -> np.ndarray:
+    """The prepared matrix at ``path``; its header must be ``header`` and, when
+    ``rows`` is given, it must have that many rows."""
     names, matrix = _read_stage_file(path, read_matrix_csv)
-    if tuple(names) != pipeline.feature_names:
-        raise DataError(f"{path}: prepared matrices do not match the pipeline feature names")
+    if tuple(names) != header:
+        what = "loan columns" if header is LOAN_COLUMNS else "pipeline feature names"
+        raise DataError(f"{path}: prepared matrices do not match the {what}")
     if rows is not None and len(matrix) != rows:
         raise DataError(f"{path}: expected {rows} rows, got {len(matrix)}")
     return matrix
@@ -215,10 +253,19 @@ def _load_matrix(cfg: RunConfig, pipeline: FittedPipeline, name: str, rows=None)
 
 def _load_split(cfg: RunConfig, pipeline: FittedPipeline, split: str):
     """(ids, matrix, labels) of the prepared ``split``, "train" or "test"."""
-    matrix = _load_matrix(cfg, pipeline, f"{split}_features.csv")
-    path = os.path.join(_prepared_dir(cfg), f"{split}_labels.csv")
-    ids, labels = _read_stage_file(path, read_labels_csv)
+    out = _prepared_dir(cfg)
+    matrix = _load_matrix(os.path.join(out, f"{split}_features.csv"), pipeline.feature_names)
+    ids, labels = _read_stage_file(os.path.join(out, f"{split}_labels.csv"), read_labels_csv)
     return ids, matrix, labels
+
+
+def _load_loans(cfg: RunConfig, ids) -> np.ndarray:
+    """(amount, term) per test applicant of ``ids``, from the file prepare
+    wrote; each row must still keep the rules prepare checked."""
+    path = os.path.join(_prepared_dir(cfg), "test_loans.csv")
+    loans = _load_matrix(path, LOAN_COLUMNS, rows=len(ids))
+    _check_loans(path, ids, loans, LOAN_COLUMNS, lambda k, j: loans[k, j].item())
+    return loans
 
 
 def cmd_train(cfg: RunConfig) -> list[str]:
@@ -247,47 +294,18 @@ def cmd_train(cfg: RunConfig) -> list[str]:
     return written
 
 
-def _load_models(cfg: RunConfig) -> dict:
+def _load_models(cfg: RunConfig, pipeline: FittedPipeline) -> dict:
+    """Each configured learner's model; it must read the pipeline's features."""
     models = {}
     for spec in cfg.models:
         path = os.path.join(_models_dir(cfg), f"{spec.kind}.json")
         if not os.path.exists(path):
             raise UserError(f"model file {path} not found; run train first")
-        models[spec.kind] = _read_stage_file(path, model_from_doc, "model")
+        model = _read_stage_file(path, model_from_doc, "model")
+        if model.feature_names != pipeline.feature_names:
+            raise DataError(f"{path}: model features differ from the pipeline's; run train again")
+        models[spec.kind] = model
     return models
-
-
-def _raw_test_assessment_inputs(cfg: RunConfig, prepared_ids) -> tuple[list, list]:
-    """Loan amount and term per test applicant, from the raw test CSV.
-
-    Every amount must be a finite number > 0 and every term a whole number
-    >= 1; the applicants must be those of the prepared test matrix.
-    """
-    path = cfg.application_test
-    table = _load_application(cfg, path)
-    for column in (cfg.amount_column, cfg.term_column):
-        if not table.has_column(column):
-            raise DataError(f"{path}: assessment column {column!r} is missing")
-    ids = table.column(cfg.id_column).strings()
-    amounts, terms = table.column(cfg.amount_column), table.column(cfg.term_column)
-    a, t = (
-        c.values if c.kind is ColumnKind.NUMERIC else np.full(len(ids), np.nan)
-        for c in (amounts, terms)
-    )
-    rules = (  # a missing (NaN) or text cell breaks its rule
-        (amounts, a > 0, "a finite number > 0"),
-        (terms, (t >= 1) & (np.floor(t) == t), "a whole number >= 1"),
-    )
-    bad = np.flatnonzero(~(rules[0][1] & rules[1][1]))
-    if bad.size:
-        k = bad[0]
-        col, _, rule = next(r for r in rules if not r[1][k])
-        raise DataError(
-            f"{path}: applicant {ids[k]}: {col.name!r} must be {rule}, got {col.cell(k)!r}"
-        )
-    if ids != list(prepared_ids):
-        raise DataError("test CSV and prepared test matrix are out of sync")
-    return amounts.values.tolist(), [int(t) for t in terms.values.tolist()]
 
 
 def _evaluate_models(
@@ -304,7 +322,7 @@ def _evaluate_models(
                 name=kind,
                 confusion=metrics_mod.confusion(y_te, probs, cfg.threshold),
                 roc_curve=metrics_mod.roc_auc(y_te, probs),
-                impact=portfolio_impact(probs, amounts, y_te, cfg.risk, cfg.threshold),
+                impact=portfolio_impact(probs, amounts, y_te, cfg.risk),
                 probabilities=probs,
             )
         )
@@ -313,10 +331,11 @@ def _evaluate_models(
 
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
     """Per-model metrics and business impact at the configured threshold."""
-    models = _load_models(cfg)
-    test_split = _load_split(cfg, _load_pipeline(cfg), "test")
-    amounts, _ = _raw_test_assessment_inputs(cfg, test_split[0])
-    evaluations = _evaluate_models(cfg, models, test_split, amounts)
+    pipeline = _load_pipeline(cfg)
+    models = _load_models(cfg, pipeline)
+    test_split = _load_split(cfg, pipeline, "test")
+    loans = _load_loans(cfg, test_split[0])
+    evaluations = _evaluate_models(cfg, models, test_split, loans[:, 0])
     doc = {
         "format": "riskforge.evaluation/1",
         "threshold": cfg.threshold,
@@ -330,13 +349,14 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
 
 def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     """Applicant reports for the selected ids plus business and XAI reports."""
-    models = _load_models(cfg)
     pipeline = _load_pipeline(cfg)
-    mu, sd = _load_matrix(cfg, pipeline, "feature_stats.csv", rows=2)  # LIME's feature stats
+    models = _load_models(cfg, pipeline)
+    stats_path = os.path.join(_prepared_dir(cfg), "feature_stats.csv")
+    mu, sd = _load_matrix(stats_path, pipeline.feature_names, rows=2)  # LIME's feature stats
     test_split = _load_split(cfg, pipeline, "test")
     ids_te, test, _ = test_split
-    amounts, terms = _raw_test_assessment_inputs(cfg, ids_te)
-    evaluations = _evaluate_models(cfg, models, test_split, amounts)
+    loans = _load_loans(cfg, ids_te)
+    evaluations = _evaluate_models(cfg, models, test_split, loans[:, 0])
     written = []
 
     written.extend(report_mod.render_business(evaluations, cfg.threshold, cfg.output_dir))
@@ -381,8 +401,9 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
         lime_exp = lime_explain(
             model, test[k], (mu, sd), lime_params, feature_names=pipeline.feature_names
         )
+        amount, term = loans[k].tolist()
         assessment = assess(
-            float(probs[k]), amounts[k], terms[k], cfg.risk, applicant_id=applicant_id
+            float(probs[k]), amount, int(term), cfg.risk, applicant_id=applicant_id
         )
         written.extend(
             report_mod.render_applicant(

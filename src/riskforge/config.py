@@ -116,13 +116,17 @@ def _read(cls, node: dict, path: str, extra=(), **fixed):
     """Dataclass ``cls`` from the JSON object ``node``, whose keys are the
     fields not in ``fixed`` plus the ``extra`` keys that the caller reads. A
     missing key takes the field's default; a field without one is required.
-    Values are checked against the (string) field annotations."""
+    Values are checked against the (string) field annotations, and a
+    ``ConfigError`` the class raises is prefixed with ``path``."""
     fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
     _check_keys(node, {f.name for f in fields} | set(extra), path)
     for f in fields:
         if f.name in node or f.default is MISSING and f.default_factory is MISSING:
             fixed[f.name] = _get(node, f"{path}.{f.name}", f.type)
-    return cls(**fixed)
+    try:
+        return cls(**fixed)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_recipe(entry: dict, i: int) -> FeatureRecipe:
@@ -208,10 +212,11 @@ def parse_config(doc: dict) -> RunConfig:
     }
     explain = _check_keys(doc.get("explain", {}), {"shap_sample", "lime"}, "explain")
     report = _check_keys(doc.get("report", {}), {"model"}, "report")
+    models = _parse_models(doc.get("models", {}), seed)
     report_model = _get(report, "report.model", "str", "best")
     _require(
-        report_model == "best" or report_model in LEARNER_KINDS,
-        f"report.model must be 'best' or one of {LEARNER_KINDS}",
+        report_model in ("best", *(spec.kind for spec in models)),
+        f"report.model must be 'best' or a configured learner, got {report_model!r}",
     )
     metric = _get(doc, "metric", "str", "roc_auc")
     _require(
@@ -241,7 +246,7 @@ def parse_config(doc: dict) -> RunConfig:
         cv=_read(CvPlan, doc.get("cv", {}), "cv", seed=stage_seed(seed, "cv")),
         metric=metric,
         threshold=threshold,
-        models=_parse_models(doc.get("models", {}), seed),
+        models=models,
         risk=_read(RiskConfig, risk, "risk", ("amount_column", "term_column", *bands), **bands),
         amount_column=_get(risk, "risk.amount_column", "str", "amt_credit"),
         term_column=_get(risk, "risk.term_column", "str", "term_months"),

@@ -1,4 +1,4 @@
-"""Classification and business metrics.
+"""Classification metrics.
 
 The positive class is the defaulter (label 1) throughout, and threshold
 comparisons are inclusive: a row is predicted positive when its probability
@@ -9,7 +9,6 @@ raise: a 0/0 rate returns 0.0, so grid search can score pathological folds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,14 +35,6 @@ class RocCurve:
     auc: float
 
 
-@dataclass(frozen=True)
-class BusinessMetrics:
-    approval_rate: float
-    default_rate_among_approved: float
-    fpr: float
-    fnr: float
-
-
 def _as_arrays(labels, probabilities) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(labels, dtype=np.int64)
     p = np.asarray(probabilities, dtype=np.float64)
@@ -65,20 +56,21 @@ def confusion(labels, probabilities, threshold: float) -> ConfusionMatrix:
     )
 
 
-def _rate(num: int, den: int) -> float:
+def rate(num: int, den: int) -> float:
+    """``num / den``, or 0.0 when ``den`` is 0."""
     return num / den if den else 0.0
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
-    return _rate(cm.tp + cm.tn, cm.total)
+    return rate(cm.tp + cm.tn, cm.total)
 
 
 def precision(cm: ConfusionMatrix) -> float:
-    return _rate(cm.tp, cm.tp + cm.fp)
+    return rate(cm.tp, cm.tp + cm.fp)
 
 
 def recall(cm: ConfusionMatrix) -> float:
-    return _rate(cm.tp, cm.tp + cm.fn)
+    return rate(cm.tp, cm.tp + cm.fn)
 
 
 def f1_score(cm: ConfusionMatrix) -> float:
@@ -87,11 +79,11 @@ def f1_score(cm: ConfusionMatrix) -> float:
 
 
 def false_positive_rate(cm: ConfusionMatrix) -> float:
-    return _rate(cm.fp, cm.fp + cm.tn)
+    return rate(cm.fp, cm.fp + cm.tn)
 
 
 def false_negative_rate(cm: ConfusionMatrix) -> float:
-    return _rate(cm.fn, cm.fn + cm.tp)
+    return rate(cm.fn, cm.fn + cm.tp)
 
 
 def roc_auc(labels, probabilities) -> RocCurve:
@@ -121,24 +113,3 @@ def roc_auc(labels, probabilities) -> RocCurve:
 
 
 APPROVE, REVIEW, REJECT = "approve", "review", "reject"
-
-
-def business_metrics(
-    labels,
-    decisions: Sequence[str],
-    probabilities,
-    threshold: float,
-) -> BusinessMetrics:
-    """Approval/default rates from decisions, FPR/FNR from the threshold."""
-    y, p = _as_arrays(labels, probabilities)
-    if len(decisions) != y.size:
-        raise DataError(f"decisions ({len(decisions)}) and labels ({y.size}) differ")
-    approved = np.asarray([d == APPROVE for d in decisions], dtype=bool)
-    n_approved = int(np.sum(approved))
-    cm = confusion(y, p, threshold)
-    return BusinessMetrics(
-        approval_rate=_rate(n_approved, y.size),
-        default_rate_among_approved=_rate(int(np.sum(approved & (y == 1))), n_approved),
-        fpr=false_positive_rate(cm),
-        fnr=false_negative_rate(cm),
-    )

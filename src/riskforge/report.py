@@ -227,8 +227,8 @@ def render_applicant(
 
 @dataclass
 class ModelEvaluation:
-    """What one model measured on the test split; the scores printed from
-    its confusion matrix are derived by ``evaluation_block``."""
+    """What one model measured on the test split; every score and rate printed
+    from its confusion matrix and portfolio impact is derived by ``evaluation_block``."""
 
     name: str
     confusion: ConfusionMatrix
@@ -239,34 +239,36 @@ class ModelEvaluation:
 
 
 def evaluation_block(ev: ModelEvaluation) -> dict:
-    business = ev.impact.business
-    accuracy = metrics.accuracy(ev.confusion)
+    cm, impact = ev.confusion, ev.impact
+    accuracy = metrics.accuracy(cm)
     return {
         "name": ev.name,
         "evaluation": {
             "accuracy": round6(accuracy),
             "accuracy_percent": round6(accuracy * 100.0),
-            "precision": round6(metrics.precision(ev.confusion)),
-            "recall": round6(metrics.recall(ev.confusion)),
+            "precision": round6(metrics.precision(cm)),
+            "recall": round6(metrics.recall(cm)),
             "roc_auc": round6(ev.roc_curve.auc),
-            "f1": round6(metrics.f1_score(ev.confusion)),
+            "f1": round6(metrics.f1_score(cm)),
         },
         "confusion": {
-            "tp": ev.confusion.tp,
-            "fp": ev.confusion.fp,
-            "tn": ev.confusion.tn,
-            "fn": ev.confusion.fn,
+            "tp": cm.tp,
+            "fp": cm.fp,
+            "tn": cm.tn,
+            "fn": cm.fn,
         },
         "business": {
-            "approval_rate": round6(business.approval_rate),
-            "default_rate_among_approved": round6(business.default_rate_among_approved),
-            "fpr": round6(business.fpr),
-            "fnr": round6(business.fnr),
+            "approval_rate": round6(metrics.rate(impact.approved_count, cm.total)),
+            "default_rate_among_approved": round6(
+                metrics.rate(impact.approved_defaults, impact.approved_count)
+            ),
+            "fpr": round6(metrics.false_positive_rate(cm)),
+            "fnr": round6(metrics.false_negative_rate(cm)),
         },
         "exposure": {
-            "approved_count": ev.impact.approved_count,
-            "total_approved_principal": round6(ev.impact.total_approved_principal),
-            "expected_loss": round6(ev.impact.expected_loss),
+            "approved_count": impact.approved_count,
+            "total_approved_principal": round6(impact.total_approved_principal),
+            "expected_loss": round6(impact.expected_loss),
         },
     }
 

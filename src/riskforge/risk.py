@@ -14,9 +14,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import metrics
 from .errors import ConfigError, DataError
-from .metrics import APPROVE, REJECT, REVIEW, BusinessMetrics
+from .metrics import APPROVE, REJECT, REVIEW
 
 
 class Band(IntEnum):
@@ -36,6 +35,12 @@ class BandRule:
     max_term_months: int
     collateral_above: float | None = None  # require collateral over this amount
     require_cosigner: bool = False
+
+    def __post_init__(self):
+        if self.max_term_months < 1:
+            raise ConfigError(f"max_term_months must be >= 1, got {self.max_term_months}")
+        if self.collateral_above is not None and self.collateral_above < 0:
+            raise ConfigError(f"collateral_above must be >= 0, got {self.collateral_above}")
 
 
 def _default_decisions() -> dict:
@@ -97,12 +102,13 @@ class ApplicantAssessment:
     term_months: int
 
 
+def _bands(probabilities, cfg: RiskConfig) -> np.ndarray:
+    """Each probability's band number; the one home of the band rule."""
+    return np.searchsorted((cfg.t_low, cfg.t_high), probabilities, side="right")
+
+
 def band_for(probability: float, cfg: RiskConfig) -> Band:
-    if probability < cfg.t_low:
-        return Band.LOW
-    if probability < cfg.t_high:
-        return Band.MODERATE
-    return Band.HIGH
+    return Band(int(_bands(probability, cfg)))
 
 
 def amortized_payment(principal: float, annual_rate_pct: float, term_months: int) -> float:
@@ -163,37 +169,31 @@ def assess(
 
 @dataclass(frozen=True)
 class PortfolioImpact:
-    business: BusinessMetrics
     approved_count: int
+    approved_defaults: int
     total_approved_principal: float
     expected_loss: float
 
 
-def portfolio_impact(
-    probabilities, amounts, labels, cfg: RiskConfig, threshold: float = 0.5
-) -> PortfolioImpact:
-    """Business metrics plus approved principal and expected loss of a book.
+def portfolio_impact(probabilities, amounts, labels, cfg: RiskConfig) -> PortfolioImpact:
+    """Approved count, defaults, principal and expected loss of a book.
 
     Each row's decision comes from its risk band. Expected loss sums
-    probability * amount over approved applicants.
+    probability * amount over approved applicants, left to right.
     """
-    probs = np.asarray(probabilities, dtype=np.float64).tolist()
-    amounts = np.asarray(amounts, dtype=np.float64).tolist()
+    p = np.asarray(probabilities, dtype=np.float64)
+    a = np.asarray(amounts, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if not len(probs) == len(amounts) == y.size:
-        raise DataError(
-            f"probabilities ({len(probs)}), amounts ({len(amounts)}) "
-            f"and labels ({y.size}) differ"
-        )
-    for p in probs:
-        if not (0.0 <= p <= 1.0):  # NaN fails every comparison
-            raise DataError(f"probability must be in [0, 1], got {p}")
-    decisions = [cfg.decisions[band_for(p, cfg)] for p in probs]
-    business = metrics.business_metrics(y, decisions, probs, threshold)
-    approved = [(p, a) for p, a, d in zip(probs, amounts, decisions) if d == APPROVE]
+    if not p.size == a.size == y.size:
+        raise DataError(f"probabilities ({p.size}), amounts ({a.size}), labels ({y.size}) differ")
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))  # NaN fails every comparison
+    if bad.size:
+        raise DataError(f"probability must be in [0, 1], got {p[bad[0]].item()}")
+    approves = np.array([cfg.decisions[band] == APPROVE for band in Band])
+    approved = approves[_bands(p, cfg)]
     return PortfolioImpact(
-        business=business,
-        approved_count=len(approved),
-        total_approved_principal=float(sum(a for _, a in approved)),
-        expected_loss=float(sum(p * a for p, a in approved)),
+        approved_count=int(np.sum(approved)),
+        approved_defaults=int(np.sum(approved & (y == 1))),
+        total_approved_principal=float(sum(a[approved].tolist())),
+        expected_loss=float(sum((p[approved] * a[approved]).tolist())),
     )

@@ -18,7 +18,6 @@ import riskforge
 from riskforge import tuning
 from riskforge.cli import (
     _evaluate_models,
-    _raw_test_assessment_inputs,
     main,
     read_labels_csv,
     read_matrix_csv,
@@ -214,7 +213,8 @@ class TestEvaluate:
         prepared = root / "out" / "prepared"
         ids, labels = read_labels_csv(str(prepared / "test_labels.csv"))
         _, test = read_matrix_csv(str(prepared / "test_features.csv"))
-        amounts, _ = _raw_test_assessment_inputs(cfg, ids)
+        _, loans = read_matrix_csv(str(prepared / "test_loans.csv"))
+        amounts = loans[:, 0]
         model = model_from_doc(load_json(root / "out" / "models" / "forest.json"))
         for names in (["forest", "boosted_leafwise"], ["boosted_leafwise", "forest"]):
             models = dict.fromkeys(names, model)
@@ -303,32 +303,78 @@ class TestShapBatch:
 
 
 class TestRawLoanInputs:
+    """prepare checks each test applicant's loan amount and term once, and
+    exits 2 with one line naming the applicant and the column."""
+
+    @pytest.mark.parametrize(
+        "column, text, rule",
+        [("amt_credit", "", "a finite number > 0, got None"),
+         ("term_months", "36.5", "a whole number >= 1, got 36.5")],
+        ids=["blank-amount", "fractional-term"],
+    )
+    def test_bad_loan_cell_exits_2_naming_applicant(
+        self, workdir, tmp_path, capsys, column, text, rule
+    ):
+        with open(workdir[0] / "corpus" / "application_test.csv", newline="") as fh:
+            applicant_id = list(csv.reader(fh))[2][0]
+        p = _edited_config(workdir, tmp_path, {"application_test.csv": _set_cell(column, text, 2)})
+        capsys.readouterr()
+        code = main(["prepare", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2
+        path = tmp_path / "corpus" / "application_test.csv"
+        assert line == f"error: {path}: applicant {applicant_id}: {column!r} must be {rule}"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "assess"])
     def test_blank_amount_exits_2_naming_applicant(self, workdir, tmp_path, capsys, command):
+        """evaluate and assess take the amounts from prepared/test_loans.csv,
+        where a missing amount is written "nan", and check them again."""
         root, config_path = workdir
-        with open(root / "corpus" / "application_test.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        applicant_id = rows[1]["applicant_id"]
-        rows[1]["amt_credit"] = ""
-        test_csv = tmp_path / "application_test.csv"
-        with open(test_csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
         shutil.copytree(root / "out" / "prepared", tmp_path / "out" / "prepared")
         shutil.copytree(root / "out" / "models", tmp_path / "out" / "models")
+        ids, _ = read_labels_csv(str(tmp_path / "out" / "prepared" / "test_labels.csv"))
+        loans_path = tmp_path / "out" / "prepared" / "test_loans.csv"
+        lines = loans_path.read_text().splitlines(keepends=True)
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+        loans_path.write_text("".join(lines))
         cfg = json.loads(config_path.read_text())
-        cfg["data"]["application_test"] = str(test_csv)
         cfg["output_dir"] = str(tmp_path / "out")
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         args = [command, "--config", str(p)]
         if command == "assess":
-            args += ["--ids", rows[0]["applicant_id"]]
-        assert main(args) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        assert applicant_id in lines[0] and "amt_credit" in lines[0]
+            args += ["--ids", ids[0]]
+        capsys.readouterr()
+        code = main(args)
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2
+        assert line == (
+            f"error: {loans_path}: applicant {ids[1]}: 'amount' must be "
+            "a finite number > 0, got nan"
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    def test_stages_after_prepare_read_no_raw_input(self, workdir, tmp_path, command):
+        """evaluate and assess read only prepared and model files: with every
+        raw input gone they still run, and evaluate writes the same bytes."""
+        root, config_path = workdir
+        out = tmp_path / "out"
+        for sub in ("prepared", "models"):
+            shutil.copytree(root / "out" / sub, out / sub)
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(out)
+        data = cfg["data"]
+        data["application_train"] = data["application_test"] = str(tmp_path / "gone.csv")
+        for aux in data["aux"]:
+            aux["path"] = str(tmp_path / "gone.csv")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        args = [command, "--config", str(p)]
+        assert main(args + (["--ids", "481"] if command == "assess" else [])) == 0
+        if command == "evaluate":
+            expected = (root / "out" / "evaluation.json").read_bytes()
+            assert (out / "evaluation.json").read_bytes() == expected
 
 
 class TestLoanDecisions:
@@ -516,6 +562,18 @@ def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
 
+def _nan_first_term(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].split(",")[0] + ",nan\n"
+    path.write_text("".join(lines))
+
+
+def _rename_last_column(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].replace("term_months", "term")
+    path.write_text("".join(lines))
+
+
 def _text_in_first_cell(path):
     lines = path.read_text().splitlines(keepends=True)
     lines[1] = "high" + lines[1][lines[1].index(","):]
@@ -551,11 +609,18 @@ class TestCorruptStageFiles:
             ("prepared/test_features.csv", Path.unlink, "No such file"),
             ("prepared/test_labels.csv", _write_text("id\r\n7\r\n"), "list index out of range"),
             ("prepared/test_labels.csv", _first_label_3, "row 2: label must be 0 or 1, got 3"),
+            ("prepared/test_loans.csv", Path.unlink, "No such file"),
+            ("prepared/test_loans.csv", _rename_last_column,
+             "prepared matrices do not match the loan columns"),
+            ("prepared/test_loans.csv", _drop_last_line, "expected 120 rows, got 119"),
+            ("prepared/test_loans.csv", _nan_first_term,
+             "applicant 481: 'term_months' must be a whole number >= 1, got nan"),
         ],
         ids=[
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
             "learning-rate-differs", "unknown-param", "no-scaler", "pipeline-not-json",
             "text-in-features", "no-test-features", "short-label-row", "label-3",
+            "no-test-loans", "loans-header", "short-loans", "nan-term",
         ],
     )
     def test_exits_2_naming_file(self, workdir, tmp_path, capsys, command, rel, corrupt, needle):
@@ -597,6 +662,25 @@ class TestCorruptStageFiles:
         assert code == 2
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
         assert line.startswith(f"error: {path}: ") and needle in line
+
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    def test_stale_models_exit_2(self, workdir, tmp_path, capsys, command):
+        """Models trained before the features changed read their columns by
+        position; a prepare with the recipes reversed makes them stale."""
+        root, config_path = workdir
+        shutil.copytree(root / "out" / "models", tmp_path / "out" / "models")
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["features"].reverse()
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["prepare", "--config", str(p)]) == 0
+        capsys.readouterr()
+        code = main([command, "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        model_path = tmp_path / "out" / "models" / "boosted_leafwise.json"
+        assert code == 2 and line.startswith(f"error: {model_path}: ")
+        assert "run train again" in line
 
     def test_empty_features_file_exits_2(self, workdir, tmp_path, capsys):
         root, config_path = workdir
@@ -653,6 +737,9 @@ def test_prepare_survives_any_corrupt_cell(workdir, capsys, name, corruption, da
 #: them. ``feature_stats.csv`` came later: its digests were recorded when
 #: prepare began writing it, after checking that its two rows have the bits of
 #: the train matrix's per-feature mean and std that assess used to compute.
+#: ``test_loans.csv`` came when evaluate and assess stopped reading the raw test
+#: CSV: its digests were recorded after checking that every evaluate and assess
+#: output kept its bytes.
 INGEST_GOLDEN = {
     "corpus": {
         "application_train.csv": "1a2b0fb27e034a9ad845ecbb9418124ebc8a1388f6a0947460a9d367c88b841d",
@@ -665,6 +752,7 @@ INGEST_GOLDEN = {
         "pipeline.json": "73dae6a1b0a06b020d2cb60fb9fabc7a6258132ab169add4fce5d29dfa56b4e4",
         "test_features.csv": "5e038017ac8e110d7a187f632cfc69a3d335f9fe8a155d571253b9f66b136994",
         "test_labels.csv": "47d0835f938163642bc24a3d9b371f5399d0eab48505402840e62e55ad0b4cf1",
+        "test_loans.csv": "92ff59b76c9948ce327a88a8472b75fd22cda5aeed3cc293df8512d883c7cab5",
         "train_features.csv": "930f0945d1602fff530e3bbab72c156c8390feed6f00ba4589078823815ffad9",
         "train_labels.csv": "858eaf232f131c6b878ce5437f7f4be48d7e0177b072e2371225564025758bad",
     },
@@ -673,6 +761,7 @@ INGEST_GOLDEN = {
         "pipeline.json": "d30697b12480e37c2336fa060295081ec15185aca2076116122dfb01874d6169",
         "test_features.csv": "521c0870a78a8d9d82009906b102ee87b8268f1443248a815b647afd32d42352",
         "test_labels.csv": "47d0835f938163642bc24a3d9b371f5399d0eab48505402840e62e55ad0b4cf1",
+        "test_loans.csv": "92ff59b76c9948ce327a88a8472b75fd22cda5aeed3cc293df8512d883c7cab5",
         "train_features.csv": "1f74314f6fd339399436c239d7217e090cb19f1490bf85885b1dec0b86900a52",
         "train_labels.csv": "858eaf232f131c6b878ce5437f7f4be48d7e0177b072e2371225564025758bad",
     },
@@ -789,6 +878,10 @@ class TestConfig:
             parse_config(cfg)
         cfg["report"]["model"] = "forest"
         assert parse_config(cfg).report_model == "forest"
+        cfg["models"] = {"forest": cfg["models"]["forest"]}
+        cfg["report"]["model"] = "boosted_leafwise"
+        with pytest.raises(ConfigError, match="report.model .* 'boosted_leafwise'"):
+            parse_config(cfg)
 
     @pytest.mark.parametrize(
         "path, value, needle",
@@ -822,6 +915,12 @@ class TestConfig:
             ("metric", "auroc", "unknown metric 'auroc'"),
             ("explain.shap_sample", -1, "explain.shap_sample must be >= 1, got -1"),
             ("explain.shap_sample", 0, "explain.shap_sample must be >= 1, got 0"),
+            ("risk.band_rules.low.max_term_months", 0,
+             "risk.band_rules.low: max_term_months must be >= 1, got 0"),
+            ("risk.band_rules.low.max_term_months", -12,
+             "risk.band_rules.low: max_term_months must be >= 1, got -12"),
+            ("risk.band_rules.high.collateral_above", -1.0,
+             "risk.band_rules.high: collateral_above must be >= 0, got -1.0"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -830,7 +929,8 @@ class TestConfig:
             "threshold-text", "top-k-text", "seed-bool", "kernel-width-text",
             "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
             "smote-seed-is-fixed", "integer-beyond-float-range", "metric-unknown",
-            "shap-sample-negative", "shap-sample-zero",
+            "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
+            "band-rule-negative-term", "band-rule-negative-collateral",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):

@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 
 from riskforge.errors import DataError
 from riskforge.metrics import (
-    APPROVE,
-    REJECT,
-    REVIEW,
     ConfusionMatrix,
+    RocCurve,
     accuracy,
-    business_metrics,
     confusion,
     f1_score,
     false_negative_rate,
@@ -18,6 +15,9 @@ from riskforge.metrics import (
     recall,
     roc_auc,
 )
+from riskforge.report import ModelEvaluation, evaluation_block
+from riskforge.risk import RiskConfig, portfolio_impact
+from riskforge.utils import round6
 
 
 def pair_count_auc(labels, scores) -> float:
@@ -176,34 +176,42 @@ class TestRocAuc:
         )
 
 
+def business_rates(labels, probs, threshold):
+    """The business block ``evaluation_block`` prints for one model's scores,
+    with bands Low below 0.3 (approved), Moderate below 0.6, High from 0.6."""
+    cm = confusion(labels, probs, threshold)
+    impact = portfolio_impact(probs, [1000.0] * len(probs), labels, RiskConfig(0.3, 0.6))
+    ev = ModelEvaluation("m", cm, RocCurve((), 0.5), impact, np.asarray(probs))
+    return evaluation_block(ev)["business"]
+
+
 class TestBusinessMetrics:
     def test_counts_from_hand_arithmetic(self):
         labels = [1] + [0] * 9
-        decisions = [APPROVE] * 9 + [REJECT]
-        probs = [0.9] + [0.1] * 9
-        bm = business_metrics(labels, decisions, probs, 0.5)
-        assert bm.approval_rate == pytest.approx(0.9)
-        assert bm.default_rate_among_approved == pytest.approx(1 / 9, abs=1e-9)
-        assert bm.default_rate_among_approved == pytest.approx(0.1111, abs=1e-4)
+        probs = [0.1] * 9 + [0.9]  # nine approved, the defaulter among them
+        bm = business_rates(labels, probs, 0.5)
+        assert bm["approval_rate"] == pytest.approx(0.9)
+        assert bm["default_rate_among_approved"] == round6(1 / 9)
+        assert bm["default_rate_among_approved"] == pytest.approx(0.1111, abs=1e-4)
 
     def test_nobody_approved_is_degenerate_zero(self):
-        bm = business_metrics([0, 1], [REJECT, REVIEW], [0.1, 0.9], 0.5)
-        assert bm.approval_rate == 0.0
-        assert bm.default_rate_among_approved == 0.0
+        bm = business_rates([0, 1], [0.4, 0.9], 0.5)  # review, reject
+        assert bm["approval_rate"] == 0.0
+        assert bm["default_rate_among_approved"] == 0.0
 
     def test_fnr_complements_recall(self):
         labels = [1, 1, 0, 1, 0]
         probs = [0.9, 0.2, 0.7, 0.6, 0.1]
-        bm = business_metrics(labels, [APPROVE] * 5, probs, 0.5)
+        bm = business_rates(labels, probs, 0.5)
         cm = confusion(labels, probs, 0.5)
-        assert bm.fnr == pytest.approx(1 - recall(cm))
+        assert bm["fnr"] == round6(1 - recall(cm))
 
     def test_rates_in_unit_interval(self):
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 2, 30)
         labels[:2] = [0, 1]
         probs = rng.random(30)
-        decisions = rng.choice([APPROVE, REVIEW, REJECT], 30)
-        bm = business_metrics(labels, list(decisions), probs, 0.4)
-        for rate in (bm.approval_rate, bm.default_rate_among_approved, bm.fpr, bm.fnr):
+        bm = business_rates(labels, probs, 0.4)
+        assert bm.keys() == {"approval_rate", "default_rate_among_approved", "fpr", "fnr"}
+        for rate in bm.values():
             assert 0.0 <= rate <= 1.0

@@ -7,12 +7,7 @@ import pytest
 
 from riskforge.errors import SchemaError
 from riskforge.explain import LimeExplanation, ShapExplanation, ShapSummary
-from riskforge.metrics import (
-    APPROVE,
-    BusinessMetrics,
-    ConfusionMatrix,
-    RocCurve,
-)
+from riskforge.metrics import APPROVE, ConfusionMatrix, RocCurve
 from riskforge.report import (
     TOP_FEATURES,
     ModelEvaluation,
@@ -117,17 +112,11 @@ def sample_summary(n=6, d=3, seed=0):
 
 
 def sample_evaluation(name="boosted_leafwise", auc=0.9):
-    bm = BusinessMetrics(
-        approval_rate=0.5,
-        default_rate_among_approved=0.01,
-        fpr=0.1,
-        fnr=0.4,
-    )
     return ModelEvaluation(
         name=name,
         confusion=ConfusionMatrix(10, 5, 80, 5),
         roc_curve=RocCurve(((0.0, 0.0), (0.2, 0.9), (1.0, 1.0)), auc),
-        impact=PortfolioImpact(bm, 50, 5_000_000.0, 123_456.0),
+        impact=PortfolioImpact(50, 1, 5_000_000.0, 123_456.0),
         probabilities=np.array([]),
     )
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskforge.errors import ConfigError, DataError
-from riskforge.metrics import APPROVE, REJECT, REVIEW, business_metrics
+from riskforge.metrics import APPROVE, REJECT, REVIEW, RocCurve, confusion
+from riskforge.report import ModelEvaluation, evaluation_block
 from riskforge.risk import (
     Band,
     BandRule,
@@ -131,19 +132,15 @@ class TestValidation:
             RiskConfig(premiums={Band.LOW: -1.0, Band.MODERATE: 0.0, Band.HIGH: 0.0})
 
 
-def per_row_reference(probs, amounts, labels, cfg, threshold):
+def per_row_reference(probs, amounts, labels, cfg):
     """The portfolio as scored before: one full assess() per row, then sums."""
     assessments = [assess(float(p), a, 12, cfg) for p, a in zip(probs, amounts)]
-    decisions = [a.decision for a in assessments]
-    business = business_metrics(
-        labels, decisions, np.array([a.probability_of_default for a in assessments]), threshold
-    )
-    approved = [a for a in assessments if a.decision == APPROVE]
+    approved = [(a, y) for a, y in zip(assessments, labels) if a.decision == APPROVE]
     return PortfolioImpact(
-        business=business,
         approved_count=len(approved),
-        total_approved_principal=float(sum(a.loan_amount for a in approved)),
-        expected_loss=float(sum(a.probability_of_default * a.loan_amount for a in approved)),
+        approved_defaults=sum(int(y) for _, y in approved),
+        total_approved_principal=float(sum(a.loan_amount for a, _ in approved)),
+        expected_loss=float(sum(a.probability_of_default * a.loan_amount for a, _ in approved)),
     )
 
 
@@ -169,15 +166,17 @@ class TestPortfolio:
         decisions = [
             APPROVE if p < 0.3 else (REVIEW if p < 0.6 else REJECT) for p in probs
         ]
-        impact = portfolio_impact(probs, [1000.0] * 40, labels, self.WIDE, threshold=0.5)
-        direct = business_metrics(labels, decisions, probs, 0.5)
-        assert impact.business.approval_rate == direct.approval_rate
-        assert impact.business.fpr == direct.fpr
-        assert impact.business.fnr == direct.fnr
-        assert (
-            impact.business.default_rate_among_approved
-            == direct.default_rate_among_approved
-        )
+        approved = np.array([d == APPROVE for d in decisions])
+        cm = confusion(labels, probs, 0.5)
+        impact = portfolio_impact(probs, [1000.0] * 40, labels, self.WIDE)
+        ev = ModelEvaluation("m", cm, RocCurve((), 0.5), impact, probs)
+        business = evaluation_block(ev)["business"]
+        assert business == {
+            "approval_rate": round(approved.mean(), 6),
+            "default_rate_among_approved": round(labels[approved].mean(), 6),
+            "fpr": round(cm.fp / (cm.fp + cm.tn), 6),
+            "fnr": round(cm.fn / (cm.fn + cm.tp), 6),
+        }
 
     def test_matches_per_row_reference(self):
         remapped = RiskConfig(
@@ -196,9 +195,8 @@ class TestPortfolio:
                 probs[ties > 0.97] = rng.choice([0.0, 1.0])
                 amounts = rng.uniform(1_000.0, 900_000.0, n).round(2)
                 labels = rng.integers(0, 2, n)
-                threshold = float(rng.choice([0.5, cfg.t_low, cfg.t_high]))
-                got = portfolio_impact(probs, amounts, labels, cfg, threshold)
-                want = per_row_reference(probs, amounts.tolist(), labels, cfg, threshold)
+                got = portfolio_impact(probs, amounts, labels, cfg)
+                want = per_row_reference(probs, amounts.tolist(), labels, cfg)
                 assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.5])
@@ -209,3 +207,4 @@ class TestPortfolio:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError, match="differ"):
             portfolio_impact([0.1], [1000.0], [0, 1], CFG)
+
