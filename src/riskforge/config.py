@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .explain import LimeParams
 from .features import DaysToYears, FeatureCatalog, FeatureRecipe, Flag, Ratio
 from .risk import Band, BandRule, RiskConfig
@@ -117,7 +117,8 @@ def _read(cls, node: dict, path: str, extra=(), **fixed):
     fields not in ``fixed`` plus the ``extra`` keys that the caller reads. A
     missing key takes the field's default; a field without one is required.
     Values are checked against the (string) field annotations, and a
-    ``ConfigError`` the class raises is prefixed with ``path``."""
+    ``ConfigError`` or ``DataError`` the class raises becomes a
+    ``ConfigError`` prefixed with ``path``."""
     fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
     _check_keys(node, {f.name for f in fields} | set(extra), path)
     for f in fields:
@@ -125,7 +126,7 @@ def _read(cls, node: dict, path: str, extra=(), **fixed):
             fixed[f.name] = _get(node, f"{path}.{f.name}", f.type)
     try:
         return cls(**fixed)
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

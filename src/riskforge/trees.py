@@ -24,6 +24,11 @@ hold the class-1 fraction so predictions are probabilities.
 Node cover is the hessian sum for boosted trees and the training row count
 for forest trees; the SHAP layer uses it to weight descents through both
 children when a feature is marginalized out.
+
+Predict walks each tree once per batch. A node reads its split feature for
+its rows from one contiguous column of a transposed copy of the matrix,
+partitions the rows with ``take``/``compress`` and descends only into a
+child that receives rows. A NaN fails ``<= threshold`` and goes right.
 """
 
 from __future__ import annotations
@@ -434,13 +439,18 @@ def fit_forest(data: LabeledMatrix, params: ForestParams, feature_names=None) ->
     return ForestModel(trees=trees, params=params, bins=bins, feature_names=names)
 
 
-def _predict_tree(node: TreeNode, x: np.ndarray, rows: np.ndarray, out: np.ndarray):
+def _predict_tree(node: TreeNode, columns: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """Write the leaf value that each of ``rows`` reaches into ``out``.
+    ``columns[f]`` holds feature ``f`` of every row, contiguously."""
     if node.left is None:
-        out[rows] = node.value
+        out.put(rows, node.value)
         return
-    mask = x[rows, node.feature] <= node.threshold
-    _predict_tree(node.left, x, rows[mask], out)
-    _predict_tree(node.right, x, rows[~mask], out)
+    go = columns[node.feature].take(rows) <= node.threshold
+    left = rows.compress(go)
+    if left.size:
+        _predict_tree(node.left, columns, left, out)
+    if left.size < rows.size:
+        _predict_tree(node.right, columns, rows.compress(~go), out)
 
 
 def predict_margin(model, matrix: np.ndarray) -> np.ndarray:
@@ -452,18 +462,19 @@ def predict_margin(model, matrix: np.ndarray) -> np.ndarray:
         raise SchemaError(
             f"matrix has {x.shape[1]} columns, model expects {len(model.feature_names)}"
         )
+    columns = np.ascontiguousarray(x.T)
     rows = np.arange(x.shape[0])
     buf = np.empty(x.shape[0], dtype=np.float64)
     if isinstance(model, BoostedModel):
         total = np.full(x.shape[0], model.base_score, dtype=np.float64)
         for tree in model.trees:
-            _predict_tree(tree, x, rows, buf)
+            _predict_tree(tree, columns, rows, buf)
             total += model.params.learning_rate * buf
         return total
     if isinstance(model, ForestModel):
         total = np.zeros(x.shape[0], dtype=np.float64)
         for tree in model.trees:
-            _predict_tree(tree, x, rows, buf)
+            _predict_tree(tree, columns, rows, buf)
             total += buf
         return total / len(model.trees)
     raise SchemaError(f"unknown model type {type(model).__name__}")

@@ -187,7 +187,10 @@ def grid_search(
         best_index = max(range(len(candidates)), key=lambda i: candidates[i].mean_score)
         best = candidates[best_index]
         if not math.isfinite(best.mean_score):
-            raise DataError("every grid candidate failed to train")
+            raise DataError(
+                f"every grid candidate of {kind!r} failed to train; "
+                f"the first failed with: {candidates[0].error}"
+            )
         result = SearchResult(
             metric, candidates, best_index, best.params, best.mean_score, used_defaults=not grid
         )

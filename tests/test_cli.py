@@ -190,6 +190,18 @@ class TestTrain:
         assert code == 2 and "k=1000 must be below the minority count" in line
         assert not (tmp_path / "out" / "models").exists()
 
+    def test_failed_grid_search_names_learner_and_first_error(self, workdir, tmp_path, capsys):
+        p, cfg = _train_config(workdir, tmp_path)
+        cfg["models"]["boosted_levelwise"]["params"]["n_trees"] = 0
+        p.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["train", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2
+        assert "'boosted_levelwise' failed to train" in line
+        assert "the first failed with: n_trees must be >= 1" in line
+        assert not (tmp_path / "out" / "models").exists()
+
     def test_training_before_prepare_exits_2(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "c", tmp_path / "o")
         p = tmp_path / "cfg.json"
@@ -921,6 +933,9 @@ class TestConfig:
              "risk.band_rules.low: max_term_months must be >= 1, got -12"),
             ("risk.band_rules.high.collateral_above", -1.0,
              "risk.band_rules.high: collateral_above must be >= 0, got -1.0"),
+            ("smote.k", 0, "smote: k must be >= 1, got 0"),
+            ("cv.n_folds", 1, "cv: cross-validation needs at least 2 folds"),
+            ("explain.lime.top_k", 0, "explain.lime: top_k must be >= 1"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -930,7 +945,8 @@ class TestConfig:
             "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
             "smote-seed-is-fixed", "integer-beyond-float-range", "metric-unknown",
             "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
-            "band-rule-negative-term", "band-rule-negative-collateral",
+            "band-rule-negative-term", "band-rule-negative-collateral", "smote-k-zero",
+            "cv-one-fold", "lime-top-k-zero",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):

@@ -134,6 +134,28 @@ class TestApplicantReport:
         assert doc["assessment"]["band"] == "High"
         assert doc["assessment"]["decision"] == "reject"
 
+    def test_schema_violations_listed_in_document_order(self):
+        doc = applicant_report_doc(*sample_report())
+        doc["shap"]["contributions"][1]["feature"] = 2.5
+        doc["lime"]["prediction"] = 7
+        doc["assessment"]["band"] = "Severe"
+        doc["assessment"]["monthly_payment"] = "n/a"
+        del doc["narrative"]
+        doc["extra"] = 1
+        with pytest.raises(SchemaError) as exc:
+            validate(doc, "applicant_report")
+        assert str(exc.value) == (
+            "document does not match schema 'applicant_report': "
+            "$: missing required key 'narrative'; "
+            "$.assessment.band: 'Severe' not in ['Low', 'Moderate', 'High']; "
+            "$.assessment.monthly_payment: expected ['number', 'null'], got str; "
+            "$.shap.contributions[1].feature: expected ['string'], got float; "
+            "$.lime.prediction: 7 above maximum 1; "
+            "$: unexpected key 'extra'"
+        )
+        # The schema that validate keeps for the process is left as it was.
+        validate(applicant_report_doc(*sample_report()), "applicant_report")
+
     def test_decision_banner_exactly_once(self):
         report = sample_report()
         html = applicant_html(report)

@@ -428,6 +428,112 @@ class TestPredict:
             predict_proba(model, np.zeros((2, 3)))
 
 
+#: Split thresholds of the random trees; the random matrices reuse them as
+#: cells, so some rows fall exactly on a threshold.
+THRESHOLDS = (-1.5, -0.5, 0.0, 0.25, 1.0, 2.0)
+N_FEATURES = 4
+
+
+def random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return TreeNode(value=float(rng.normal()))
+    return TreeNode(
+        feature=int(rng.integers(N_FEATURES)),
+        threshold=float(rng.choice(THRESHOLDS)),
+        left=random_tree(rng, depth - 1),
+        right=random_tree(rng, depth - 1),
+        value=float(rng.normal()),  # never read: only leaves are
+    )
+
+
+def random_models(seed):
+    rng = np.random.default_rng(seed)
+    names = tuple(f"f{i}" for i in range(N_FEATURES))
+    boosted = BoostedModel(
+        trees=[random_tree(rng, 5) for _ in range(7)], base_score=float(rng.normal()),
+        params=BoostingParams(learning_rate=0.3), bins=empty_bins(N_FEATURES),
+        feature_names=names,
+    )
+    forest = ForestModel(
+        trees=[random_tree(rng, 5) for _ in range(5)], params=ForestParams(),
+        bins=empty_bins(N_FEATURES), feature_names=names,
+    )
+    return boosted, forest
+
+
+def random_cells(seed, n):
+    """Normal draws mixed with threshold values, NaN and +-inf."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, N_FEATURES))
+    special = np.array([*THRESHOLDS, np.nan, np.inf, -np.inf])
+    pick = rng.random(x.shape) < 0.4
+    x[pick] = rng.choice(special, size=int(pick.sum()))
+    return x
+
+
+def scalar_margin(model, x):
+    """Oracle: walk every tree once per row with a scalar comparison, and add
+    the leaf values in tree order, as ``predict_margin`` does."""
+    out = []
+    for row in np.asarray(x, dtype=np.float64).reshape(-1, N_FEATURES):
+        leaves = []
+        for node in model.trees:
+            while node.left is not None:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            leaves.append(node.value)
+        if isinstance(model, BoostedModel):
+            total = model.base_score
+            for v in leaves:
+                total += model.params.learning_rate * v
+        else:
+            total = 0.0
+            for v in leaves:
+                total += v
+            total /= len(model.trees)
+        out.append(total)
+    return np.array(out, dtype=np.float64)
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+class TestPredictMatchesScalarWalk:
+    """``predict_margin`` equals a per-row scalar tree walk bit for bit."""
+
+    def test_batch_with_nan_inf_and_threshold_cells(self, seed):
+        x = random_cells(seed, 300)
+        for model in random_models(seed):
+            assert_bitwise(predict_margin(model, x), scalar_margin(model, x))
+
+    def test_nan_goes_right_and_threshold_goes_left(self, seed):
+        for model in random_models(seed):
+            for cell in (np.nan, np.inf, -np.inf, *THRESHOLDS):
+                x = np.full((1, N_FEATURES), cell)
+                assert_bitwise(predict_margin(model, x), scalar_margin(model, x))
+
+    def test_empty_batch_and_single_row(self, seed):
+        x = random_cells(seed, 5)
+        for model in random_models(seed):
+            assert_bitwise(predict_margin(model, x[:0]), np.empty(0))
+            assert_bitwise(predict_margin(model, x[2]), scalar_margin(model, x[2]))
+            assert_bitwise(predict_margin(model, x[2:3]), scalar_margin(model, x[2]))
+
+    def test_sliced_fortran_and_integer_input(self, seed):
+        x = random_cells(seed, 200)
+        ints = np.random.default_rng(seed).integers(-3, 4, size=(50, N_FEATURES))
+        for model in random_models(seed):
+            for view in (x[::3], x[10:60], np.asfortranarray(x), ints):
+                assert_bitwise(predict_margin(model, view), scalar_margin(model, view))
+
+    def test_batch_equals_each_row_alone(self, seed):
+        x = random_cells(seed, 60)
+        for model in random_models(seed):
+            alone = np.concatenate([predict_margin(model, row) for row in x])
+            assert_bitwise(predict_margin(model, x), alone)
+
+
 class TestForest:
     def test_single_tree_no_bootstrap_fits_separable_data(self):
         data = separable_1d()
