@@ -24,7 +24,7 @@ from .risk import Band, BandRule, RiskConfig
 from .sampling import SmoteParams
 from .tabular import AggregationSpec, Statistic
 from .trees import BoostingParams, ForestParams
-from .tuning import LEARNER_KINDS, METRIC_NAMES, CvPlan
+from .tuning import LEARNER_KINDS, METRIC_NAMES, CvPlan, _build_params, enumerate_grid
 from .utils import stage_seed
 
 _BAND_KEYS = {"low": Band.LOW, "moderate": Band.MODERATE, "high": Band.HIGH}
@@ -157,7 +157,8 @@ def _parse_aux(entry: dict, i: int) -> AuxTableSpec:
 
 def _parse_models(node: dict, seed: int) -> tuple[ModelSpec, ...]:
     """Learner params and grids are checked against the params dataclass's
-    annotations but kept as written, so the model files echo them."""
+    annotations but kept as written, so the model files echo them; each grid
+    candidate's params are built here, so a bad value fails before ``train``."""
     specs = []
     for kind, entry in _value(node, "dict", "models").items():
         _require(kind in LEARNER_KINDS, f"models: unknown learner {kind!r}")
@@ -173,6 +174,11 @@ def _parse_models(node: dict, seed: int) -> tuple[ModelSpec, ...]:
             for key, v in values.items():
                 _value(v, form.format(types[key]), f"{path}.{source}.{key}")
         params.setdefault("seed", stage_seed(seed, f"model-{kind}"))
+        for source, overrides in [("params", {}), *(("grid", o) for o in enumerate_grid(grid))]:
+            try:
+                _build_params(kind, params, overrides)
+            except DataError as exc:
+                raise ConfigError(f"{path}.{source}: {exc}") from exc
         specs.append(ModelSpec(kind, params, {k: list(v) for k, v in grid.items()}))
     _require(bool(specs), "models: at least one learner must be configured")
     return tuple(specs)

@@ -1,13 +1,14 @@
 """Decision-tree ensembles: bagged Gini forest and second-order boosting.
 
-All three learners share one substrate: features are quantile-binned once
-per training run and every candidate split threshold is a bin edge. They
-also share one split-search kernel (``BinCodes``): the bin codes are offset
-once per fit so that one gathered ``np.bincount`` per quantity builds a
-node's (features x bins) histograms, weighted by gradient and hessian for
-boosting and by the class-1 indicator for the forest. Each learner scores
-every candidate in one array expression with its own gain, and one pick
-step applies the shared tie rule.
+Bins belong to the training set: a ``BinnedSet`` is quantile-binned once
+for one ``n_bins``, every fit on it takes its split thresholds from its bin
+edges, and a model holds only its trees and params. All three learners
+share one split-search kernel (``BinnedSet.histograms``): the bin codes are
+offset so that one gathered ``np.bincount`` per quantity builds a node's
+(features x bins) histograms, weighted by gradient and hessian for boosting
+and by the class-1 indicator for the forest. Each learner scores every
+candidate in one array expression with its own gain, and one pick step
+applies the shared tie rule.
 
 The boosted learners share one best-first grower: the pending node with
 the highest positive split gain splits next. Level-wise growth caps the
@@ -119,19 +120,11 @@ class ForestParams:
             raise DataError("n_bins must be >= 2")
 
 
-@dataclass(frozen=True)
-class BinIndex:
-    """Per-feature ascending bin edges fitted from training quantiles."""
-
-    edges: tuple[np.ndarray, ...]
-
-
 @dataclass
 class BoostedModel:
     trees: list[TreeNode]
     base_score: float
     params: BoostingParams
-    bins: BinIndex
     feature_names: tuple[str, ...]
     train_loss: tuple[float, ...] = ()
 
@@ -140,7 +133,6 @@ class BoostedModel:
 class ForestModel:
     trees: list[TreeNode]
     params: ForestParams
-    bins: BinIndex
     feature_names: tuple[str, ...]
 
 
@@ -171,8 +163,8 @@ def leaf_value(g_sum: float, h_sum: float, l2_regularization: float) -> float:
     return -g_sum / denom
 
 
-def fit_bins(matrix: np.ndarray, n_bins: int) -> BinIndex:
-    """Quantile bin edges per feature; constant features get no edges."""
+def fit_bins(matrix: np.ndarray, n_bins: int) -> tuple[np.ndarray, ...]:
+    """Ascending quantile bin edges per feature; constant features get none."""
     if n_bins < 2:
         raise DataError("n_bins must be >= 2")
     edges = []
@@ -187,35 +179,40 @@ def fit_bins(matrix: np.ndarray, n_bins: int) -> BinIndex:
             qs = 100.0 * np.arange(1, n_bins) / n_bins
             cand = np.unique(np.percentile(col, qs))
             edges.append(cand.astype(np.float64))
-    return BinIndex(tuple(edges))
+    return tuple(edges)
 
 
-def bin_matrix(bins: BinIndex, matrix: np.ndarray) -> np.ndarray:
+def bin_matrix(edges, matrix: np.ndarray) -> np.ndarray:
     """Map raw values to bin ordinals; bin i covers (edge[i-1], edge[i]]."""
     out = np.zeros(matrix.shape, dtype=np.int32)
-    for f, e in enumerate(bins.edges):
+    for f, e in enumerate(edges):
         if e.size:
             out[:, f] = np.searchsorted(e, matrix[:, f], side="left")
     return out
 
 
 @dataclass(frozen=True)
-class BinCodes:
-    """Bin codes of a training matrix, offset so that feature f owns the
-    histogram slots [f * stride, (f + 1) * stride).
-
+class BinnedSet:
+    """A training set binned once for ``n_bins``: its labels, each feature's
+    bin edges, from which fits on it take their thresholds, and bin codes
+    offset so that feature f owns histogram slots [f * stride, (f+1) * stride).
     ``stride`` is the largest bin count, and at least 2, so every feature has
-    at least one candidate column.
-    """
+    at least one candidate column."""
 
+    labels: np.ndarray
+    n_bins: int
+    edges: tuple[np.ndarray, ...]
     codes: np.ndarray
     stride: int
 
     @classmethod
-    def of(cls, bins: BinIndex, binned: np.ndarray) -> "BinCodes":
-        stride = max(2, max((e.size + 1 for e in bins.edges), default=1))
+    def of(cls, data: LabeledMatrix, n_bins: int) -> "BinnedSet":
+        edges = fit_bins(data.features, n_bins)
+        stride = max(2, max((e.size + 1 for e in edges), default=1))
+        binned = bin_matrix(edges, data.features)
         offsets = np.arange(binned.shape[1], dtype=np.intp) * stride
-        return cls(binned.astype(np.intp) + offsets, stride)
+        codes = binned.astype(np.intp) + offsets
+        return cls(data.labels, n_bins, edges, codes, stride)
 
     def histograms(self, rows: np.ndarray, feats: np.ndarray, weights=()):
         """(features x bins) row-count histogram of one node, and one
@@ -263,9 +260,9 @@ def _pick_split(gains: np.ndarray, feats: np.ndarray):
     return int(feats[k]), int(edge[k]), float(best[k])
 
 
-def _best_split_boosted(codes, rows, g, h, feats, prm, g_sum, h_sum):
+def _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum):
     """Best (feature, edge index, gain) by second-order gain, or None."""
-    count, (gb, hb) = codes.histograms(rows, feats, (g, h))
+    count, (gb, hb) = train.histograms(rows, feats, (g, h))
     cl, gl, hl = _left_sums(count), _left_sums(gb), _left_sums(hb)
     gr = g_sum - gl
     hr = h_sum - hl
@@ -281,7 +278,7 @@ def _best_split_boosted(codes, rows, g, h, feats, prm, g_sum, h_sum):
     return _pick_split(np.where(valid, gains, -np.inf), feats)
 
 
-def _grow_boosted(codes, bins, g, h, feats, prm):
+def _grow_boosted(train: BinnedSet, g, h, feats, prm):
     """Grow one boosted tree best-first; return its root and (leaf, rows) pairs.
 
     The pending node with the highest split gain splits first, ties going to
@@ -300,7 +297,7 @@ def _grow_boosted(codes, bins, g, h, feats, prm):
         node = TreeNode(cover=h_sum)
         split = None
         if depth < max_depth:
-            split = _best_split_boosted(codes, rows, g, h, feats, prm, g_sum, h_sum)
+            split = _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
         if split is None:
             node.value = leaf_value(g_sum, h_sum, prm.l2_regularization)
             leaves.append((node, rows))
@@ -313,9 +310,9 @@ def _grow_boosted(codes, bins, g, h, feats, prm):
     n_leaves = 1
     while heap and n_leaves < max_leaves:
         _, _, node, rows, depth, (f, edge_idx, _), _ = heapq.heappop(heap)
-        mask = codes.goes_left(rows, f, edge_idx)
+        mask = train.goes_left(rows, f, edge_idx)
         node.feature = f
-        node.threshold = float(bins.edges[f][edge_idx])
+        node.threshold = float(train.edges[f][edge_idx])
         node.left = add(rows[mask], depth + 1)
         node.right = add(rows[~mask], depth + 1)
         n_leaves += 1
@@ -337,28 +334,24 @@ def _feature_subset(rng, n_features: int, fraction: float) -> np.ndarray:
     return np.sort(rng.choice(n_features, size=m, replace=False))
 
 
-def _fit_setup(data: LabeledMatrix, n_bins: int, feature_names, learner: str):
-    """Checks shared by every learner, then the bins and offset bin codes of
-    the training matrix, and the feature names (``f0, f1, ...`` if none)."""
-    x = data.features
-    counts = np.bincount(data.labels, minlength=2)
+def _fit_setup(train: BinnedSet, n_bins: int, feature_names, learner: str):
+    """Checks shared by every learner; the feature names, ``f0, f1, ...`` if none."""
+    if train.n_bins != n_bins:
+        raise ValueError(f"params ask for {n_bins} bins, the training set has {train.n_bins}")
+    counts = np.bincount(train.labels, minlength=2)
     if counts[0] == 0 or counts[1] == 0:
         raise DataError(f"{learner} requires both classes in the training data")
-    names = tuple(feature_names) if feature_names else tuple(
-        f"f{i}" for i in range(x.shape[1])
-    )
-    if len(names) != x.shape[1]:
+    width = len(train.edges)
+    names = tuple(feature_names) if feature_names else tuple(f"f{i}" for i in range(width))
+    if len(names) != width:
         raise SchemaError("feature name count does not match the matrix width")
-    bins = fit_bins(x, n_bins)
-    return bins, BinCodes.of(bins, bin_matrix(bins, x)), names
+    return names
 
 
-def fit_boosted(
-    data: LabeledMatrix, params: BoostingParams, feature_names=None
-) -> BoostedModel:
+def fit_boosted(train: BinnedSet, params: BoostingParams, feature_names=None) -> BoostedModel:
     """Train a boosted ensemble; records training log-loss after each round."""
-    bins, codes, names = _fit_setup(data, params.n_bins, feature_names, "boosting")
-    y = data.labels.astype(np.float64)
+    names = _fit_setup(train, params.n_bins, feature_names, "boosting")
+    y = train.labels.astype(np.float64)
     y_bar = float(y.mean())
     base = math.log(y_bar / (1.0 - y_bar))
     margin = np.full(y.size, base, dtype=np.float64)
@@ -370,29 +363,24 @@ def fit_boosted(
         g, h = logistic_grad_hess(p, y)
         rng = np.random.default_rng(stage_seed(params.seed, f"boost-tree-{t}"))
         feats = _feature_subset(rng, len(names), params.feature_fraction)
-        root, leaves = _grow_boosted(codes, bins, g, h, feats, params)
+        root, leaves = _grow_boosted(train, g, h, feats, params)
         for node, node_rows in leaves:
             margin[node_rows] += params.learning_rate * node.value
         trees.append(root)
         losses.append(_log_loss(y, sigmoid(margin)))
 
     return BoostedModel(
-        trees=trees,
-        base_score=base,
-        params=params,
-        bins=bins,
-        feature_names=names,
-        train_loss=tuple(losses),
+        trees=trees, base_score=base, params=params, feature_names=names, train_loss=tuple(losses)
     )
 
 
-def _best_split_gini(codes, rows, y1, feats):
+def _best_split_gini(train, rows, y1, feats):
     """Best (feature, edge index, gain) by Gini impurity decrease, or None."""
     n = rows.size
     n1 = float(y1[rows].sum())
     p1 = n1 / n
     parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
-    count, (c1,) = codes.histograms(rows, feats, (y1,))
+    count, (c1,) = train.histograms(rows, feats, (y1,))
     cl = _left_sums(count.astype(np.float64))
     c1l = _left_sums(c1)
     c1r = n1 - c1l
@@ -406,37 +394,37 @@ def _best_split_gini(codes, rows, y1, feats):
     return _pick_split(np.where((cl > 0) & (cr > 0), gains, -np.inf), feats)
 
 
-def _grow_gini(codes, bins, rows, y1, rng, prm, depth):
+def _grow_gini(train: BinnedSet, rows, y1, rng, prm, depth):
     """Depth-first: each split draws its feature subset from the tree's one
     RNG stream, so the visiting order is part of the model."""
     n = rows.size
     n1 = float(y1[rows].sum())
     if depth >= prm.max_depth or n1 == 0.0 or n1 == float(n):
         return TreeNode(value=n1 / n, cover=float(n))
-    feats = _feature_subset(rng, len(bins.edges), prm.feature_fraction)
-    best = _best_split_gini(codes, rows, y1, feats)
+    feats = _feature_subset(rng, len(train.edges), prm.feature_fraction)
+    best = _best_split_gini(train, rows, y1, feats)
     if best is None:
         return TreeNode(value=n1 / n, cover=float(n))
     f, edge_idx, _ = best
-    mask = codes.goes_left(rows, f, edge_idx)
-    node = TreeNode(feature=int(f), threshold=float(bins.edges[f][edge_idx]), cover=float(n))
-    node.left = _grow_gini(codes, bins, rows[mask], y1, rng, prm, depth + 1)
-    node.right = _grow_gini(codes, bins, rows[~mask], y1, rng, prm, depth + 1)
+    mask = train.goes_left(rows, f, edge_idx)
+    node = TreeNode(feature=int(f), threshold=float(train.edges[f][edge_idx]), cover=float(n))
+    node.left = _grow_gini(train, rows[mask], y1, rng, prm, depth + 1)
+    node.right = _grow_gini(train, rows[~mask], y1, rng, prm, depth + 1)
     return node
 
 
-def fit_forest(data: LabeledMatrix, params: ForestParams, feature_names=None) -> ForestModel:
+def fit_forest(train: BinnedSet, params: ForestParams, feature_names=None) -> ForestModel:
     """Train a bagged Gini forest; per-tree streams derive from (seed, index)."""
-    bins, codes, names = _fit_setup(data, params.n_bins, feature_names, "forest")
-    y1 = data.labels.astype(np.float64)
+    names = _fit_setup(train, params.n_bins, feature_names, "forest")
+    y1 = train.labels.astype(np.float64)
     n = y1.size
 
     trees = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(stage_seed(params.seed, f"forest-tree-{t}"))
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        trees.append(_grow_gini(codes, bins, rows, y1, rng, params, 0))
-    return ForestModel(trees=trees, params=params, bins=bins, feature_names=names)
+        trees.append(_grow_gini(train, rows, y1, rng, params, 0))
+    return ForestModel(trees=trees, params=params, feature_names=names)
 
 
 def _predict_tree(node: TreeNode, columns: np.ndarray, rows: np.ndarray, out: np.ndarray):
@@ -488,7 +476,7 @@ def predict_proba(model, matrix: np.ndarray) -> np.ndarray:
     return margin
 
 
-MODEL_FORMAT = "riskforge.model/1"
+MODEL_FORMAT = "riskforge.model/2"
 
 
 def _node_to_doc(node: TreeNode) -> dict:
@@ -531,7 +519,6 @@ def model_to_doc(model) -> dict:
         "format": MODEL_FORMAT,
         "kind": "boosted" if isinstance(model, BoostedModel) else "forest",
         "feature_names": list(model.feature_names),
-        "bin_edges": [e.tolist() for e in model.bins.edges],
         "trees": [_node_to_doc(t) for t in model.trees],
     }
     if isinstance(model, BoostedModel):
@@ -545,8 +532,7 @@ def model_to_doc(model) -> dict:
 
 def model_from_doc(doc: dict):
     if doc.get("format") != MODEL_FORMAT:
-        raise SchemaError(f"unsupported model format {doc.get('format')!r}")
-    bins = BinIndex(tuple(np.asarray(e, dtype=np.float64) for e in doc["bin_edges"]))
+        raise SchemaError(f"format {doc.get('format')!r} is not {MODEL_FORMAT!r}; run train again")
     names = tuple(doc["feature_names"])
     trees = [_node_from_doc(t, len(names)) for t in doc["trees"]]
     kinds = {"boosted": BoostingParams, "forest": ForestParams}
@@ -557,15 +543,11 @@ def model_from_doc(doc: dict):
     except TypeError as exc:  # an unknown key, or a value of the wrong type
         raise SchemaError(f"model params: {exc}") from exc
     if isinstance(params, ForestParams):
-        return ForestModel(trees=trees, params=params, bins=bins, feature_names=names)
+        return ForestModel(trees=trees, params=params, feature_names=names)
     for key in ("learning_rate", "growth"):  # readers may predict from either
         if doc.get(key) != getattr(params, key):
             raise SchemaError(f"model {key} {doc.get(key)!r} differs from its params")
     return BoostedModel(
-        trees=trees,
-        base_score=doc["base_score"],
-        params=params,
-        bins=bins,
-        feature_names=names,
+        trees=trees, base_score=doc["base_score"], params=params, feature_names=names,
         train_loss=tuple(doc.get("train_loss", ())),
     )

@@ -4,13 +4,14 @@ Candidates are the cartesian product of the grid's value lists, enumerated
 with parameter names sorted and each list kept in declared order. SMOTE,
 when enabled, is applied inside the training folds only; validation rows
 never contribute to synthesis or tree fitting. Every learner's candidates
-share each fold's SMOTE'd training set, built once per search. A candidate
-that fails to train scores -inf and is reported rather than aborting the
-search.
+share each fold's SMOTE'd training set, cut once per search and binned once
+for each ``n_bins`` that a candidate asks for. A candidate that fails to
+train scores -inf and is reported rather than aborting the search.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .sampling import LabeledMatrix, SmoteParams, smote
 from .trees import (
     GROWTH_LEAF,
     GROWTH_LEVEL,
+    BinnedSet,
     BoostingParams,
     ForestParams,
     fit_boosted,
@@ -109,9 +111,13 @@ def _build_params(kind: str, defaults: dict, overrides: dict):
 
 
 def fit_learner(kind: str, data: LabeledMatrix, params, feature_names=None):
-    if kind == LEARNER_FOREST:
-        return fit_forest(data, params, feature_names=feature_names)
-    return fit_boosted(data, params, feature_names=feature_names)
+    """Bin ``data`` for ``params.n_bins`` and fit one model on it."""
+    return _fit(kind, BinnedSet.of(data, params.n_bins), params, feature_names)
+
+
+def _fit(kind: str, train: BinnedSet, params, feature_names=None):
+    fit = fit_forest if kind == LEARNER_FOREST else fit_boosted
+    return fit(train, params, feature_names=feature_names)
 
 
 def fold_training_set(
@@ -155,9 +161,9 @@ def grid_search(
     """Cross-validate every candidate of every ``(kind, grid, defaults)``
     learner and retrain each learner's winner on the full training data.
 
-    The fold loop is outermost: each fold's training set is cut and SMOTE'd
-    once and shared by every candidate, then dropped before the next fold.
-    Returns one (search record, final model) pair per learner, in order.
+    The fold loop is outermost: each fold's training set is cut, SMOTE'd and
+    binned once, shared by every candidate, then dropped before the next
+    fold. Returns one (search record, final model) pair per learner, in order.
     """
     folds = make_folds(data.labels, plan)
     searches = [
@@ -167,17 +173,18 @@ def grid_search(
     for f in range(plan.n_folds):
         train_mask = folds != f
         fold_data = fold_training_set(data, train_mask, smote_params)
+        binned = functools.cache(functools.partial(BinnedSet.of, fold_data))  # n_bins -> set
         val_x, val_y = data.features[~train_mask], data.labels[~train_mask]
         for kind, _, defaults, candidates in searches:
             for cand in candidates:
                 if cand.error is None:
                     try:
                         params = _build_params(kind, defaults, cand.params)
-                        probs = predict_proba(fit_learner(kind, fold_data, params), val_x)
+                        probs = predict_proba(_fit(kind, binned(params.n_bins), params), val_x)
                         cand.fold_scores.append(score_predictions(metric, val_y, probs))
                     except DataError as exc:
                         cand.error = str(exc)
-        del fold_data
+        del fold_data, binned
 
     winners = []
     for kind, grid, defaults, candidates in searches:
@@ -197,8 +204,9 @@ def grid_search(
         winners.append((kind, result, _build_params(kind, defaults, best.params)))
 
     final_data = fold_training_set(data, slice(None), smote_params)
+    binned = functools.cache(functools.partial(BinnedSet.of, final_data))
     return [
-        (result, fit_learner(kind, final_data, params, feature_names=feature_names))
+        (result, _fit(kind, binned(params.n_bins), params, feature_names))
         for kind, result, params in winners
     ]
 

@@ -9,6 +9,7 @@ configuration; individual criteria read its artifacts.
 import contextlib
 import filecmp
 import functools
+import hashlib
 import io
 import json
 import os
@@ -35,7 +36,6 @@ from riskforge.metrics import roc_auc
 from riskforge.risk import RiskConfig, amortized_payment, assess, band_for
 from riskforge.sampling import LabeledMatrix, SmoteParams, smote
 from riskforge.trees import (
-    BinIndex,
     BoostedModel,
     BoostingParams,
     ForestModel,
@@ -128,17 +128,15 @@ def _random_small_model(rng):
         root, leaves = tree(15, float(rng.uniform(20, 200)))
         assert leaves <= 15
         trees.append(root)
-    bins = BinIndex(tuple(np.empty(0) for _ in range(d)))
     names = tuple(f"f{i}" for i in range(d))
     if rng.random() < 0.5:
         return BoostedModel(
             trees=trees,
             base_score=float(rng.normal()),
             params=BoostingParams(learning_rate=float(rng.uniform(0.05, 1.0))),
-            bins=bins,
             feature_names=names,
         )
-    return ForestModel(trees=trees, params=ForestParams(), bins=bins, feature_names=names)
+    return ForestModel(trees=trees, params=ForestParams(), feature_names=names)
 
 
 @criterion(1, "SHAP oracle equivalence")
@@ -314,6 +312,58 @@ def _tree_files(root):
             path = os.path.join(dirpath, name)
             out[os.path.relpath(path, root)] = path
     return out
+
+#: SHA-256 of every file the ``corpus_run`` fixture writes under ``corpus/``
+#: and ``out/``, recorded with numpy 2.4.6 on x86-64; another numpy build or
+#: CPU may change last-bit float results. A change that moves a byte of the
+#: default run re-records the entries it moved and names each one in
+#: CHANGES.md with the reason.
+DEFAULT_RUN_GOLDEN = {
+    "corpus/application_test.csv": "a0eb081dbb7b11255f789c7f3b4de4c779d94853bb3e9f0ac78b3b1ecc6060be",
+    "corpus/application_train.csv": "b37f52eaf33b8e31fe8605e8ff68bfa21138b35908daaba33a922673a049f118",
+    "corpus/bureau.csv": "bfc18621405a2a8c0171731d47b4b31f40eb46d902975d50fc69918b4ebbfac4",
+    "corpus/ground_truth.json": "eaf7a11d102c0baec270be634f9e0dc2025ff5827e5660877ffb3bc61175a1a2",
+    "corpus/payments.csv": "7b4a8a67db969a24a1550387e0d8b8d41ca8fd71fa81cf0a9ee3b821d127f832",
+    "out/applicants/8001/charts/lime.svg": "a101222fc32b75da48cd81190ad14ac27cd6aa6178bc636ad4208d470da23fa9",
+    "out/applicants/8001/charts/shap.svg": "c6a28ecc876876c382fa13c9307cb20f857820077958b139a16558b11a077803",
+    "out/applicants/8001/report.html": "c96dc6a9b8e41180c696d923a22e2ee5455ef166553262e3507c6b47e6094673",
+    "out/applicants/8001/report.json": "675ea30aee55f4663e7b665030a4ef4e3c4592721ec85b98747224c7c46bc5cb",
+    "out/applicants/8002/charts/lime.svg": "5fd040a7ea947e626a80fbfc8b8c1ad30a678e529197c411c58fac8fcf3e5f2a",
+    "out/applicants/8002/charts/shap.svg": "e992d620066c2a02f4e9c74b1b794a58b758ee470d3f3adf6fdc585690c7a71b",
+    "out/applicants/8002/report.html": "b880c4cc31e5df0f42d10a310074b33d42b6d7516645d67bd5a52c6b3c03bd0d",
+    "out/applicants/8002/report.json": "76643aadfb50bca6e83ac685f5f80641bc0dee0c6cba92456f38216a37fe00c5",
+    "out/applicants/8003/charts/lime.svg": "0198913a7353ee84bbe3638a45c95c786a1e44cccb1b29b1ed5f81c0b6c0bea3",
+    "out/applicants/8003/charts/shap.svg": "3f7514556114d0b3a20f8c106a96dfbd7c315694888be10d4521c34596a033a8",
+    "out/applicants/8003/report.html": "70e217ed4e1d30671cd854bd9eae1af3af8db171d4da234f2729a50a30a76866",
+    "out/applicants/8003/report.json": "5e4abb35250835405a4012ade4180837f0d7adbaa7e5daff8077f31999f1ffe2",
+    "out/business_impact.html": "4446609e68b36f271d9e75b92d89819abba319578f5d007884a1aca0e694f19d",
+    "out/business_impact.json": "5ada22cb09f7041de05358c66da806a5118730e3e51f47ee1dc95b4710b5152c",
+    "out/evaluation.json": "1ea7ca2067471068b10961b10890f1cb476a0b7723bcdc008c44cc892398558d",
+    "out/models/boosted_leafwise.json": "4d300b059fc4a8bf5d4797714fee564f4a17124727c2e1c627e2c850f7d175a1",
+    "out/models/boosted_leafwise_search.json": "ec4a0c6beea412c0630b390d6e66608bcf4ae2ba69b413766f2ebe07d6d91a36",
+    "out/models/boosted_levelwise.json": "520abc77fc4cdf308b21483670f5a8157186078c3b431f8756202190606abe91",
+    "out/models/boosted_levelwise_search.json": "a1fc352ba7d0ab3043e2f51451cf1c45ddd7e73d1c9af5cce1565818eaf9acc8",
+    "out/models/forest.json": "8c7e8be893f032c6dc7ecbdaa76f43f8661a3d06184cc8b2681b5cdaffcc8aaa",
+    "out/models/forest_search.json": "97617b2ab56b8239485f72d88f3744eb0983ae8324cf8b016311d1745c417291",
+    "out/prepared/feature_stats.csv": "3fe1c2e93cec0c2c7a503b7d17e2951aa25e40d81f1dc4d0c51675652d18e168",
+    "out/prepared/pipeline.json": "5c0907c1d767ff0912e0aacbb8e9b45d8f441f85f675a5a288cab2f20da548e5",
+    "out/prepared/test_features.csv": "31afd71ae07de45f18d81d2275b2810eaf230f5491e59c8abcc813cfbf572221",
+    "out/prepared/test_labels.csv": "376d7e92dd376829ec5195e82da4525f83d834d4f6723bedb2eab45f3fabf4e8",
+    "out/prepared/test_loans.csv": "cda2ad6c1c09a9a72fd49d1568a16d1742854da9948d9888fa1b0bb903377b3a",
+    "out/prepared/train_features.csv": "9eee3f40c50f86ad47d084f2fd409ce9656d245ebfb75760e07f176c5ba79bac",
+    "out/prepared/train_labels.csv": "32e98bea8d54a585e777e5a8ce8114ee5c84d3b17dcca0a53af28bfaae96b123",
+    "out/xai_report.html": "e4739fae09ad9829e4d9391caa33472b6721a07682b85fdeb8705171cb9cadd7",
+    "out/xai_report.json": "044e646ed209cb7c36c1de6adfe92ca4ea56319fe564391d099bb37cb0c26432",
+}
+
+
+def test_default_run_matches_golden(corpus_run):
+    digests = {}
+    for name in ("corpus", "out"):
+        for rel, path in _tree_files(corpus_run[name]).items():
+            with open(path, "rb") as fh:
+                digests[f"{name}/{rel}"] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == DEFAULT_RUN_GOLDEN
 
 
 @criterion(10, "byte-identical output trees for identical config and seed")

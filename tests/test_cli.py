@@ -190,16 +190,18 @@ class TestTrain:
         assert code == 2 and "k=1000 must be below the minority count" in line
         assert not (tmp_path / "out" / "models").exists()
 
-    def test_failed_grid_search_names_learner_and_first_error(self, workdir, tmp_path, capsys):
+    def test_bad_learner_param_exits_2_before_any_fold(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
         p, cfg = _train_config(workdir, tmp_path)
         cfg["models"]["boosted_levelwise"]["params"]["n_trees"] = 0
         p.write_text(json.dumps(cfg))
+        monkeypatch.setattr(tuning, "smote", lambda *args: pytest.fail("a fold was SMOTE'd"))
         capsys.readouterr()
         code = main(["train", "--config", str(p)])
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
         assert code == 2
-        assert "'boosted_levelwise' failed to train" in line
-        assert "the first failed with: n_trees must be >= 1" in line
+        assert line == "error: models.boosted_levelwise.params: n_trees must be >= 1"
         assert not (tmp_path / "out" / "models").exists()
 
     def test_training_before_prepare_exits_2(self, tmp_path, capsys):
@@ -694,6 +696,32 @@ class TestCorruptStageFiles:
         assert code == 2 and line.startswith(f"error: {model_path}: ")
         assert "run train again" in line
 
+    @pytest.mark.parametrize("command", ["evaluate", "assess"])
+    def test_format_1_model_exits_2(self, workdir, tmp_path, capsys, command):
+        """Format-1 model files held every feature's bin edges; format 2
+        holds trees and params only, so a format-1 file needs a new train."""
+        root, config_path = workdir
+        out = tmp_path / "out"
+        for sub in ("prepared", "models"):
+            shutil.copytree(root / "out" / sub, out / sub)
+        path = out / "models" / "forest.json"
+        doc = json.loads(path.read_text())
+        doc["format"] = "riskforge.model/1"
+        doc["bin_edges"] = [[0.5] for _ in doc["feature_names"]]
+        path.write_text(json.dumps(doc))
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(out)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main([command, "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2
+        assert line == (
+            f"error: {path}: format 'riskforge.model/1' is not "
+            "'riskforge.model/2'; run train again"
+        )
+
     def test_empty_features_file_exits_2(self, workdir, tmp_path, capsys):
         root, config_path = workdir
         shutil.copytree(root / "out" / "prepared", tmp_path / "out" / "prepared")
@@ -936,6 +964,9 @@ class TestConfig:
             ("smote.k", 0, "smote: k must be >= 1, got 0"),
             ("cv.n_folds", 1, "cv: cross-validation needs at least 2 folds"),
             ("explain.lime.top_k", 0, "explain.lime: top_k must be >= 1"),
+            ("models.boosted_levelwise.params.n_trees", 0,
+             "models.boosted_levelwise.params: n_trees must be >= 1"),
+            ("models.forest.grid.n_bins", [1], "models.forest.grid: n_bins must be >= 2"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -946,7 +977,7 @@ class TestConfig:
             "smote-seed-is-fixed", "integer-beyond-float-range", "metric-unknown",
             "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
             "band-rule-negative-term", "band-rule-negative-collateral", "smote-k-zero",
-            "cv-one-fold", "lime-top-k-zero",
+            "cv-one-fold", "lime-top-k-zero", "model-param-zero-trees", "grid-one-bin",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from shap_oracle import oracle_phi
 from test_acceptance import _random_small_model
-from test_trees import GOLDEN_DIGESTS, golden_data
+from test_trees import GOLDEN_DIGESTS, fit, golden_data
 
 from riskforge.errors import DataError, SchemaError
 from riskforge.explain import (
@@ -17,34 +17,26 @@ from riskforge.explain import (
 )
 from riskforge.sampling import LabeledMatrix
 from riskforge.trees import (
-    BinIndex,
     BoostedModel,
     BoostingParams,
     ForestModel,
     ForestParams,
     TreeNode,
-    fit_boosted,
-    fit_forest,
     predict_margin,
 )
 from riskforge.utils import sigmoid
 
 
-def empty_bins(d):
-    return BinIndex(tuple(np.empty(0) for _ in range(d)))
-
-
 def boosted(trees, d, eta=1.0, base=0.0):
     return BoostedModel(
         trees=trees, base_score=base, params=BoostingParams(learning_rate=eta),
-        bins=empty_bins(d),
         feature_names=tuple(f"f{i}" for i in range(d)),
     )
 
 
 def forest(trees, d):
     return ForestModel(
-        trees=trees, params=ForestParams(), bins=empty_bins(d),
+        trees=trees, params=ForestParams(),
         feature_names=tuple(f"f{i}" for i in range(d)),
     )
 
@@ -148,7 +140,7 @@ class TestShapProperties:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(400, 6))
         y = (rng.random(400) < sigmoid(x[:, 0] - x[:, 1])).astype(int)
-        model = fit_boosted(LabeledMatrix(x, y), BoostingParams(n_trees=20, seed=0))
+        model = fit(LabeledMatrix(x, y), BoostingParams(n_trees=20, seed=0))
         explainer = TreeShapExplainer(model)
         margins = predict_margin(model, x[:50])
         for i in range(50):
@@ -300,7 +292,7 @@ class TestLime:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(300, 3))
         y = (rng.random(300) < sigmoid(2 * x[:, 0])).astype(int)
-        model = fit_boosted(LabeledMatrix(x, y), BoostingParams(n_trees=10, seed=0))
+        model = fit(LabeledMatrix(x, y), BoostingParams(n_trees=10, seed=0))
         exp = lime_explain(
             model, x[0], (x.mean(axis=0), x.std(axis=0)),
             LimeParams(n_samples=1000, seed=5),
@@ -312,7 +304,6 @@ class TestLime:
 
 def golden_model(learner):
     params, _ = GOLDEN_DIGESTS[learner]
-    fit = fit_forest if isinstance(params, ForestParams) else fit_boosted
     return fit(golden_data(), params)
 
 

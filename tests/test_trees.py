@@ -10,8 +10,7 @@ from riskforge.sampling import LabeledMatrix
 from riskforge.trees import (
     GROWTH_LEAF,
     GROWTH_LEVEL,
-    BinCodes,
-    BinIndex,
+    BinnedSet,
     BoostedModel,
     BoostingParams,
     ForestModel,
@@ -49,6 +48,13 @@ def random_data(n=400, d=5, seed=0):
     margin = -1.0 + 1.3 * x[:, 0] - 0.9 * x[:, 1]
     y = (rng.random(n) < sigmoid(margin)).astype(int)
     return LabeledMatrix(x, y)
+
+
+def fit(data, params):
+    """The model of ``params``' learner, fitted on ``data`` binned for
+    ``params.n_bins``."""
+    learner = fit_forest if isinstance(params, ForestParams) else fit_boosted
+    return learner(BinnedSet.of(data, params.n_bins), params)
 
 
 class TestGradHess:
@@ -102,29 +108,28 @@ class TestBins:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(500, 3))
         x[:, 1] = np.round(x[:, 1])  # heavy ties
-        bins = fit_bins(x, 16)
-        for e in bins.edges:
+        for e in fit_bins(x, 16):
             assert np.all(np.diff(e) > 0)
 
     def test_every_value_maps_to_exactly_one_bin(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(200, 2))
-        bins = fit_bins(x, 8)
-        codes = bin_matrix(bins, x)
+        edges = fit_bins(x, 8)
+        codes = bin_matrix(edges, x)
         for f in range(2):
             assert codes[:, f].min() >= 0
-            assert codes[:, f].max() <= len(bins.edges[f])
+            assert codes[:, f].max() <= len(edges[f])
 
     def test_constant_feature_gets_no_edges(self):
         x = np.ones((10, 1))
-        assert fit_bins(x, 8).edges[0].size == 0
+        assert fit_bins(x, 8)[0].size == 0
 
     def test_threshold_routing_matches_binning(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(300, 1))
-        bins = fit_bins(x, 8)
-        codes = bin_matrix(bins, x)[:, 0]
-        for i, edge in enumerate(bins.edges[0]):
+        edges = fit_bins(x, 8)
+        codes = bin_matrix(edges, x)[:, 0]
+        for i, edge in enumerate(edges[0]):
             left_by_value = x[:, 0] <= edge
             left_by_code = codes <= i
             assert np.array_equal(left_by_value, left_by_code)
@@ -147,13 +152,12 @@ def per_feature_histograms(binned, rows, feats, stride, weights):
 class TestHistograms:
     """The (features x bins) kernel against per-feature bincounts, bit for bit."""
 
-    def check(self, x, rows, feats, weights, bins=None):
-        bins = fit_bins(x, 16) if bins is None else bins
-        binned = bin_matrix(bins, x)
-        codes = BinCodes.of(bins, binned)
-        count, weighted = codes.histograms(rows, np.asarray(feats), weights)
+    def check(self, x, rows, feats, weights, n_bins=16):
+        train = BinnedSet.of(LabeledMatrix(x, np.zeros(len(x), dtype=int)), n_bins)
+        binned = bin_matrix(train.edges, x)
+        count, weighted = train.histograms(rows, np.asarray(feats), weights)
         ref_count, ref_weighted = per_feature_histograms(
-            binned, rows, feats, codes.stride, weights
+            binned, rows, feats, train.stride, weights
         )
         assert np.array_equal(count, ref_count)
         assert len(weighted) == len(weights)
@@ -162,17 +166,16 @@ class TestHistograms:
         return count, weighted
 
     def test_single_row(self):
-        bins = BinIndex((np.array([0.5]),))
-        (c,), ((g,), (h,)) = self.check(
-            np.array([[0.7]]), np.array([0]), [0], (np.array([0.3]), np.array([0.2])), bins
-        )
+        x = np.array([[0.3], [0.7]])  # one edge, 0.5; row 1 lies above it
+        w = (np.array([9.0, 0.3]), np.array([9.0, 0.2]))
+        (c,), ((g,), (h,)) = self.check(x, np.array([1]), [0], w)
         assert g.tolist() == [0.0, 0.3] and h.tolist() == [0.0, 0.2]
         assert c.tolist() == [0, 1]
 
     def test_same_bin_rows_aggregate(self):
-        bins = BinIndex((np.array([0.5]),))  # both rows fall below the only edge
-        w = (np.array([1.0, 2.0]), np.array([0.1, 0.2]))
-        (c,), ((g,), (h,)) = self.check(np.array([[0.1], [0.2]]), np.array([0, 1]), [0], w, bins)
+        x = np.array([[0.1], [0.2], [0.9]])  # two bins: the median, 0.2, is the edge
+        w = (np.array([1.0, 2.0, 9.0]), np.array([0.1, 0.2, 9.0]))
+        (c,), ((g,), (h,)) = self.check(x, np.array([0, 1]), [0], w, n_bins=2)
         assert g[0] == 3.0 and h[0] == 0.1 + 0.2 and c[0] == 2
 
     def test_partition_identity(self):
@@ -200,10 +203,9 @@ class TestHistograms:
         assert count[1, 0] == 60 and count[1, 1:].sum() == 0
 
     def test_stride_is_at_least_two(self):
-        bins = BinIndex((np.empty(0), np.empty(0)))
-        codes = BinCodes.of(bins, bin_matrix(bins, np.ones((4, 2))))
-        assert codes.stride == 2
-        assert codes.codes[:, 1].tolist() == [2] * 4
+        train = BinnedSet.of(LabeledMatrix(np.ones((4, 2)), np.zeros(4, dtype=int)), 8)
+        assert train.stride == 2
+        assert train.codes[:, 1].tolist() == [2] * 4
 
 
 def walk(node, fn):
@@ -225,31 +227,31 @@ class TestBoosted:
     @pytest.mark.parametrize("growth", [GROWTH_LEVEL, GROWTH_LEAF])
     def test_separable_data_reaches_full_accuracy(self, growth):
         data = separable_1d()
-        model = fit_boosted(data, BoostingParams(n_trees=10, growth=growth, seed=0))
+        model = fit(data, BoostingParams(n_trees=10, growth=growth, seed=0))
         pred = (predict_proba(model, data.features) >= 0.5).astype(int)
         assert np.array_equal(pred, data.labels)
 
     def test_base_score_is_log_odds_of_prior(self):
         data = random_data()
-        model = fit_boosted(data, BoostingParams(n_trees=1, seed=0))
+        model = fit(data, BoostingParams(n_trees=1, seed=0))
         ybar = data.labels.mean()
         assert model.base_score == pytest.approx(math.log(ybar / (1 - ybar)))
 
     @pytest.mark.parametrize("growth", [GROWTH_LEVEL, GROWTH_LEAF])
     def test_train_loss_never_increases(self, growth):
         data = random_data(seed=5)
-        model = fit_boosted(data, BoostingParams(n_trees=40, growth=growth, seed=1))
+        model = fit(data, BoostingParams(n_trees=40, growth=growth, seed=1))
         losses = np.array(model.train_loss)
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_leafwise_round_no_worse_than_levelwise_at_equal_leaves(self):
         data = random_data(n=800, d=6, seed=9)
         depth = 3
-        level = fit_boosted(
+        level = fit(
             data,
             BoostingParams(n_trees=1, max_depth=depth, growth=GROWTH_LEVEL, seed=2),
         )
-        leaf = fit_boosted(
+        leaf = fit(
             data,
             BoostingParams(
                 n_trees=1, max_leaves=2**depth, growth=GROWTH_LEAF, seed=2
@@ -262,17 +264,17 @@ class TestBoosted:
         # root from raw sums and compare with the split the grower picked.
         data = random_data(n=300, d=4, seed=3)
         prm = BoostingParams(n_trees=1, max_depth=1, growth=GROWTH_LEVEL, seed=0)
-        model = fit_boosted(data, prm)
+        model = fit(data, prm)
         root = model.trees[0]
         assert not root.is_leaf
         p0 = sigmoid(model.base_score)
         g = p0 - data.labels.astype(float)
         h = np.full_like(g, p0 * (1 - p0))
-        bins = model.bins
+        edges = fit_bins(data.features, prm.n_bins)
         best = -np.inf
         arg = None
         for f in range(4):
-            for i, edge in enumerate(bins.edges[f]):
+            for edge in edges[f]:
                 left = data.features[:, f] <= edge
                 if left.sum() == 0 or left.sum() == len(g):
                     continue
@@ -287,8 +289,9 @@ class TestBoosted:
 
     def test_every_threshold_is_a_bin_edge(self):
         data = random_data(n=500, d=4, seed=6)
-        model = fit_boosted(data, BoostingParams(n_trees=5, seed=1))
-        edges = [set(e.tolist()) for e in model.bins.edges]
+        prm = BoostingParams(n_trees=5, seed=1)
+        model = fit(data, prm)
+        edges = [set(e.tolist()) for e in fit_bins(data.features, prm.n_bins)]
 
         def check(node):
             if not node.is_leaf:
@@ -299,7 +302,7 @@ class TestBoosted:
 
     def test_cover_bookkeeping(self):
         data = random_data(n=500, d=4, seed=7)
-        model = fit_boosted(data, BoostingParams(n_trees=5, seed=1))
+        model = fit(data, BoostingParams(n_trees=5, seed=1))
 
         def check(node):
             if not node.is_leaf:
@@ -313,7 +316,7 @@ class TestBoosted:
     def test_max_leaves_respected(self):
         # Leaf-wise growth has a leaf budget and no depth cap.
         data = random_data(n=600, d=5, seed=8)
-        model = fit_boosted(
+        model = fit(
             data,
             BoostingParams(
                 n_trees=3, max_leaves=7, max_depth=2, growth=GROWTH_LEAF, seed=0
@@ -325,7 +328,7 @@ class TestBoosted:
     def test_levelwise_caps_depth_not_leaves(self):
         # Level-wise growth has a depth cap and no leaf budget.
         data = random_data(n=600, d=5, seed=8)
-        model = fit_boosted(
+        model = fit(
             data,
             BoostingParams(
                 n_trees=3, max_depth=3, max_leaves=2, growth=GROWTH_LEVEL, seed=0
@@ -344,7 +347,7 @@ class TestBoosted:
         y = (half[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
         x = np.column_stack([np.repeat([0.0, 1.0], 60), np.vstack([half, half])])
         data = LabeledMatrix(x, np.concatenate([y, 1 - y]))
-        model = fit_boosted(
+        model = fit(
             data, BoostingParams(n_trees=1, max_leaves=3, growth=GROWTH_LEAF, seed=0)
         )
         root = model.trees[0]
@@ -354,13 +357,13 @@ class TestBoosted:
     def test_fixed_seed_byte_identical_docs(self):
         data = random_data(seed=10)
         prm = BoostingParams(n_trees=8, seed=77, feature_fraction=0.6)
-        doc1 = json.dumps(model_to_doc(fit_boosted(data, prm)), sort_keys=True)
-        doc2 = json.dumps(model_to_doc(fit_boosted(data, prm)), sort_keys=True)
+        doc1 = json.dumps(model_to_doc(fit(data, prm)), sort_keys=True)
+        doc2 = json.dumps(model_to_doc(fit(data, prm)), sort_keys=True)
         assert doc1 == doc2
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="both classes"):
-            fit_boosted(
+            fit(
                 LabeledMatrix(np.zeros((10, 2)), np.zeros(10, dtype=int)),
                 BoostingParams(n_trees=1),
             )
@@ -387,14 +390,10 @@ def stump(feature, threshold, left_value, right_value, cover=(1.0, 1.0)):
     return node
 
 
-def empty_bins(d):
-    return BinIndex(tuple(np.empty(0) for _ in range(d)))
-
-
 class TestPredict:
     def test_zero_tree_boosted_predicts_sigmoid_base(self):
         model = BoostedModel(
-            trees=[], base_score=-1.5, params=BoostingParams(), bins=empty_bins(2),
+            trees=[], base_score=-1.5, params=BoostingParams(),
             feature_names=("a", "b"),
         )
         probs = predict_proba(model, np.zeros((3, 2)))
@@ -403,7 +402,7 @@ class TestPredict:
     def test_learning_rate_comes_from_params(self):
         model = BoostedModel(
             trees=[stump(0, 0.0, -3.0, 3.0)], base_score=0.4,
-            params=BoostingParams(learning_rate=0.25), bins=empty_bins(1),
+            params=BoostingParams(learning_rate=0.25),
             feature_names=("a",),
         )
         margin = predict_margin(model, np.array([[-1.0], [1.0]]))
@@ -415,14 +414,14 @@ class TestPredict:
     def test_forest_prediction_is_mean_of_trees(self):
         model = ForestModel(
             trees=[stump(0, 0.0, 0.2, 0.2), stump(0, 0.0, 0.6, 0.6)],
-            params=ForestParams(), bins=empty_bins(1), feature_names=("a",),
+            params=ForestParams(), feature_names=("a",),
         )
         assert predict_proba(model, np.array([[5.0]])) == pytest.approx([0.4])
 
     def test_width_mismatch_rejected(self):
         model = ForestModel(
             trees=[stump(0, 0.0, 0.1, 0.9)],
-            params=ForestParams(), bins=empty_bins(1), feature_names=("a",),
+            params=ForestParams(), feature_names=("a",),
         )
         with pytest.raises(SchemaError, match="columns"):
             predict_proba(model, np.zeros((2, 3)))
@@ -451,12 +450,12 @@ def random_models(seed):
     names = tuple(f"f{i}" for i in range(N_FEATURES))
     boosted = BoostedModel(
         trees=[random_tree(rng, 5) for _ in range(7)], base_score=float(rng.normal()),
-        params=BoostingParams(learning_rate=0.3), bins=empty_bins(N_FEATURES),
+        params=BoostingParams(learning_rate=0.3),
         feature_names=names,
     )
     forest = ForestModel(
         trees=[random_tree(rng, 5) for _ in range(5)], params=ForestParams(),
-        bins=empty_bins(N_FEATURES), feature_names=names,
+        feature_names=names,
     )
     return boosted, forest
 
@@ -537,7 +536,7 @@ class TestPredictMatchesScalarWalk:
 class TestForest:
     def test_single_tree_no_bootstrap_fits_separable_data(self):
         data = separable_1d()
-        model = fit_forest(
+        model = fit(
             data,
             ForestParams(n_trees=1, max_depth=4, feature_fraction=1.0, bootstrap=False, seed=0),
         )
@@ -550,7 +549,7 @@ class TestForest:
         # the grower picked.
         data = random_data(n=300, d=4, seed=3)
         prm = ForestParams(n_trees=1, max_depth=1, feature_fraction=1.0, bootstrap=False, seed=0)
-        model = fit_forest(data, prm)
+        model = fit(data, prm)
         root = model.trees[0]
         assert not root.is_leaf
         y = data.labels.astype(float)
@@ -562,7 +561,7 @@ class TestForest:
         best = -np.inf
         arg = None
         for f in range(4):
-            for edge in model.bins.edges[f]:
+            for edge in fit_bins(data.features, prm.n_bins)[f]:
                 left = data.features[:, f] <= edge
                 if left.sum() == 0 or left.sum() == len(y):
                     continue
@@ -578,7 +577,7 @@ class TestForest:
         # (bootstrap off so the per-tree prior equals the data prior).
         x = np.ones((40, 3))
         y = np.array([1] * 10 + [0] * 30)
-        model = fit_forest(
+        model = fit(
             LabeledMatrix(x, y), ForestParams(n_trees=5, bootstrap=False, seed=1)
         )
         assert predict_proba(model, x[:1])[0] == pytest.approx(0.25)
@@ -586,13 +585,13 @@ class TestForest:
     def test_same_seed_identical_model_doc(self):
         data = random_data(seed=11)
         prm = ForestParams(n_trees=6, max_depth=4, feature_fraction=0.5, seed=3)
-        a = json.dumps(model_to_doc(fit_forest(data, prm)), sort_keys=True)
-        b = json.dumps(model_to_doc(fit_forest(data, prm)), sort_keys=True)
+        a = json.dumps(model_to_doc(fit(data, prm)), sort_keys=True)
+        b = json.dumps(model_to_doc(fit(data, prm)), sort_keys=True)
         assert a == b
 
     def test_leaf_values_are_class_fractions(self):
         data = random_data(seed=12)
-        model = fit_forest(data, ForestParams(n_trees=3, max_depth=3, seed=0))
+        model = fit(data, ForestParams(n_trees=3, max_depth=3, seed=0))
 
         def check(node):
             if node.is_leaf:
@@ -603,7 +602,7 @@ class TestForest:
 
     def test_forest_cover_bookkeeping(self):
         data = random_data(seed=13)
-        model = fit_forest(data, ForestParams(n_trees=3, max_depth=4, seed=0))
+        model = fit(data, ForestParams(n_trees=3, max_depth=4, seed=0))
 
         def check(node):
             if not node.is_leaf:
@@ -614,7 +613,7 @@ class TestForest:
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="both classes"):
-            fit_forest(
+            fit(
                 LabeledMatrix(np.zeros((10, 2)), np.ones(10, dtype=int)),
                 ForestParams(n_trees=1),
             )
@@ -623,7 +622,7 @@ class TestForest:
 class TestSerialization:
     def test_boosted_round_trip_predictions(self):
         data = random_data(seed=14)
-        model = fit_boosted(data, BoostingParams(n_trees=6, seed=5))
+        model = fit(data, BoostingParams(n_trees=6, seed=5))
         back = model_from_doc(json.loads(json.dumps(model_to_doc(model))))
         assert np.array_equal(
             predict_proba(model, data.features), predict_proba(back, data.features)
@@ -631,7 +630,7 @@ class TestSerialization:
 
     def test_forest_round_trip_predictions(self):
         data = random_data(seed=15)
-        model = fit_forest(data, ForestParams(n_trees=4, max_depth=4, seed=5))
+        model = fit(data, ForestParams(n_trees=4, max_depth=4, seed=5))
         back = model_from_doc(json.loads(json.dumps(model_to_doc(model))))
         assert np.array_equal(
             predict_proba(model, data.features), predict_proba(back, data.features)
@@ -649,7 +648,7 @@ class TestSerialization:
         ],
     )
     def test_top_level_copy_must_match_params(self, key, value, needle):
-        doc = model_to_doc(fit_boosted(random_data(seed=16), BoostingParams(n_trees=2)))
+        doc = model_to_doc(fit(random_data(seed=16), BoostingParams(n_trees=2)))
         doc[key] = value
         with pytest.raises(SchemaError, match=needle):
             model_from_doc(doc)
@@ -670,7 +669,7 @@ class TestSerialization:
     )
     def test_corrupt_tree_node_is_schema_error(self, edit, needle):
         data = random_data(d=3, seed=17)
-        model = fit_forest(data, ForestParams(n_trees=1, max_depth=3, seed=5))
+        model = fit(data, ForestParams(n_trees=1, max_depth=3, seed=5))
         doc = model_to_doc(model)
         assert len(doc["feature_names"]) == 3 and "feature" in doc["trees"][0]
         edit(doc["trees"][0])
@@ -696,17 +695,17 @@ GOLDEN_DIGESTS = {
             n_trees=5, max_leaves=7, n_bins=16, feature_fraction=0.75, seed=3,
             growth=GROWTH_LEAF,
         ),
-        "a071ca74eb31c7582e7ce50a5cd540abc6deed2a3c6011bca278df54bca28ea3",
+        "ff92d45394aa935b8535e5eceef15280f794dd58ef25b814a190616b4f8728fb",
     ),
     "level_wise": (
         BoostingParams(
             n_trees=5, max_depth=3, min_child_weight=0.5, seed=3, growth=GROWTH_LEVEL
         ),
-        "3521d475b505f850128d7cdef792060ced1334b848da37df13128b68138b9490",
+        "2d13542b41ca97891ce7d77436aa7f1f911dbc7eaa70780029dc5776ac9bdd04",
     ),
     "forest": (
         ForestParams(n_trees=4, max_depth=4, feature_fraction=0.5, seed=3),
-        "4cf0a66157566a67a521669517e0e4368c001990fd7d0fff23ba6938e9e2c2ed",
+        "471f373e5dc4929061e85c56b2ea29b1d1b7879fbe4a5476bf28b575b2286d8f",
     ),
 }
 
@@ -714,6 +713,5 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("learner", sorted(GOLDEN_DIGESTS))
 def test_model_doc_matches_golden_digest(learner):
     params, expected = GOLDEN_DIGESTS[learner]
-    fit = fit_forest if isinstance(params, ForestParams) else fit_boosted
     doc = json.dumps(model_to_doc(fit(golden_data(), params)))
     assert hashlib.sha256(doc.encode()).hexdigest() == expected

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from riskforge import trees
 from riskforge.errors import ConfigError, DataError
 from riskforge.sampling import LabeledMatrix, SmoteParams
 from riskforge.trees import model_to_doc, predict_proba
@@ -208,7 +210,11 @@ class TestGridSearch:
 
     def test_all_candidates_failing_is_an_error(self):
         data = make_data(seed=8)
-        with pytest.raises(DataError, match="every grid candidate"):
+        message = (
+            "every grid candidate of 'boosted_leafwise' failed to train; "
+            "the first failed with: learning_rate must be in (0, 1]"
+        )
+        with pytest.raises(DataError, match=re.escape(message)):
             search_one(
                 data,
                 {"learning_rate": [5.0]},
@@ -245,6 +251,55 @@ class TestGridSearch:
                 metric="brier",
                 defaults={"n_trees": 2},
             )
+
+
+class TestSharedBinning:
+    def test_each_training_set_binned_once_per_n_bins(self, monkeypatch):
+        """Candidates share a training set's bins only when they ask for the
+        same ``n_bins``: 8 and 16 each get their own, and the two level-wise
+        candidates and the forest share the default 255. Sharing changes no
+        byte: every fold score and final model equals a lone ``fit_learner``
+        on a freshly cut training set."""
+        data = make_data(seed=13)
+        plan = CvPlan(n_folds=3, seed=1)
+        smote = SmoteParams(k=3, seed=2)
+        learners = [
+            (LEARNER_LEAFWISE, {"n_bins": [8, 16]}, {"n_trees": 3, "seed": 4}),
+            (LEARNER_LEVELWISE, {"max_depth": [2, 3]}, {"n_trees": 3, "seed": 5}),
+            (LEARNER_FOREST, {}, {"n_trees": 2, "max_depth": 3, "seed": 6}),
+        ]
+        calls = []
+        fit_bins = trees.fit_bins
+
+        def counting_fit_bins(matrix, n_bins):
+            calls.append(n_bins)
+            return fit_bins(matrix, n_bins)
+
+        monkeypatch.setattr(trees, "fit_bins", counting_fit_bins)
+        searches = grid_search(data, learners, plan, smote_params=smote)
+        monkeypatch.undo()
+
+        # Each fold set is binned for every n_bins a candidate asks for, the
+        # refit set only for the n_bins its winners ask for.
+        winners = {_build_params(kind, d, r.best_params).n_bins
+                   for (kind, _, d), (r, _) in zip(learners, searches)}
+        assert len(winners) == 2
+        assert sorted(calls) == sorted([8, 16, 255] * plan.n_folds + list(winners))
+
+        folds = make_folds(data.labels, plan)
+        for (kind, _, defaults), (result, final) in zip(learners, searches):
+            for cand in result.candidates:
+                params = _build_params(kind, defaults, cand.params)
+                scores = []
+                for f in range(plan.n_folds):
+                    mask = folds != f
+                    model = fit_learner(kind, fold_training_set(data, mask, smote), params)
+                    probs = predict_proba(model, data.features[~mask])
+                    scores.append(score_predictions("roc_auc", data.labels[~mask], probs))
+                assert scores == cand.fold_scores
+            params = _build_params(kind, defaults, result.best_params)
+            alone = fit_learner(kind, fold_training_set(data, slice(None), smote), params)
+            assert json.dumps(model_to_doc(final)) == json.dumps(model_to_doc(alone))
 
 
 class TestLeakage:
