@@ -21,7 +21,7 @@ from . import metrics as metrics_mod
 from . import report as report_mod
 from .config import RunConfig, load_config
 from .corpus import generate_corpus
-from .errors import ConfigError, DataError, RiskforgeError, UserError
+from .errors import ConfigError, CsvError, DataError, RiskforgeError, UserError
 from .explain import lime_explain, shap_summary
 from .features import apply_recipes
 from .preprocess import (
@@ -52,16 +52,28 @@ def write_matrix_csv(path: str, feature_names, matrix: np.ndarray) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(list(feature_names))
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in matrix.tolist())
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in matrix)
 
 
 def read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """The header and float matrix of a CSV file; every row must have as
+    many fields as the header. Cells are parsed as they are read, so no
+    more than one row is held as strings."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         names = next(reader, [])
-        rows = list(reader)
-    cells = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64)
-    return names, cells.reshape(len(rows), len(names))
+        n_rows = 0
+
+        def fields(row):
+            nonlocal n_rows
+            n_rows += 1
+            if len(row) != len(names):
+                raise CsvError(f"row {n_rows + 1} has {len(row)} fields, expected {len(names)}")
+            return row
+
+        cells = itertools.chain.from_iterable(map(fields, reader))
+        matrix = np.fromiter(map(float, cells), np.float64)
+    return names, matrix.reshape(n_rows, len(names))
 
 
 def write_labels_csv(path: str, ids, labels: np.ndarray) -> None:
@@ -73,13 +85,23 @@ def write_labels_csv(path: str, ids, labels: np.ndarray) -> None:
 
 
 def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Applicant ids and 0/1 labels, the first two fields of each row after
+    the header; every label must parse before any is checked."""
+    ids = []
+
+    def label(row):
+        value = int(row[1])
+        ids.append(row[0])
+        return value
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    labels = np.array([int(row[1]) for row in rows], dtype=np.int64)
+        reader = csv.reader(fh)
+        next(reader, None)
+        labels = np.fromiter(map(label, reader), np.int64)
     bad = np.flatnonzero((labels != 0) & (labels != 1))
     if bad.size:
         raise DataError(f"row {bad[0] + 2}: label must be 0 or 1, got {labels[bad[0]]}")
-    return [row[0] for row in rows], labels
+    return ids, labels
 
 
 def _load_application(cfg: RunConfig, path: str) -> Table:

@@ -11,6 +11,7 @@ construction: every operation returns a new table.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -162,6 +163,72 @@ def _parse_numeric(fields: Sequence[str]) -> np.ndarray | None:
     return values
 
 
+#: Records that ``read_csv`` holds as Python strings at a time.
+CHUNK_ROWS = 1024
+
+
+def _pack(fields: Sequence[str]):
+    """A chunk of one column's fields as one NUL-joined string, or as they
+    are when a field holds a NUL itself."""
+    text = "\0".join(fields)
+    return text if text.count("\0") == len(fields) - 1 else fields
+
+
+class _ColumnChunks:
+    """One column read chunk by chunk. Its chunks are parsed as numbers
+    while every field is one; until end of file each chunk's text is also
+    kept, packed, so that a column whose first non-number comes in a later
+    chunk still becomes the categorical column of the whole file."""
+
+    def __init__(self, name: str, kind: ColumnKind | None):
+        self.name = name
+        self.kind = kind
+        self.values = None if kind is ColumnKind.CATEGORICAL else []
+        self.texts = None if kind is ColumnKind.NUMERIC else []
+        self.bad = None  # (row, field): the first non-number of a hinted numeric column
+
+    def add(self, fields: Sequence[str], first_row: int) -> None:
+        if self.values is not None:
+            values = _parse_numeric(fields)
+            if values is not None:
+                self.values.append(values)
+            else:
+                self.values = None
+                if self.kind is ColumnKind.NUMERIC:
+                    i = next(i for i, f in enumerate(fields) if _parse_numeric([f]) is None)
+                    self.bad = (first_row + i, fields[i])
+        if self.texts is not None:
+            self.texts.append(_pack(fields))
+
+    def column(self, path) -> Column:
+        """The whole column; this object's chunks are released."""
+        values, self.values = self.values, None
+        texts, self.texts = self.texts, None
+        if self.bad is not None:
+            row, field = self.bad
+            raise CsvError(
+                f"{path}: column {self.name!r} hinted numeric but row {row} holds {field!r}"
+            )
+        if values is not None:
+            return Column(self.name, ColumnKind.NUMERIC, np.concatenate([np.empty(0), *values]))
+        # Each chunk is coded against its own vocabulary, then recoded into
+        # their sorted union, so no more than one chunk is unpacked at a time.
+        parts = [
+            Column.categorical(
+                self.name, t.split("\0") if isinstance(t, str) else t, missing=MISSING_TOKENS
+            )
+            for t in texts
+        ]
+        vocabulary = tuple(sorted(set().union(*(part.vocabulary for part in parts))))
+        position = {v: k for k, v in enumerate(vocabulary)}
+        codes = [
+            np.array([*map(position.get, part.vocabulary), -1], dtype=np.int64)[part.values]
+            for part in parts
+        ]
+        codes = np.concatenate([np.empty(0, dtype=np.int64), *codes])
+        return Column(self.name, ColumnKind.CATEGORICAL, codes, vocabulary)
+
+
 def read_csv(
     path: str | os.PathLike,
     schema_hint: Mapping[str, ColumnKind] | None = None,
@@ -170,8 +237,10 @@ def read_csv(
 
     Empty fields and the literal token ``NA`` are missing. A column is
     inferred Numeric iff every non-missing field parses as a number;
-    ``schema_hint`` overrides inference per column name.
+    ``schema_hint`` overrides inference per column name. Records are read
+    ``CHUNK_ROWS`` at a time, so the file is never held as Python rows.
     """
+    hint = dict(schema_hint or {})
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -179,40 +248,29 @@ def read_csv(
                 header = next(reader)
             except StopIteration:
                 raise CsvError(f"{path}: empty file, header row required") from None
-            rows = list(reader)
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise CsvError(f"{path}: duplicate header names {dupes}")
+            chunks = [_ColumnChunks(name, hint.get(name)) for name in header]
+            first_row = 2
+            while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+                for i, row in enumerate(rows, first_row):
+                    if len(row) != len(header):
+                        raise CsvError(
+                            f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
+                        )
+                for chunk, fields in zip(chunks, zip(*rows)):
+                    chunk.add(fields, first_row)
+                first_row += len(rows)
+                rows = row = fields = None  # this chunk's strings go before the next is read
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
 
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise CsvError(f"{path}: duplicate header names {dupes}")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise CsvError(
-                f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}"
-            )
-
-    hint = dict(schema_hint or {})
     for name in hint:
         if name not in header:
             raise CsvError(f"{path}: schema hint names unknown column {name!r}")
-
-    columns = []
-    for name, fields in zip(header, zip(*rows) if rows else [()] * len(header)):
-        kind = hint.get(name)
-        values = None if kind is ColumnKind.CATEGORICAL else _parse_numeric(fields)
-        if values is not None:
-            columns.append(Column(name, ColumnKind.NUMERIC, values))
-        elif kind is ColumnKind.NUMERIC:
-            i = next(i for i, f in enumerate(fields) if _parse_numeric([f]) is None)
-            raise CsvError(
-                f"{path}: column {name!r} hinted numeric but row {i + 2} holds {fields[i]!r}"
-            )
-        else:
-            columns.append(Column.categorical(name, fields, missing=MISSING_TOKENS))
-
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return Table(tuple(columns), name=stem)
+    return Table(tuple(chunk.column(path) for chunk in chunks), name=stem)
 
 
 def write_csv(table: Table, path: str | os.PathLike) -> None:

@@ -217,13 +217,17 @@ class BinnedSet:
     def histograms(self, rows: np.ndarray, feats: np.ndarray, weights=()):
         """(features x bins) row-count histogram of one node, and one
         weighted histogram per array in ``weights``; row k is feature
-        ``feats[k]``.
+        ``feats[k]``; ``feats`` is sorted and distinct.
 
         The codes are gathered row-major, so each bin adds its rows in the
         order of ``rows`` and every sum equals a per-feature ``np.bincount``
-        bit for bit.
+        bit for bit. A row take is much cheaper than a 2-D fancy index, and
+        the column take is skipped when ``feats`` is every feature.
         """
-        flat = self.codes[np.ix_(rows, feats)].ravel()
+        block = self.codes.take(rows, axis=0)
+        if len(feats) < block.shape[1]:
+            block = block.take(feats, axis=1)
+        flat = block.ravel()
         size = self.codes.shape[1] * self.stride
 
         def hist(w):

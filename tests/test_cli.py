@@ -554,6 +554,31 @@ class TestApplicantIds:
         assert not (tmp_path / "out").exists()
 
 
+def _keep_header(rows):
+    del rows[1:]
+
+
+class TestHeaderOnlyInputs:
+    """A corpus file with a header and no rows: prepare exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("bureau.csv",
+             "column 'bureau_amt_credit_sum_MEAN' has no non-missing values to fit"),
+            ("application_test.csv",
+             "table schema does not match the fitted pipeline: "
+             "column 'housing_type' is numeric, fitted as categorical"),
+        ],
+        ids=["bureau", "application-test"],
+    )
+    def test_prepare_exits_2(self, workdir, tmp_path, capsys, name, message):
+        p = _edited_config(workdir, tmp_path, {name: _keep_header})
+        capsys.readouterr()
+        code = main(["prepare", "--config", str(p)])
+        assert _assert_clean_exit(code, capsys.readouterr().err) == [f"error: {message}"]
+
+
 def _edit_json(edit):
     def apply(path):
         doc = json.loads(path.read_text())
@@ -594,6 +619,15 @@ def _text_in_first_cell(path):
     path.write_text("".join(lines))
 
 
+def _move_cell_to_next_row(path):
+    """The first row's last cell moved to the front of the second row: the
+    file keeps its cell count, but the first row is one field short."""
+    lines = path.read_text().splitlines(keepends=True)
+    head, _, cell = lines[1].rstrip("\r\n").rpartition(",")
+    lines[1:3] = [head + "\r\n", cell + "," + lines[2]]
+    path.write_text("".join(lines))
+
+
 class TestCorruptStageFiles:
     """A corrupted model or prepared file: evaluate and assess exit 2 with one
     stderr line that names the file."""
@@ -621,6 +655,7 @@ class TestCorruptStageFiles:
             ("prepared/test_features.csv", _text_in_first_cell,
              "could not convert string to float"),
             ("prepared/test_features.csv", Path.unlink, "No such file"),
+            ("prepared/test_features.csv", _move_cell_to_next_row, "row 2 has "),
             ("prepared/test_labels.csv", _write_text("id\r\n7\r\n"), "list index out of range"),
             ("prepared/test_labels.csv", _first_label_3, "row 2: label must be 0 or 1, got 3"),
             ("prepared/test_loans.csv", Path.unlink, "No such file"),
@@ -633,7 +668,8 @@ class TestCorruptStageFiles:
         ids=[
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
             "learning-rate-differs", "unknown-param", "no-scaler", "pipeline-not-json",
-            "text-in-features", "no-test-features", "short-label-row", "label-3",
+            "text-in-features", "no-test-features", "ragged-features", "short-label-row",
+            "label-3",
             "no-test-loans", "loans-header", "short-loans", "nan-term",
         ],
     )

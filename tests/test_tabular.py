@@ -1,13 +1,18 @@
+import csv
 import math
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
+from csv_oracle import read_csv_whole
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from tables import cat_col, cells, num_col, table
 
+from riskforge import tabular
+from riskforge.cli import read_matrix_csv
 from riskforge.errors import CsvError, DataError, SchemaError
 from riskforge.tabular import (
     AggregationSpec,
@@ -77,6 +82,172 @@ class TestReadCsv:
         p = tmp_path / "bureau.csv"
         p.write_text("x\n1\n")
         assert read_csv(p).name == "bureau"
+
+
+#: ``CHUNK_ROWS`` in the tests of the streamed reader, so that a few rows span chunks.
+CHUNK = 4
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(tabular, "CHUNK_ROWS", CHUNK)
+
+
+def _write_rows(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def _outcome(read, path, hint):
+    """The table ``read`` returns, down to every value's bytes, or its error message."""
+    try:
+        t = read(path, schema_hint=hint)
+    except CsvError as exc:
+        return f"CsvError: {exc}"
+    return t.name, [
+        (c.name, c.kind, c.values.dtype, c.values.tobytes(), c.vocabulary) for c in t.columns
+    ]
+
+
+def assert_same_as_whole_file(path, hint=None):
+    got = _outcome(read_csv, path, hint)
+    assert got == _outcome(read_csv_whole, path, hint)
+    return got
+
+
+#: Fields a random file draws from: numbers (some that only Python's float
+#: reads), missing and non-finite tokens, and text with quotes, commas,
+#: newlines and a NUL, which the packed chunk text must survive.
+NUMBER_FIELDS = ["0", "1", "-2.5", "1e3", " 7", "1_000", "3.0000000000000004", "1e308"]
+TOKEN_FIELDS = ["", "NA", "NaN", "nan", "inf", "-inf", "Infinity"]
+TEXT_FIELDS = ["a", "b", "b,c", "d\ne", 'q"t', "x\0y", "na", "\0", "é"]
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestStreamedReadCsv:
+    """The chunked reader against the whole-file reader it replaced: the
+    same table, bit for bit, or the same error message."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 5, 7, 8, 9, 12, 13])
+    def test_row_counts_around_chunk_boundaries(self, tmp_path, n_rows):
+        rows = [["id", "x", "grade"]] + [
+            [str(i), NUMBER_FIELDS[i % 8], TEXT_FIELDS[i % 3]] for i in range(n_rows)
+        ]
+        name, columns = assert_same_as_whole_file(_write_rows(tmp_path / "t.csv", rows))
+        assert name == "t" and len(columns) == 3
+
+    @pytest.mark.parametrize("row", [0, 3, 4, 5, 8, 10])
+    def test_first_text_in_later_chunk_makes_column_categorical(self, tmp_path, row):
+        fields = [NUMBER_FIELDS[i % 8] for i in range(11)]
+        fields[row] = "x\0y"  # packed chunks of this column hold no NUL before it
+        path = _write_rows(tmp_path / "t.csv", [["v"]] + [[f] for f in fields])
+        _, [(_, kind, _, _, vocabulary)] = assert_same_as_whole_file(path)
+        assert kind is ColumnKind.CATEGORICAL and "x\0y" in vocabulary
+
+    @pytest.mark.parametrize("row", [2, 5, 9])
+    def test_hinted_numeric_failure_in_later_chunk(self, tmp_path, row):
+        rows = [["a", "b"]] + [[str(i), str(i)] for i in range(10)]
+        rows[row][1] = "high"
+        rows[row + 1][0] = "low"  # a later failure of an earlier column comes first
+        path = _write_rows(tmp_path / "t.csv", rows)
+        hint = {"a": ColumnKind.NUMERIC, "b": ColumnKind.NUMERIC}
+        message = assert_same_as_whole_file(path, hint)
+        assert message.endswith(f"column 'a' hinted numeric but row {row + 2} holds 'low'")
+
+    @pytest.mark.parametrize("row", [2, 5, 9])
+    def test_ragged_row_in_later_chunk(self, tmp_path, row):
+        rows = [["a", "b"]] + [[str(i), "x"] for i in range(10)]
+        rows[row].append("extra")
+        rows[1][0] = "text"  # a hinted-numeric failure, reported after the ragged row
+        path = _write_rows(tmp_path / "t.csv", rows)
+        hint = {"a": ColumnKind.NUMERIC, "unknown": ColumnKind.NUMERIC}
+        message = assert_same_as_whole_file(path, hint)
+        assert message.endswith(f"row {row + 1} has 3 fields, expected 2")
+
+    def test_quoted_commas_newlines_and_nul(self, tmp_path):
+        rows = [["k", "t"]] + [[str(i), TEXT_FIELDS[i % len(TEXT_FIELDS)]] for i in range(11)]
+        path = _write_rows(tmp_path / "t.csv", rows)
+        _, columns = assert_same_as_whole_file(path, {"k": ColumnKind.CATEGORICAL})
+        assert set(TEXT_FIELDS) <= set(columns[1][4])
+
+    def test_missing_and_nonfinite_tokens(self, tmp_path):
+        rows = [["x"]] + [[TOKEN_FIELDS[i % 7]] for i in range(9)] + [["1.5"]]
+        path = _write_rows(tmp_path / "t.csv", rows)
+        _, [(_, kind, _, values, _)] = assert_same_as_whole_file(path)
+        assert kind is ColumnKind.NUMERIC
+        assert np.isnan(np.frombuffer(values)[:-1]).all()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_files_match_whole_file_reader(self, tmp_path, seed):
+        rng = random.Random(seed)
+        n_cols, n_rows = rng.randint(1, 4), rng.randint(0, 3 * CHUNK + 2)
+        header = [f"c{j}" for j in range(n_cols)]
+        if rng.random() < 0.1:
+            header[-1] = header[0]
+        pools = [NUMBER_FIELDS + TOKEN_FIELDS, TEXT_FIELDS + TOKEN_FIELDS]
+        columns = []
+        for _ in header:
+            kind = rng.choice(["numeric", "text", "late-text"])
+            column = [rng.choice(pools[kind == "text"]) for _ in range(n_rows)]
+            if kind == "late-text" and n_rows:
+                column[rng.randrange(n_rows)] = rng.choice(TEXT_FIELDS)
+            columns.append(column)
+        rows = [list(r) for r in zip(*columns)] if columns[0] else [[] for _ in range(n_rows)]
+        if n_rows and rng.random() < 0.2:
+            row = rows[rng.randrange(n_rows)]
+            if rng.random() < 0.5:
+                row.append("x")
+            else:
+                row.pop()
+        hint = {name: rng.choice(list(ColumnKind)) for name in header if rng.random() < 0.3}
+        if rng.random() < 0.1:
+            hint["unknown"] = ColumnKind.NUMERIC
+        assert_same_as_whole_file(_write_rows(tmp_path / "t.csv", [header] + rows), hint)
+
+    def test_header_only_and_empty_file(self, tmp_path):
+        path = _write_rows(tmp_path / "t.csv", [["a", "b"]])
+        _, columns = assert_same_as_whole_file(path, {"b": ColumnKind.CATEGORICAL})
+        assert [c[1] for c in columns] == [ColumnKind.NUMERIC, ColumnKind.CATEGORICAL]
+        (tmp_path / "e.csv").write_text("")
+        assert "empty file" in assert_same_as_whole_file(tmp_path / "e.csv")
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw allocated while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    """No reader holds a whole file as Python strings (20,000 x 10 numbers)."""
+
+    @pytest.fixture(scope="class")
+    def numeric_csv(self, tmp_path_factory):
+        x = np.random.default_rng(3).normal(size=(20_000, 10))
+        path = tmp_path_factory.mktemp("mem") / "x.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(f"f{j}" for j in range(10)) + "\r\n")
+            fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in x)
+        return path, x
+
+    def test_read_matrix_csv_peak_under_twice_the_array(self, numeric_csv):
+        path, x = numeric_csv
+        (_, matrix), peak = _traced_peak(read_matrix_csv, path)
+        assert np.array_equal(matrix, x)
+        assert peak < 2 * matrix.nbytes
+
+    def test_read_csv_peak_under_half_the_whole_file_reader(self, numeric_csv):
+        path, _ = numeric_csv
+        table, peak = _traced_peak(read_csv, path)
+        _, whole_peak = _traced_peak(read_csv_whole, path)
+        assert table.row_count == 20_000
+        assert peak < whole_peak / 2
 
 
 num_cells = st.one_of(

@@ -195,6 +195,19 @@ class TestHistograms:
         count, _ = self.check(x, np.arange(0, 120, 3), [1, 3, 4], (rng.normal(size=120),))
         assert count.shape[0] == 3
 
+    def test_all_features_match_each_strict_subset(self):
+        """Every feature skips the column take; each strict subset's rows
+        must still be the all-features rows, bit for bit."""
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(90, 4))
+        g = rng.normal(size=90)
+        rows = rng.permutation(90)[:50]
+        count, (gb,) = self.check(x, rows, np.arange(4), (g,))
+        for feats in ([0], [1, 3], [0, 1, 2]):
+            sub_count, (sub_gb,) = self.check(x, rows, feats, (g,))
+            assert np.array_equal(sub_count, count[feats])
+            assert np.array_equal(sub_gb, gb[feats])
+
     def test_constant_feature(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(60, 3))
