@@ -86,11 +86,21 @@ def write_labels_csv(path: str, ids, labels: np.ndarray) -> None:
 
 def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Applicant ids and 0/1 labels, the first two fields of each row after
-    the header; every label must parse before any is checked."""
+    the header; a row without both, or with another label, is a DataError
+    that names the row."""
     ids = []
 
     def label(row):
-        value = int(row[1])
+        try:
+            value = int(row[1])
+        except IndexError:
+            raise DataError(
+                f"row {len(ids) + 2}: {len(row)} field(s), expected an id and a label"
+            ) from None
+        except ValueError:
+            value = row[1]
+        if value not in (0, 1):
+            raise DataError(f"row {len(ids) + 2}: label must be 0 or 1, got {value!r}")
         ids.append(row[0])
         return value
 
@@ -98,9 +108,6 @@ def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
         reader = csv.reader(fh)
         next(reader, None)
         labels = np.fromiter(map(label, reader), np.int64)
-    bad = np.flatnonzero((labels != 0) & (labels != 1))
-    if bad.size:
-        raise DataError(f"row {bad[0] + 2}: label must be 0 or 1, got {labels[bad[0]]}")
     return ids, labels
 
 

@@ -265,6 +265,9 @@ def read_csv(
                 rows = row = fields = None  # this chunk's strings go before the next is read
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise CsvError(f"{path}: not UTF-8 text ({exc.reason}: byte 0x{byte:02x})") from exc
 
     for name in hint:
         if name not in header:

@@ -6,15 +6,21 @@ edges, and a model holds only its trees and params. All three learners
 share one split-search kernel (``BinnedSet.histograms``): the bin codes are
 offset so that one gathered ``np.bincount`` per quantity builds a node's
 (features x bins) histograms, weighted by gradient and hessian for boosting
-and by the class-1 indicator for the forest. Each learner scores every
-candidate in one array expression with its own gain, and one pick step
-applies the shared tie rule.
+and by the class-1 indicator for the forest. Only occupied candidates are
+scored: an edge between two occupied bins of one feature, found from the
+node's count histogram, so the cost of a search follows the node's rows and
+not features x ``n_bins``. An edge next to an empty bin would repeat its
+neighbour's sums, so the first maximum and every model keep their bits.
+Each learner scores its candidates in one array expression with its own
+gain, and one pick step applies the shared tie rule.
 
 The boosted learners share one best-first grower: the pending node with
 the highest positive split gain splits next. Level-wise growth caps the
 depth (every splittable node above ``max_depth`` splits); leaf-wise growth
-caps the leaf count at ``max_leaves``. Both use the standard second-order
-gain
+caps the leaf count at ``max_leaves``. A node that cannot split, or whose
+split would never be taken, is not searched: one at the depth cap, a child
+of the split that fills the leaf budget, and one whose hessian sum is below
+``2 * min_child_weight``. Both use the standard second-order gain
 
     gain = 1/2 * [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma
 
@@ -222,16 +228,19 @@ class BinnedSet:
         The codes are gathered row-major, so each bin adds its rows in the
         order of ``rows`` and every sum equals a per-feature ``np.bincount``
         bit for bit. A row take is much cheaper than a 2-D fancy index, and
-        the column take is skipped when ``feats`` is every feature.
+        the column take and the row selection of the histograms are skipped
+        when ``feats`` is every feature.
         """
         block = self.codes.take(rows, axis=0)
-        if len(feats) < block.shape[1]:
+        subset = len(feats) < block.shape[1]
+        if subset:
             block = block.take(feats, axis=1)
         flat = block.ravel()
         size = self.codes.shape[1] * self.stride
 
         def hist(w):
-            return np.bincount(flat, w, minlength=size).reshape(-1, self.stride)[feats]
+            out = np.bincount(flat, w, minlength=size).reshape(-1, self.stride)
+            return out[feats] if subset else out
 
         return hist(None), [hist(np.repeat(w[rows], len(feats))) for w in weights]
 
@@ -239,47 +248,59 @@ class BinnedSet:
         return self.codes[rows, feature] <= feature * self.stride + edge_idx
 
 
-def _left_sums(hist: np.ndarray) -> np.ndarray:
-    """Left-child sum of every candidate: edge i sends bins 0..i left.
+def _candidates(count: np.ndarray) -> np.ndarray:
+    """Flat (feature-major) indices of the edges worth scoring in a node's
+    (features x bins) count histogram: each occupied bin whose next occupied
+    bin is in the same feature. Edge i sends bins 0..i left.
 
-    Columns past a feature's last edge send every row left, so the candidate
-    checks (both children non-empty) reject them.
+    An empty bin adds exact zeros to every left sum, so its edge repeats the
+    previous candidate's sums and gain and is never the first maximum; the
+    last occupied bin of a feature sends every row left. So both children of
+    every candidate are non-empty.
     """
-    return np.cumsum(hist, axis=1)[:, :-1]
+    occupied = np.flatnonzero(count)
+    feature = occupied // count.shape[1]
+    return occupied[:-1][feature[:-1] == feature[1:]]
 
 
-def _pick_split(gains: np.ndarray, feats: np.ndarray):
+def _left_sums(hist: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Left-child sum of each candidate, from the full per-feature cumsum so
+    that every sum keeps its bits."""
+    return np.cumsum(hist, axis=1).take(cand)
+
+
+def _pick_split(gains: np.ndarray, cand: np.ndarray, feats: np.ndarray, stride: int):
     """Best (feature, edge index, gain) with positive gain, or None.
 
-    Ties resolve to the lowest edge index within a feature, then to the
-    earliest feature, so scans are reproducible across runs. A feature whose
-    first maximum is NaN is never chosen.
+    ``gains`` holds one value per candidate in feature-major order, so the
+    first maximum is at the lowest edge index within a feature, then in the
+    earliest feature, and scans are reproducible across runs. A feature with
+    a NaN gain is never chosen.
     """
-    edge = np.argmax(gains, axis=1)
-    best = gains[np.arange(edge.size), edge]
-    best[np.isnan(best)] = -np.inf
-    k = int(np.argmax(best))
-    if not best[k] > 0.0:
+    if not gains.size:
         return None
-    return int(feats[k]), int(edge[k]), float(best[k])
+    nan = np.isnan(gains)
+    if nan.any():
+        owner = cand // stride
+        gains = np.where(np.isin(owner, owner[nan]), -np.inf, gains)
+    k = int(np.argmax(gains))
+    if not gains[k] > 0.0:
+        return None
+    row, edge = divmod(int(cand[k]), stride)
+    return int(feats[row]), edge, float(gains[k])
 
 
 def _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum):
     """Best (feature, edge index, gain) by second-order gain, or None."""
     count, (gb, hb) = train.histograms(rows, feats, (g, h))
-    cl, gl, hl = _left_sums(count), _left_sums(gb), _left_sums(hb)
+    cand = _candidates(count)
+    gl, hl = _left_sums(gb, cand), _left_sums(hb, cand)
     gr = g_sum - gl
     hr = h_sum - hl
-    cr = rows.size - cl
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = split_gain(gl, hl, gr, hr, prm.l2_regularization, prm.min_split_gain)
-    valid = (
-        (cl > 0)
-        & (cr > 0)
-        & (hl >= prm.min_child_weight)
-        & (hr >= prm.min_child_weight)
-    )
-    return _pick_split(np.where(valid, gains, -np.inf), feats)
+    valid = (hl >= prm.min_child_weight) & (hr >= prm.min_child_weight)
+    return _pick_split(np.where(valid, gains, -np.inf), cand, feats, train.stride)
 
 
 def _grow_boosted(train: BinnedSet, g, h, feats, prm):
@@ -289,18 +310,27 @@ def _grow_boosted(train: BinnedSet, g, h, feats, prm):
     the node created first. Level-wise trees have a depth cap and no leaf
     budget, so every node above the cap that has a split gets split;
     leaf-wise trees have a leaf budget and no depth cap.
+
+    A node that could not split, or whose split would never be popped, is
+    not searched and becomes a leaf at once: one at the depth cap, a child
+    of the split that fills the leaf budget, and one whose hessian sum is
+    below ``2 * min_child_weight``. Hessians are non-negative, so there
+    ``hl >= min_child_weight`` forces ``h_sum - hl < min_child_weight``
+    (exact by Sterbenz when ``hl <= h_sum``, negative otherwise). Leaves
+    cover disjoint rows, so the order of the returned pairs does not matter.
     """
     level_wise = prm.growth == GROWTH_LEVEL
     max_depth = prm.max_depth if level_wise else math.inf
     max_leaves = math.inf if level_wise else prm.max_leaves
+    min_h_sum = 2.0 * prm.min_child_weight
     heap, leaves, created = [], [], itertools.count()
 
-    def add(rows, depth):
+    def add(rows, depth, search=True):
         g_sum = float(g[rows].sum())
         h_sum = float(h[rows].sum())
         node = TreeNode(cover=h_sum)
         split = None
-        if depth < max_depth:
+        if search and depth < max_depth and h_sum >= min_h_sum:
             split = _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
         if split is None:
             node.value = leaf_value(g_sum, h_sum, prm.l2_regularization)
@@ -317,9 +347,10 @@ def _grow_boosted(train: BinnedSet, g, h, feats, prm):
         mask = train.goes_left(rows, f, edge_idx)
         node.feature = f
         node.threshold = float(train.edges[f][edge_idx])
-        node.left = add(rows[mask], depth + 1)
-        node.right = add(rows[~mask], depth + 1)
         n_leaves += 1
+        search = n_leaves < max_leaves
+        node.left = add(rows[mask], depth + 1, search)
+        node.right = add(rows[~mask], depth + 1, search)
     for _, _, node, rows, _, _, g_sum in heap:
         node.value = leaf_value(g_sum, node.cover, prm.l2_regularization)
         leaves.append((node, rows))
@@ -385,17 +416,17 @@ def _best_split_gini(train, rows, y1, feats):
     p1 = n1 / n
     parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
     count, (c1,) = train.histograms(rows, feats, (y1,))
-    cl = _left_sums(count.astype(np.float64))
-    c1l = _left_sums(c1)
+    cand = _candidates(count)
+    cl = _left_sums(count, cand)
+    c1l = _left_sums(c1, cand)
     c1r = n1 - c1l
     cr = n - cl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pl = c1l / cl
-        pr = c1r / cr
-        gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-        gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-        gains = parent - (cl * gini_l + cr * gini_r) / n
-    return _pick_split(np.where((cl > 0) & (cr > 0), gains, -np.inf), feats)
+    pl = c1l / cl
+    pr = c1r / cr
+    gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    gini_r = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    gains = parent - (cl * gini_l + cr * gini_r) / n
+    return _pick_split(gains, cand, feats, train.stride)
 
 
 def _grow_gini(train: BinnedSet, rows, y1, rng, prm, depth):

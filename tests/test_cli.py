@@ -522,6 +522,17 @@ class TestCorruptCells:
         if code == 2:
             assert needle in lines[0]
 
+    def test_non_utf8_byte_exits_2(self, workdir, tmp_path, capsys):
+        p = _edited_config(workdir, tmp_path, {})
+        payments = tmp_path / "corpus" / "payments.csv"
+        with open(payments, "ab") as fh:
+            fh.write(b"1,\xff\r\n")
+        capsys.readouterr()
+        code = main(["prepare", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2
+        assert line == f"error: {payments}: not UTF-8 text (invalid start byte: byte 0xff)"
+
 
 class TestApplicantIds:
     """Each applicant id names its report directory under ``applicants/``: a
@@ -656,8 +667,13 @@ class TestCorruptStageFiles:
              "could not convert string to float"),
             ("prepared/test_features.csv", Path.unlink, "No such file"),
             ("prepared/test_features.csv", _move_cell_to_next_row, "row 2 has "),
-            ("prepared/test_labels.csv", _write_text("id\r\n7\r\n"), "list index out of range"),
+            ("prepared/test_labels.csv", _write_text("id\r\n7\r\n"),
+             "row 2: 1 field(s), expected an id and a label"),
             ("prepared/test_labels.csv", _first_label_3, "row 2: label must be 0 or 1, got 3"),
+            ("prepared/test_labels.csv", _write_text("id,y\r\n7,0\r\n8,1" + "0" * 23 + "\r\n"),
+             "row 3: label must be 0 or 1, got 1" + "0" * 23),
+            ("prepared/test_labels.csv", _write_text("id,y\r\n7,0\r\n8,1\r\n9\r\n"),
+             "row 4: 1 field(s), expected an id and a label"),
             ("prepared/test_loans.csv", Path.unlink, "No such file"),
             ("prepared/test_loans.csv", _rename_last_column,
              "prepared matrices do not match the loan columns"),
@@ -669,7 +685,7 @@ class TestCorruptStageFiles:
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
             "learning-rate-differs", "unknown-param", "no-scaler", "pipeline-not-json",
             "text-in-features", "no-test-features", "ragged-features", "short-label-row",
-            "label-3",
+            "label-3", "huge-label", "short-last-label-row",
             "no-test-loans", "loans-header", "short-loans", "nan-term",
         ],
     )

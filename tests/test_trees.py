@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import split_oracle
 
+from riskforge import trees
 from riskforge.errors import DataError, SchemaError
 from riskforge.sampling import LabeledMatrix
 from riskforge.trees import (
@@ -16,6 +18,8 @@ from riskforge.trees import (
     ForestModel,
     ForestParams,
     TreeNode,
+    _best_split_boosted,
+    _best_split_gini,
     bin_matrix,
     fit_bins,
     fit_boosted,
@@ -219,6 +223,134 @@ class TestHistograms:
         train = BinnedSet.of(LabeledMatrix(np.ones((4, 2)), np.zeros(4, dtype=int)), 8)
         assert train.stride == 2
         assert train.codes[:, 1].tolist() == [2] * 4
+
+
+def random_node(seed):
+    """A seeded split-search node: a small matrix with constant, one-hot,
+    few-valued and continuous features binned for 2, 4, 16 or 255 bins; a
+    row sample (distinct, or drawn with replacement as for a bootstrap
+    tree); a feature subset; gradients, hessians (some or all zero, or both
+    zero on some rows) and class-1 indicators; and boosting params with
+    lambda 0 or 1 and min_child_weight 0, 0.5 or 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 120))
+    cols = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = rng.integers(4)
+        if kind == 0:
+            cols.append(np.full(n, rng.normal()))
+        elif kind == 1:
+            cols.append((rng.random(n) < rng.random()).astype(float))
+        elif kind == 2:
+            cols.append(rng.integers(0, rng.integers(2, 6), n).astype(float))
+        else:
+            cols.append(np.round(rng.normal(size=n), int(rng.integers(1, 4))))
+    x = np.column_stack(cols)
+    y = (rng.random(n) < 0.4).astype(int)
+    train = BinnedSet.of(LabeledMatrix(x, y), int(rng.choice([2, 4, 16, 255])))
+    m = int(rng.integers(1, n + 1))
+    if rng.random() < 0.5:
+        rows = np.sort(rng.permutation(n)[:m])
+    else:
+        rows = rng.integers(0, n, size=m)
+    d = x.shape[1]
+    feats = np.arange(d)
+    if rng.random() < 0.5:
+        feats = np.sort(rng.permutation(d)[: rng.integers(1, d + 1)])
+    g = rng.normal(size=n)
+    h = rng.random(n) * 0.25
+    zero = rng.random()
+    if zero < 0.2:
+        h[:] = 0.0
+    elif zero < 0.4:
+        h[rng.random(n) < 0.5] = 0.0
+    elif zero < 0.6:  # saturated rows: with lambda 0 a child of only these gains 0/0
+        saturated = rng.random(n) < 0.5
+        g[saturated] = h[saturated] = 0.0
+    prm = BoostingParams(
+        l2_regularization=float(rng.choice([0.0, 1.0])),
+        min_child_weight=float(rng.choice([0.0, 0.5, 1.0])),
+    )
+    return train, rows, feats, g, h, y.astype(np.float64), prm
+
+
+_BOOSTED_FITS = [
+    BoostingParams(n_trees=4, max_leaves=9, n_bins=16, feature_fraction=0.75, seed=1),
+    BoostingParams(n_trees=4, max_leaves=31, l2_regularization=0.0, min_child_weight=0.0),
+    BoostingParams(n_trees=4, max_leaves=15, n_bins=4, min_child_weight=0.5, feature_fraction=0.5),
+    BoostingParams(n_trees=4, max_depth=4, n_bins=16, growth=GROWTH_LEVEL, seed=2),
+    BoostingParams(
+        n_trees=4, max_depth=6, l2_regularization=0.0, min_child_weight=0.0,
+        feature_fraction=0.6, growth=GROWTH_LEVEL,
+    ),
+    BoostingParams(n_trees=4, max_depth=3, n_bins=2, growth=GROWTH_LEVEL),
+]
+_FOREST_FITS = [
+    ForestParams(n_trees=3, max_depth=6, n_bins=16, seed=4),
+    ForestParams(n_trees=3, max_depth=8, feature_fraction=1.0, bootstrap=False),
+    ForestParams(n_trees=3, max_depth=5, n_bins=4, feature_fraction=0.3),
+]
+#: (params, name in ``riskforge.trees``, oracle patched in under that name):
+#: each boosted fit once with the full-slot search alone and once with the
+#: grower that searches every node below the depth cap.
+WHOLE_FIT_CASES = (
+    [(p, "_best_split_boosted", split_oracle.best_split_boosted) for p in _BOOSTED_FITS]
+    + [(p, "_grow_boosted", split_oracle.grow_boosted) for p in _BOOSTED_FITS]
+    + [(p, "_best_split_gini", split_oracle.best_split_gini) for p in _FOREST_FITS]
+)
+
+
+class TestSplitSearchMatchesOracle:
+    """Occupied-candidate scoring against the full-slot search it replaced:
+    the same (feature, edge index, gain), bit for bit."""
+
+    def test_random_nodes(self):
+        seen = {"split": 0, "none": 0, "small_h": 0, "lambda0_zero_h": 0, "gini_split": 0}
+        for seed in range(1200):
+            train, rows, feats, g, h, y1, prm = random_node(seed)
+            g_sum, h_sum = float(g[rows].sum()), float(h[rows].sum())
+            got = _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
+            want = split_oracle.best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
+            assert got == want, seed
+            seen["split" if want else "none"] += 1
+            if h_sum < 2 * prm.min_child_weight:  # _grow_boosted does not search it
+                assert want is None, seed
+                seen["small_h"] += 1
+            if prm.l2_regularization == 0 and not h[rows].all():
+                seen["lambda0_zero_h"] += 1
+            got = _best_split_gini(train, rows, y1, feats)
+            assert got == split_oracle.best_split_gini(train, rows, y1, feats), seed
+            seen["gini_split"] += got is not None
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("case", range(len(WHOLE_FIT_CASES)))
+    def test_whole_fit_docs_equal(self, case, monkeypatch):
+        params, name, oracle = WHOLE_FIT_CASES[case]
+        data = golden_data()
+        with monkeypatch.context() as patch:
+            patch.setattr(trees, name, oracle)
+            want = json.dumps(model_to_doc(fit(data, params)))
+        assert json.dumps(model_to_doc(fit(data, params))) == want
+
+
+#: ``_best_split_boosted`` calls of two small seeded fits. Searching every
+#: node below the depth cap takes 232 (leaf-wise) and 120 (level-wise) calls
+#: here. A change that searches more nodes must say why and record new ones.
+SEARCH_CALLS = {GROWTH_LEAF: 161, GROWTH_LEVEL: 115}
+
+
+@pytest.mark.parametrize("growth", sorted(SEARCH_CALLS))
+def test_split_search_call_count(growth, monkeypatch):
+    search, calls = trees._best_split_boosted, []
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(trees, "_best_split_boosted", counted)
+    params = BoostingParams(n_trees=8, max_leaves=15, max_depth=4, growth=growth, seed=5)
+    fit(random_data(n=300, d=5, seed=8), params)
+    assert len(calls) == SEARCH_CALLS[growth]
 
 
 def walk(node, fn):
