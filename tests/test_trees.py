@@ -18,8 +18,6 @@ from riskforge.trees import (
     ForestModel,
     ForestParams,
     TreeNode,
-    _best_split_boosted,
-    _best_split_gini,
     bin_matrix,
     fit_bins,
     fit_boosted,
@@ -309,7 +307,7 @@ class TestSplitSearchMatchesOracle:
         for seed in range(1200):
             train, rows, feats, g, h, y1, prm = random_node(seed)
             g_sum, h_sum = float(g[rows].sum()), float(h[rows].sum())
-            got = _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
+            got = trees._best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
             want = split_oracle.best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
             assert got == want, seed
             seen["split" if want else "none"] += 1
@@ -318,7 +316,7 @@ class TestSplitSearchMatchesOracle:
                 seen["small_h"] += 1
             if prm.l2_regularization == 0 and not h[rows].all():
                 seen["lambda0_zero_h"] += 1
-            got = _best_split_gini(train, rows, y1, feats)
+            got = trees._best_split_gini(train, rows, y1, feats)
             assert got == split_oracle.best_split_gini(train, rows, y1, feats), seed
             seen["gini_split"] += got is not None
         assert min(seen.values()) >= 50, seen
