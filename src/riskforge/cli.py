@@ -112,8 +112,7 @@ def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def _load_application(cfg: RunConfig, path: str) -> Table:
-    hint = {cfg.id_column: ColumnKind.CATEGORICAL}
-    table = read_csv(path, schema_hint=hint)
+    table = read_csv(path, categorical=[cfg.id_column])
     for required in (cfg.id_column, cfg.label_column):
         if not table.has_column(required):
             raise DataError(f"{path}: required column {required!r} is missing")
@@ -201,8 +200,7 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
     test_raw = _load_application(cfg, cfg.application_test)
     loans = _test_loans(cfg, test_raw)
     auxes = [
-        (read_csv(a.path, schema_hint={a.spec.key_column: ColumnKind.CATEGORICAL}), a.spec)
-        for a in cfg.aux_tables
+        (read_csv(a.path, categorical=[a.spec.key_column]), a.spec) for a in cfg.aux_tables
     ]
     fulls = []  # each aux table is read once and merged into both splits
     for table in (train_raw, test_raw):
@@ -384,6 +382,11 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     mu, sd = _load_matrix(stats_path, pipeline.feature_names, rows=2)  # LIME's feature stats
     test_split = _load_split(cfg, pipeline, "test")
     ids_te, test, _ = test_split
+    index_of = {i: k for k, i in enumerate(ids_te)}
+    chosen = list(ids_te) if ids is None else list(ids)
+    for applicant_id in chosen:
+        if applicant_id not in index_of:
+            raise ConfigError(f"unknown applicant id {applicant_id!r}")
     loans = _load_loans(cfg, ids_te)
     evaluations = _evaluate_models(cfg, models, test_split, loans[:, 0])
     written = []
@@ -407,12 +410,6 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     model = models[report_kind]
     probs = next(ev.probabilities for ev in evaluations if ev.name == report_kind)
 
-    index_of = {i: k for k, i in enumerate(ids_te)}
-    chosen = list(ids_te) if ids is None else list(ids)
-    for applicant_id in chosen:
-        if applicant_id not in index_of:
-            raise ConfigError(f"unknown applicant id {applicant_id!r}")
-
     # Applicants in the SHAP sample reuse the summary's phi and margin; the
     # others are explained together, in one batch.
     shap_of = {int(k): (summaries[report_kind], j) for j, k in enumerate(sample_rows)}
@@ -424,11 +421,13 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     for applicant_id in chosen:
         k = index_of[applicant_id]
         summary, row = shap_of[k]
-        lime_params = dataclasses.replace(
-            cfg.lime, seed=stage_seed(cfg.seed, f"lime-{applicant_id}")
-        )
         lime_exp = lime_explain(
-            model, test[k], (mu, sd), lime_params, feature_names=pipeline.feature_names
+            model,
+            test[k],
+            (mu, sd),
+            cfg.lime,
+            stage_seed(cfg.seed, f"lime-{applicant_id}"),
+            feature_names=pipeline.feature_names,
         )
         amount, term = loans[k].tolist()
         assessment = assess(

@@ -258,8 +258,7 @@ def parse_config(doc: dict) -> RunConfig:
         amount_column=_get(risk, "risk.amount_column", "str", "amt_credit"),
         term_column=_get(risk, "risk.term_column", "str", "term_months"),
         shap_sample=shap_sample,
-        # The LIME seed is replaced per applicant at explanation time.
-        lime=_read(LimeParams, explain.get("lime", {}), "explain.lime", seed=0),
+        lime=_read(LimeParams, explain.get("lime", {}), "explain.lime"),
         report_model=report_model,
     )
 

@@ -74,7 +74,6 @@ class LimeParams:
     kernel_width: float | None = None  # defaults to 0.75 * sqrt(n_features)
     top_k: int = 10
     alpha: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -322,9 +321,11 @@ def lime_explain(
     instance,
     feature_stats: tuple[np.ndarray, np.ndarray],
     params: LimeParams,
+    seed: int,
     feature_names=None,
 ) -> LimeExplanation:
-    """Weighted ridge surrogate around one instance.
+    """Weighted ridge surrogate around one instance; ``seed`` seeds the
+    perturbations.
 
     Perturbations are drawn in standardized space (unit normal around the
     standardized instance, i.e. raw-space sigma from the training scaler),
@@ -350,7 +351,7 @@ def lime_explain(
 
     sd_safe = np.where(sd > 0, sd, 1.0)
     x_std = (x - mu) / sd_safe
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     z_std = x_std + rng.standard_normal((params.n_samples, d))
     # One predict batch: row 0 is the instance itself, the rest are the
     # perturbations in raw space, written in place so no temporary is kept.

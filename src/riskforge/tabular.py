@@ -6,6 +6,9 @@ cell; every other cell is finite (NaN/inf on ingest become missing). A
 Categorical column is a sorted vocabulary of strings plus int64 codes into
 it, with -1 marking a missing cell. Tables are treated as immutable after
 construction: every operation returns a new table.
+
+:func:`read_csv` streams its file: each column keeps one buffer, the packed
+text of its chunks, and is built, numeric or categorical, at end of file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -174,73 +177,43 @@ def _pack(fields: Sequence[str]):
     return text if text.count("\0") == len(fields) - 1 else fields
 
 
-class _ColumnChunks:
-    """One column read chunk by chunk. Its chunks are parsed as numbers
-    while every field is one; until end of file each chunk's text is also
-    kept, packed, so that a column whose first non-number comes in a later
-    chunk still becomes the categorical column of the whole file."""
+def _column(name: str, packs: list, categorical: bool) -> Column:
+    """One column from its chunks' packed text, in file order: Numeric when
+    ``categorical`` is false and every chunk parses as numbers, otherwise
+    coded against the sorted vocabulary of all its chunks. No more than one
+    chunk is unpacked at a time."""
 
-    def __init__(self, name: str, kind: ColumnKind | None):
-        self.name = name
-        self.kind = kind
-        self.values = None if kind is ColumnKind.CATEGORICAL else []
-        self.texts = None if kind is ColumnKind.NUMERIC else []
-        self.bad = None  # (row, field): the first non-number of a hinted numeric column
+    def chunks():
+        return (p.split("\0") if isinstance(p, str) else p for p in packs)
 
-    def add(self, fields: Sequence[str], first_row: int) -> None:
-        if self.values is not None:
-            values = _parse_numeric(fields)
-            if values is not None:
-                self.values.append(values)
-            else:
-                self.values = None
-                if self.kind is ColumnKind.NUMERIC:
-                    i = next(i for i, f in enumerate(fields) if _parse_numeric([f]) is None)
-                    self.bad = (first_row + i, fields[i])
-        if self.texts is not None:
-            self.texts.append(_pack(fields))
-
-    def column(self, path) -> Column:
-        """The whole column; this object's chunks are released."""
-        values, self.values = self.values, None
-        texts, self.texts = self.texts, None
-        if self.bad is not None:
-            row, field = self.bad
-            raise CsvError(
-                f"{path}: column {self.name!r} hinted numeric but row {row} holds {field!r}"
-            )
-        if values is not None:
-            return Column(self.name, ColumnKind.NUMERIC, np.concatenate([np.empty(0), *values]))
-        # Each chunk is coded against its own vocabulary, then recoded into
-        # their sorted union, so no more than one chunk is unpacked at a time.
-        parts = [
-            Column.categorical(
-                self.name, t.split("\0") if isinstance(t, str) else t, missing=MISSING_TOKENS
-            )
-            for t in texts
-        ]
-        vocabulary = tuple(sorted(set().union(*(part.vocabulary for part in parts))))
-        position = {v: k for k, v in enumerate(vocabulary)}
-        codes = [
-            np.array([*map(position.get, part.vocabulary), -1], dtype=np.int64)[part.values]
-            for part in parts
-        ]
-        codes = np.concatenate([np.empty(0, dtype=np.int64), *codes])
-        return Column(self.name, ColumnKind.CATEGORICAL, codes, vocabulary)
+    if not categorical:
+        parsed = list(itertools.takewhile(lambda v: v is not None, map(_parse_numeric, chunks())))
+        if len(parsed) == len(packs):
+            return Column(name, ColumnKind.NUMERIC, np.concatenate([np.empty(0), *parsed]))
+        del parsed  # a field is text: the numbers go before the text is coded
+    present = set()
+    for fields in chunks():
+        present.update(fields)
+    present.difference_update(MISSING_TOKENS)
+    vocabulary = tuple(sorted(present))
+    del present  # the set's table goes before the code dict is built
+    code = {v: k for k, v in enumerate(vocabulary)}
+    code.update(dict.fromkeys(MISSING_TOKENS, -1))
+    codes = [np.fromiter(map(code.__getitem__, f), np.int64, len(f)) for f in chunks()]
+    codes = np.concatenate([np.empty(0, dtype=np.int64), *codes])
+    return Column(name, ColumnKind.CATEGORICAL, codes, vocabulary)
 
 
-def read_csv(
-    path: str | os.PathLike,
-    schema_hint: Mapping[str, ColumnKind] | None = None,
-) -> Table:
+def read_csv(path: str | os.PathLike, categorical: Sequence[str] = ()) -> Table:
     """Read an RFC-4180 CSV file with a header row into a Table.
 
     Empty fields and the literal token ``NA`` are missing. A column is
-    inferred Numeric iff every non-missing field parses as a number;
-    ``schema_hint`` overrides inference per column name. Records are read
-    ``CHUNK_ROWS`` at a time, so the file is never held as Python rows.
+    Numeric iff every non-missing field parses as a number and its name is
+    not in ``categorical``, each of which must be in the header. Records are
+    read ``CHUNK_ROWS`` at a time, so the file is never held as Python rows:
+    each column keeps one buffer, its chunks' packed text, and its kind is
+    decided at end of file, when the columns are built one at a time.
     """
-    hint = dict(schema_hint or {})
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -251,7 +224,7 @@ def read_csv(
             if len(set(header)) != len(header):
                 dupes = sorted({h for h in header if header.count(h) > 1})
                 raise CsvError(f"{path}: duplicate header names {dupes}")
-            chunks = [_ColumnChunks(name, hint.get(name)) for name in header]
+            packs = [[] for _ in header]  # per column, each chunk's fields as _pack gives them
             first_row = 2
             while rows := list(itertools.islice(reader, CHUNK_ROWS)):
                 for i, row in enumerate(rows, first_row):
@@ -259,8 +232,8 @@ def read_csv(
                         raise CsvError(
                             f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
                         )
-                for chunk, fields in zip(chunks, zip(*rows)):
-                    chunk.add(fields, first_row)
+                for column, fields in zip(packs, zip(*rows)):
+                    column.append(_pack(fields))
                 first_row += len(rows)
                 rows = row = fields = None  # this chunk's strings go before the next is read
     except OSError as exc:
@@ -269,11 +242,15 @@ def read_csv(
         byte = exc.object[exc.start]
         raise CsvError(f"{path}: not UTF-8 text ({exc.reason}: byte 0x{byte:02x})") from exc
 
-    for name in hint:
+    for name in categorical:
         if name not in header:
-            raise CsvError(f"{path}: schema hint names unknown column {name!r}")
+            raise CsvError(f"{path}: categorical column {name!r} is not in the header")
+    columns = []
+    for j, name in enumerate(header):
+        columns.append(_column(name, packs[j], name in categorical))
+        packs[j] = None  # each column's text goes as soon as the column is built
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return Table(tuple(chunk.column(path) for chunk in chunks), name=stem)
+    return Table(tuple(columns), name=stem)
 
 
 def write_csv(table: Table, path: str | os.PathLike) -> None:

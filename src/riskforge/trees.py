@@ -390,11 +390,11 @@ def fit_boosted(train: BinnedSet, params: BoostingParams, feature_names=None) ->
     y_bar = float(y.mean())
     base = math.log(y_bar / (1.0 - y_bar))
     margin = np.full(y.size, base, dtype=np.float64)
+    p = sigmoid(margin)
 
     trees: list[TreeNode] = []
     losses: list[float] = []
     for t in range(params.n_trees):
-        p = sigmoid(margin)
         g, h = logistic_grad_hess(p, y)
         rng = np.random.default_rng(stage_seed(params.seed, f"boost-tree-{t}"))
         feats = _feature_subset(rng, len(names), params.feature_fraction)
@@ -402,7 +402,8 @@ def fit_boosted(train: BinnedSet, params: BoostingParams, feature_names=None) ->
         for node, node_rows in leaves:
             margin[node_rows] += params.learning_rate * node.value
         trees.append(root)
-        losses.append(_log_loss(y, sigmoid(margin)))
+        p = sigmoid(margin)  # the next round's gradients use the same p
+        losses.append(_log_loss(y, p))
 
     return BoostedModel(
         trees=trees, base_score=base, params=params, feature_names=names, train_loss=tuple(losses)

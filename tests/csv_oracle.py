@@ -22,7 +22,7 @@ def _parse_numeric(fields):
     return values
 
 
-def read_csv_whole(path, schema_hint=None):
+def read_csv_whole(path, categorical=()):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -43,22 +43,15 @@ def read_csv_whole(path, schema_hint=None):
                 f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}"
             )
 
-    hint = dict(schema_hint or {})
-    for name in hint:
+    for name in categorical:
         if name not in header:
-            raise CsvError(f"{path}: schema hint names unknown column {name!r}")
+            raise CsvError(f"{path}: categorical column {name!r} is not in the header")
 
     columns = []
     for name, fields in zip(header, zip(*rows) if rows else [()] * len(header)):
-        kind = hint.get(name)
-        values = None if kind is ColumnKind.CATEGORICAL else _parse_numeric(fields)
+        values = None if name in categorical else _parse_numeric(fields)
         if values is not None:
             columns.append(Column(name, ColumnKind.NUMERIC, values))
-        elif kind is ColumnKind.NUMERIC:
-            i = next(i for i, f in enumerate(fields) if _parse_numeric([f]) is None)
-            raise CsvError(
-                f"{path}: column {name!r} hinted numeric but row {i + 2} holds {fields[i]!r}"
-            )
         else:
             columns.append(Column.categorical(name, fields, missing=MISSING_TOKENS))
 

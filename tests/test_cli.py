@@ -127,6 +127,18 @@ class TestPrepare:
         assert main(["prepare", "--config", str(p)]) == 2
         assert "ghost_bureau.csv" in capsys.readouterr().err
 
+    def test_aux_key_column_not_in_header_exits_2(self, workdir, tmp_path, capsys):
+        _, config_path = workdir
+        cfg = json.loads(config_path.read_text())
+        cfg["data"]["aux"][0]["key_column"] = "ghost_id"
+        cfg["output_dir"] = str(tmp_path / "out")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["prepare", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2 and line.endswith("categorical column 'ghost_id' is not in the header")
+
     def test_test_matrix_uses_train_schema(self, workdir):
         root, _ = workdir
         with open(root / "out" / "prepared" / "train_features.csv") as fh:
@@ -204,6 +216,21 @@ class TestTrain:
         assert line == "error: models.boosted_levelwise.params: n_trees must be >= 1"
         assert not (tmp_path / "out" / "models").exists()
 
+    def test_single_class_training_file_exits_2(self, workdir, tmp_path, capsys):
+        def no_defaults(rows):
+            target = rows[0].index("target")
+            for row in rows[1:]:
+                row[target] = "0"
+
+        p = _edited_config(workdir, tmp_path, {"application_train.csv": no_defaults})
+        capsys.readouterr()
+        assert main(["prepare", "--config", str(p)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line == "error: class 1 has 0 rows, fewer than 2 folds"
+        assert not (tmp_path / "out" / "models").exists()
+
     def test_training_before_prepare_exits_2(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "c", tmp_path / "o")
         p = tmp_path / "cfg.json"
@@ -253,10 +280,15 @@ class TestAssess:
         xai = json.loads((root / "out" / "xai_report.json").read_text())
         validate(xai, "xai_report")
 
-    def test_unknown_id_exits_2(self, workdir, capsys):
-        _, config_path = workdir
-        assert main(["assess", "--config", str(config_path), "--ids", "zzz"]) == 2
-        assert "zzz" in capsys.readouterr().err
+    def test_unknown_id_exits_2(self, workdir, tmp_path, capsys):
+        root, _ = workdir
+        p, _ = _train_config(workdir, tmp_path)
+        shutil.copytree(root / "out" / "models", tmp_path / "out" / "models")
+        capsys.readouterr()
+        code = main(["assess", "--config", str(p), "--ids", "zzz"])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2 and line == "error: unknown applicant id 'zzz'"
+        assert sorted(os.listdir(tmp_path / "out")) == ["models", "prepared"]
 
     def test_rerun_overwrites_identically(self, workdir):
         root, config_path = workdir
@@ -474,8 +506,9 @@ DELETE = object()
 
 #: SHA-256 of ``repr(parse_config(default_config_dict()))``, recorded before
 #: each config section was read from its dataclass, so that no parsed value or
-#: type (an int where a float was read, say) can drift.
-DEFAULT_CONFIG_REPR_SHA256 = "ee9a776aa30f84de03e8e4385ea9b4e2767277fcddc10ee78db03a78385b5f75"
+#: type (an int where a float was read, say) can drift. Re-recorded once when
+#: ``LimeParams`` lost its ``seed=0`` field, the repr's only change.
+DEFAULT_CONFIG_REPR_SHA256 = "d48f1d9cba4b80e94cf3e818fccd053a3c3776a99db914da84959ea7007302f4"
 
 
 def _assert_clean_exit(code, err):
@@ -1003,6 +1036,7 @@ class TestConfig:
             ("features.1.kind", "log", "features[1]: unknown recipe kind 'log'"),
             ("features.0.name", DELETE, "features[0].name is required"),
             ("smote.seed", 3, "smote: unknown keys ['seed']"),
+            ("explain.lime.seed", 3, "explain.lime: unknown keys ['seed']"),
             ("threshold", 10**400, "threshold: float out of range"),
             ("metric", "auroc", "unknown metric 'auroc'"),
             ("explain.shap_sample", -1, "explain.shap_sample must be >= 1, got -1"),
@@ -1026,8 +1060,8 @@ class TestConfig:
             "value-columns-not-list", "statistic-not-text", "value-column-not-text",
             "threshold-text", "top-k-text", "seed-bool", "kernel-width-text",
             "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
-            "smote-seed-is-fixed", "integer-beyond-float-range", "metric-unknown",
-            "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
+            "smote-seed-is-fixed", "lime-seed-is-no-key", "integer-beyond-float-range",
+            "metric-unknown", "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
             "band-rule-negative-term", "band-rule-negative-collateral", "smote-k-zero",
             "cv-one-fold", "lime-top-k-zero", "model-param-zero-trees", "grid-one-bin",
         ],

@@ -229,7 +229,7 @@ class TestLime:
         black_box = lambda z: sigmoid(2.0 * z[:, 1])
         exp = lime_explain(
             black_box, np.zeros(d), (np.zeros(d), np.ones(d)),
-            LimeParams(n_samples=4000, seed=3),
+            LimeParams(n_samples=4000), 3,
         )
         top_name, top_weight = exp.weights[0]
         assert top_name == "f1"
@@ -240,7 +240,7 @@ class TestLime:
         d = 4
         exp = lime_explain(
             lambda z: np.full(len(z), 0.7), np.zeros(d),
-            (np.zeros(d), np.ones(d)), LimeParams(n_samples=500, seed=1),
+            (np.zeros(d), np.ones(d)), LimeParams(n_samples=500), 1,
         )
         assert exp.intercept == pytest.approx(0.7, abs=1e-6)
         for _, w in exp.weights:
@@ -252,7 +252,8 @@ class TestLime:
         bb = lambda z: sigmoid(z[:, 0] - 2 * z[:, 2])
         kwargs = dict(
             feature_stats=(np.zeros(d), np.ones(d)),
-            params=LimeParams(n_samples=800, seed=11),
+            params=LimeParams(n_samples=800),
+            seed=11,
         )
         a = lime_explain(bb, np.zeros(d), **kwargs)
         b = lime_explain(bb, np.zeros(d), **kwargs)
@@ -265,7 +266,7 @@ class TestLime:
         bb = lambda z: sigmoid(z @ coefs)
         exp = lime_explain(
             bb, np.zeros(d), (np.zeros(d), np.ones(d)),
-            LimeParams(n_samples=6000, seed=21),
+            LimeParams(n_samples=6000), 21,
         )
         got = dict(exp.weights)
         for i, c in enumerate(coefs):
@@ -276,7 +277,7 @@ class TestLime:
         bb = lambda z: sigmoid(z.sum(axis=1))
         exp = lime_explain(
             bb, np.zeros(d), (np.zeros(d), np.ones(d)),
-            LimeParams(n_samples=2000, seed=2, top_k=3),
+            LimeParams(n_samples=2000, top_k=3), 2,
         )
         assert len(exp.weights) == 3
 
@@ -285,7 +286,7 @@ class TestLime:
         with pytest.raises(DataError, match="n_samples"):
             lime_explain(
                 lambda z: np.zeros(len(z)), np.zeros(d),
-                (np.zeros(d), np.ones(d)), LimeParams(n_samples=5, seed=0),
+                (np.zeros(d), np.ones(d)), LimeParams(n_samples=5), 0,
             )
 
     def test_works_on_fitted_model(self):
@@ -295,7 +296,7 @@ class TestLime:
         model = fit(LabeledMatrix(x, y), BoostingParams(n_trees=10, seed=0))
         exp = lime_explain(
             model, x[0], (x.mean(axis=0), x.std(axis=0)),
-            LimeParams(n_samples=1000, seed=5),
+            LimeParams(n_samples=1000), 5,
             feature_names=("a", "b", "c"),
         )
         assert exp.weights[0][0] in ("a", "b", "c")

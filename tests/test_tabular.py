@@ -74,7 +74,7 @@ class TestReadCsv:
     def test_schema_hint_forces_categorical(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("id\n1\n2\n")
-        col = read_csv(p, schema_hint={"id": ColumnKind.CATEGORICAL}).column("id")
+        col = read_csv(p, categorical=["id"]).column("id")
         assert col.kind is ColumnKind.CATEGORICAL
         assert cells(col) == ("1", "2")
 
@@ -99,10 +99,10 @@ def _write_rows(path, rows):
     return path
 
 
-def _outcome(read, path, hint):
+def _outcome(read, path, categorical):
     """The table ``read`` returns, down to every value's bytes, or its error message."""
     try:
-        t = read(path, schema_hint=hint)
+        t = read(path, categorical)
     except CsvError as exc:
         return f"CsvError: {exc}"
     return t.name, [
@@ -110,9 +110,9 @@ def _outcome(read, path, hint):
     ]
 
 
-def assert_same_as_whole_file(path, hint=None):
-    got = _outcome(read_csv, path, hint)
-    assert got == _outcome(read_csv_whole, path, hint)
+def assert_same_as_whole_file(path, categorical=()):
+    got = _outcome(read_csv, path, categorical)
+    assert got == _outcome(read_csv_whole, path, categorical)
     return got
 
 
@@ -146,29 +146,18 @@ class TestStreamedReadCsv:
         assert kind is ColumnKind.CATEGORICAL and "x\0y" in vocabulary
 
     @pytest.mark.parametrize("row", [2, 5, 9])
-    def test_hinted_numeric_failure_in_later_chunk(self, tmp_path, row):
-        rows = [["a", "b"]] + [[str(i), str(i)] for i in range(10)]
-        rows[row][1] = "high"
-        rows[row + 1][0] = "low"  # a later failure of an earlier column comes first
-        path = _write_rows(tmp_path / "t.csv", rows)
-        hint = {"a": ColumnKind.NUMERIC, "b": ColumnKind.NUMERIC}
-        message = assert_same_as_whole_file(path, hint)
-        assert message.endswith(f"column 'a' hinted numeric but row {row + 2} holds 'low'")
-
-    @pytest.mark.parametrize("row", [2, 5, 9])
     def test_ragged_row_in_later_chunk(self, tmp_path, row):
         rows = [["a", "b"]] + [[str(i), "x"] for i in range(10)]
         rows[row].append("extra")
-        rows[1][0] = "text"  # a hinted-numeric failure, reported after the ragged row
         path = _write_rows(tmp_path / "t.csv", rows)
-        hint = {"a": ColumnKind.NUMERIC, "unknown": ColumnKind.NUMERIC}
-        message = assert_same_as_whole_file(path, hint)
+        # An unknown categorical name is reported after the ragged row.
+        message = assert_same_as_whole_file(path, ["unknown"])
         assert message.endswith(f"row {row + 1} has 3 fields, expected 2")
 
     def test_quoted_commas_newlines_and_nul(self, tmp_path):
         rows = [["k", "t"]] + [[str(i), TEXT_FIELDS[i % len(TEXT_FIELDS)]] for i in range(11)]
         path = _write_rows(tmp_path / "t.csv", rows)
-        _, columns = assert_same_as_whole_file(path, {"k": ColumnKind.CATEGORICAL})
+        _, columns = assert_same_as_whole_file(path, ["k"])
         assert set(TEXT_FIELDS) <= set(columns[1][4])
 
     def test_missing_and_nonfinite_tokens(self, tmp_path):
@@ -200,14 +189,15 @@ class TestStreamedReadCsv:
                 row.append("x")
             else:
                 row.pop()
-        hint = {name: rng.choice(list(ColumnKind)) for name in header if rng.random() < 0.3}
+        categorical = [name for name in header if rng.random() < 0.3]
         if rng.random() < 0.1:
-            hint["unknown"] = ColumnKind.NUMERIC
-        assert_same_as_whole_file(_write_rows(tmp_path / "t.csv", [header] + rows), hint)
+            categorical.append("unknown")
+        path = _write_rows(tmp_path / "t.csv", [header] + rows)
+        assert_same_as_whole_file(path, categorical)
 
     def test_header_only_and_empty_file(self, tmp_path):
         path = _write_rows(tmp_path / "t.csv", [["a", "b"]])
-        _, columns = assert_same_as_whole_file(path, {"b": ColumnKind.CATEGORICAL})
+        _, columns = assert_same_as_whole_file(path, ["b"])
         assert [c[1] for c in columns] == [ColumnKind.NUMERIC, ColumnKind.CATEGORICAL]
         (tmp_path / "e.csv").write_text("")
         assert "empty file" in assert_same_as_whole_file(tmp_path / "e.csv")
@@ -269,9 +259,7 @@ def test_write_read_round_trip(tmp_path_factory, nums, texts):
     t = table(num_col("n", nums), cat_col("c", texts))
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     write_csv(t, path)
-    back = read_csv(
-        path, schema_hint={"n": ColumnKind.NUMERIC, "c": ColumnKind.CATEGORICAL}
-    )
+    back = read_csv(path, categorical=["c"])
     assert cells(back.column("n")) == cells(t.column("n"))
     assert cells(back.column("c")) == cells(t.column("c"))
 
