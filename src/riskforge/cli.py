@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import os
 import sys
@@ -84,10 +85,30 @@ def write_labels_csv(path: str, ids, labels: np.ndarray) -> None:
         writer.writerows(zip(ids, labels.tolist()))
 
 
+def _check_applicant_ids(ids: list) -> None:
+    """Each applicant id names its report directory under applicants/, so it
+    must be present (not None or empty), not ``.`` or ``..``, hold no ``/``,
+    ``\\`` or NUL, and be unique. The first unsafe id fails, naming its row,
+    before any duplicate does."""
+    unsafe = {
+        v for v in set(ids)
+        if not v or v in (".", "..") or "/" in v or "\\" in v or "\0" in v
+    }
+    if unsafe:
+        k = next(k for k, v in enumerate(ids) if v in unsafe)
+        what = f"{ids[k]!r} cannot name a directory" if ids[k] else "missing"
+        raise DataError(f"row {k + 2}: applicant id {what}")
+    seen = set()
+    for v in ids:
+        if v in seen:
+            raise DataError(f"duplicate applicant id {v!r}")
+        seen.add(v)
+
+
 def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Applicant ids and 0/1 labels, the first two fields of each row after
     the header; a row without both, or with another label, is a DataError
-    that names the row."""
+    that names the row, as is an id that breaks ``_check_applicant_ids``."""
     ids = []
 
     def label(row):
@@ -108,26 +129,22 @@ def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
         reader = csv.reader(fh)
         next(reader, None)
         labels = np.fromiter(map(label, reader), np.int64)
+    _check_applicant_ids(ids)
     return ids, labels
 
 
 def _load_application(cfg: RunConfig, path: str) -> Table:
-    table = read_csv(path, categorical=[cfg.id_column])
-    for required in (cfg.id_column, cfg.label_column):
-        if not table.has_column(required):
-            raise DataError(f"{path}: required column {required!r} is missing")
-    ids = table.column(cfg.id_column)
-    unsafe = [k for k, v in enumerate(ids.vocabulary) if v in (".", "..") or set(v) & set("/\\\0")]
-    bad = np.flatnonzero(np.isin(ids.values, [-1, *unsafe]))
-    if bad.size:  # each id names its report directory under applicants/
-        k = bad[0]
-        what = repr(ids.cell(k)) + " cannot name a directory" if ids.values[k] >= 0 else "missing"
-        raise DataError(f"{path}: row {k + 2}: applicant id {what}")
-    first = np.zeros(table.row_count, dtype=bool)
-    first[np.unique(ids.values, return_index=True)[1]] = True
-    repeats = np.flatnonzero(~first)
-    if repeats.size:
-        raise DataError(f"{path}: duplicate applicant id {ids.cell(repeats[0])!r}")
+    """A raw application table. Its id column and every aux key column are
+    read as text, so that aux keys match the table's own; a missing one fails
+    in ``read_csv``."""
+    keys = [a.spec.key_column for a in cfg.aux_tables]
+    table = read_csv(path, categorical=[cfg.id_column, *keys])
+    if not table.has_column(cfg.label_column):
+        raise DataError(f"{path}: required column {cfg.label_column!r} is missing")
+    try:
+        _check_applicant_ids(table.column(cfg.id_column).strings())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return table
 
 
@@ -179,10 +196,9 @@ def _labels_from(table: Table, label_column: str) -> np.ndarray:
 
 
 def _feature_table(cfg: RunConfig, table: Table) -> Table:
-    names = [
-        n for n in table.column_names if n not in (cfg.id_column, cfg.label_column)
-    ]
-    return select_columns(table, names)
+    """Every column but the id, the label and the aux key columns."""
+    keys = {cfg.id_column, cfg.label_column, *(a.spec.key_column for a in cfg.aux_tables)}
+    return select_columns(table, [n for n in table.column_names if n not in keys])
 
 
 def cmd_gen_corpus(cfg: RunConfig) -> list[str]:
@@ -422,7 +438,7 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
         k = index_of[applicant_id]
         summary, row = shap_of[k]
         lime_exp = lime_explain(
-            model,
+            functools.partial(predict_proba, model),
             test[k],
             (mu, sd),
             cfg.lime,

@@ -1,5 +1,5 @@
-"""Model explanations: exact path-dependent TreeSHAP, a brute-force Shapley
-oracle, summary aggregation, and LIME local surrogates.
+"""Model explanations: exact path-dependent TreeSHAP, summary aggregation,
+and LIME local surrogates.
 
 TreeSHAP (Lundberg et al. 2020) explains a whole batch of rows at once, one
 tree at a time, over merged root-to-leaf paths as in GPUTreeShap (Mitchell
@@ -8,13 +8,12 @@ its zero fraction is the product of its cover ratios, and a row's one
 fraction is 0 or 1 by whether the row lies in the element's interval. The
 extend and unwound-sum steps of the polynomial-time algorithm then run as
 numpy updates over (rows, paths, elements), for paths grouped by element
-count. The base value is each tree's cover-weighted leaf expectation. The
-exponential-time ``brute_shapley`` computes the same attributions straight
-from the Shapley definition and exists purely to cross-check the fast path.
+count. The base value is each tree's cover-weighted leaf expectation.
 
 Boosted ensembles are explained on the margin (log-odds) scale, where
 additivity is exact; forests on the probability scale. Every explanation
-records its scale.
+records its scale. LIME fits its surrogate to the predict function it is
+given.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .trees import BoostedModel, ForestModel, TreeNode, predict_margin, predict_proba
+from .trees import BoostedModel, ForestModel, TreeNode, predict_margin
 
 SCALE_MARGIN = "margin"
 SCALE_PROBABILITY = "probability"
@@ -185,7 +184,6 @@ class TreeShapExplainer:
             self.scale = SCALE_PROBABILITY
         else:
             raise SchemaError(f"cannot explain model type {type(model).__name__}")
-        self.model = model
         self.n_features = len(model.feature_names)
         self.base_value = self.offset + self.coef * sum(
             _expected_value(t) for t in model.trees
@@ -207,91 +205,6 @@ class TreeShapExplainer:
                     _add_group_phi(x[rows], group, phi[rows])
         phi *= self.coef
         return phi
-
-    def explain(self, instance) -> ShapExplanation:
-        """One row's explanation, from a batch of one."""
-        x = np.asarray(instance, dtype=np.float64).reshape(1, -1)
-        if x.shape[1] != self.n_features:
-            raise SchemaError(f"instance has {x.shape[1]} features, model expects {self.n_features}")
-        return ShapExplanation(
-            scale=self.scale,
-            base_value=self.base_value,
-            phi=self.shap_values(x)[0],
-            margin=float(predict_margin(self.model, x)[0]),
-            feature_names=tuple(self.model.feature_names),
-        )
-
-
-def _leaf_paths(root: TreeNode, x) -> list:
-    """(leaf value, [(feature, on_x_path, cover_fraction), ...]) per leaf."""
-    paths = []
-
-    def walk(node: TreeNode, factors: list):
-        if node.is_leaf:
-            paths.append((node.value, list(factors)))
-            return
-        goes_left = x[node.feature] <= node.threshold
-        for child, on_path in ((node.left, goes_left), (node.right, not goes_left)):
-            factors.append(
-                (node.feature, 1.0 if on_path else 0.0, child.cover / node.cover)
-            )
-            walk(child, factors)
-            factors.pop()
-
-    walk(root, [])
-    return paths
-
-
-def brute_shapley(model, instance) -> ShapExplanation:
-    """Shapley values straight from the definition; exponential in features.
-
-    The coalition value v(S) evaluates each tree with features outside S
-    marginalized by cover-weighted descent into both children. Verification
-    oracle only; refuses more than 15 features.
-    """
-    explainer = TreeShapExplainer(model)  # reuse scale/coef bookkeeping
-    x = np.asarray(instance, dtype=np.float64).ravel()
-    m = explainer.n_features
-    if x.size != m:
-        raise SchemaError(f"instance has {x.size} features, model expects {m}")
-    if m > 15:
-        raise DataError(f"brute-force Shapley refuses {m} features (limit 15)")
-
-    tree_paths = [_leaf_paths(t, x) for t in model.trees]
-
-    def coalition_value(mask: int) -> float:
-        total = 0.0
-        for paths in tree_paths:
-            for value, factors in paths:
-                prod = value
-                for f, on_path, frac in factors:
-                    prod *= on_path if (mask >> f) & 1 else frac
-                    if prod == 0.0:
-                        break
-                total += prod
-        return explainer.offset + explainer.coef * total
-
-    values = [coalition_value(mask) for mask in range(1 << m)]
-    weights = [
-        math.factorial(s) * math.factorial(m - 1 - s) / math.factorial(m)
-        for s in range(m)
-    ]
-    phi = np.zeros(m, dtype=np.float64)
-    for i in range(m):
-        bit = 1 << i
-        for mask in range(1 << m):
-            if mask & bit:
-                continue
-            size = bin(mask).count("1")
-            phi[i] += weights[size] * (values[mask | bit] - values[mask])
-
-    return ShapExplanation(
-        scale=explainer.scale,
-        base_value=values[0],
-        phi=phi,
-        margin=values[(1 << m) - 1],
-        feature_names=tuple(model.feature_names),
-    )
 
 
 def shap_summary(model, sample: np.ndarray) -> ShapSummary:
@@ -317,7 +230,7 @@ def shap_summary(model, sample: np.ndarray) -> ShapSummary:
 
 
 def lime_explain(
-    model,
+    predict,
     instance,
     feature_stats: tuple[np.ndarray, np.ndarray],
     params: LimeParams,
@@ -331,7 +244,7 @@ def lime_explain(
     standardized instance, i.e. raw-space sigma from the training scaler),
     weighted by exp(-||z - x||^2 / kernel_width^2), and the surrogate is fit
     on standardized features so weights are comparable across features.
-    ``model`` may be a fitted ensemble or any callable matrix -> probability.
+    ``predict`` maps a matrix to one probability per row.
     """
     x = np.asarray(instance, dtype=np.float64).ravel()
     d = x.size
@@ -342,8 +255,6 @@ def lime_explain(
     if params.n_samples < d + 2:
         raise DataError(f"n_samples must be >= {d + 2} for {d} features")
     kernel_width = params.kernel_width or 0.75 * math.sqrt(d)
-
-    predict = model if callable(model) else lambda matrix: predict_proba(model, matrix)
 
     names = tuple(feature_names) if feature_names else tuple(f"f{i}" for i in range(d))
     if len(names) != d:

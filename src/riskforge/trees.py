@@ -144,13 +144,7 @@ class ForestModel:
 
 def logistic_grad_hess(p, y) -> tuple:
     """Gradient and hessian of the logistic loss at probability ``p``."""
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    g = p - y
-    h = p * (1.0 - p)
-    if g.ndim == 0:
-        return float(g), float(h)
-    return g, h
+    return p - y, p * (1.0 - p)
 
 
 def split_gain(gl, hl, gr, hr, l2_regularization: float, min_split_gain: float):
@@ -480,11 +474,9 @@ def _predict_tree(node: TreeNode, columns: np.ndarray, rows: np.ndarray, out: np
 def predict_margin(model, matrix: np.ndarray) -> np.ndarray:
     """Additive score: log-odds for boosted models, probability for forests."""
     x = np.asarray(matrix, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.shape[1] != len(model.feature_names):
+    if x.ndim != 2 or x.shape[1] != len(model.feature_names):
         raise SchemaError(
-            f"matrix has {x.shape[1]} columns, model expects {len(model.feature_names)}"
+            f"matrix {x.shape} does not have {len(model.feature_names)} columns"
         )
     columns = np.ascontiguousarray(x.T)
     rows = np.arange(x.shape[0])

@@ -49,7 +49,7 @@ def write_text(path: str | os.PathLike, text: str) -> None:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function for scalars or numpy arrays."""
+    """Numerically stable logistic function of a numpy array."""
     import numpy as np
 
     z = np.asarray(z, dtype=np.float64)
@@ -58,6 +58,4 @@ def sigmoid(z):
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
     return out

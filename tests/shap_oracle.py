@@ -1,15 +1,21 @@
-"""Scalar path-dependent TreeSHAP, kept as the reference for the batch kernel.
+"""Reference Shapley values for the batch TreeSHAP kernel.
 
-One row at a time, one recursion per tree: every root-to-leaf path keeps the
-weighted set of feature subsets along it (the extend/unwind bookkeeping of
-the polynomial-time algorithm, Lundberg et al. 2020). A feature split twice
-on a path is unwound and extended again. ``riskforge.explain`` computes the
-same attributions for many rows at once; the tests compare the two.
+``oracle_phi`` is scalar path-dependent TreeSHAP, one row at a time, one
+recursion per tree: every root-to-leaf path keeps the weighted set of
+feature subsets along it (the extend/unwind bookkeeping of the
+polynomial-time algorithm, Lundberg et al. 2020). A feature split twice on a
+path is unwound and extended again. ``brute_shapley`` computes the same
+attributions straight from the Shapley definition, in time exponential in
+the feature count. ``riskforge.explain`` computes them for many rows at
+once; the tests compare the three.
 """
+
+import math
 
 import numpy as np
 
-from riskforge.explain import TreeShapExplainer
+from riskforge.errors import DataError, SchemaError
+from riskforge.explain import ShapExplanation, TreeShapExplainer, shap_summary
 from riskforge.trees import TreeNode
 
 
@@ -104,3 +110,82 @@ def oracle_phi(model, instance) -> np.ndarray:
         _shap_recurse(tree, xl, phi, [], [], [], [], 1.0, 1.0, -1)
     phi *= TreeShapExplainer(model).coef
     return phi
+
+
+def _leaf_paths(root: TreeNode, x) -> list:
+    """(leaf value, [(feature, on_x_path, cover_fraction), ...]) per leaf."""
+    paths = []
+
+    def walk(node: TreeNode, factors: list):
+        if node.is_leaf:
+            paths.append((node.value, list(factors)))
+            return
+        goes_left = x[node.feature] <= node.threshold
+        for child, on_path in ((node.left, goes_left), (node.right, not goes_left)):
+            factors.append(
+                (node.feature, 1.0 if on_path else 0.0, child.cover / node.cover)
+            )
+            walk(child, factors)
+            factors.pop()
+
+    walk(root, [])
+    return paths
+
+
+def brute_shapley(model, instance) -> ShapExplanation:
+    """Shapley values straight from the definition; exponential in features.
+
+    The coalition value v(S) evaluates each tree with features outside S
+    marginalized by cover-weighted descent into both children. Verification
+    oracle only; refuses more than 15 features.
+    """
+    explainer = TreeShapExplainer(model)  # reuse scale/coef bookkeeping
+    x = np.asarray(instance, dtype=np.float64).ravel()
+    m = explainer.n_features
+    if x.size != m:
+        raise SchemaError(f"instance has {x.size} features, model expects {m}")
+    if m > 15:
+        raise DataError(f"brute-force Shapley refuses {m} features (limit 15)")
+
+    tree_paths = [_leaf_paths(t, x) for t in model.trees]
+
+    def coalition_value(mask: int) -> float:
+        total = 0.0
+        for paths in tree_paths:
+            for value, factors in paths:
+                prod = value
+                for f, on_path, frac in factors:
+                    prod *= on_path if (mask >> f) & 1 else frac
+                    if prod == 0.0:
+                        break
+                total += prod
+        return explainer.offset + explainer.coef * total
+
+    values = [coalition_value(mask) for mask in range(1 << m)]
+    weights = [
+        math.factorial(s) * math.factorial(m - 1 - s) / math.factorial(m)
+        for s in range(m)
+    ]
+    phi = np.zeros(m, dtype=np.float64)
+    for i in range(m):
+        bit = 1 << i
+        for mask in range(1 << m):
+            if mask & bit:
+                continue
+            size = bin(mask).count("1")
+            phi[i] += weights[size] * (values[mask | bit] - values[mask])
+
+    return ShapExplanation(
+        scale=explainer.scale,
+        base_value=values[0],
+        phi=phi,
+        margin=values[(1 << m) - 1],
+        feature_names=tuple(model.feature_names),
+    )
+
+
+def explain_row(model, instance) -> ShapExplanation:
+    """One row's TreeSHAP explanation, made as ``assess`` makes it: a
+    one-row SHAP summary."""
+    x = np.asarray(instance, dtype=np.float64).reshape(1, -1)
+    return shap_summary(model, x).explanation(0)

@@ -139,6 +139,28 @@ class TestPrepare:
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
         assert code == 2 and line.endswith("categorical column 'ghost_id' is not in the header")
 
+    def test_aux_key_other_than_id_column_matches(self, workdir, tmp_path):
+        """With ``loan_id`` as the id column, the aux tables still join on
+        ``applicant_id``, and the key is no feature: the train matrix, its 9
+        merged columns included, equals the default run's."""
+        def add_loan_id(rows):
+            rows[0].append("loan_id")
+            for row in rows[1:]:
+                row.append("L" + row[0])
+
+        p = _edited_config(
+            workdir, tmp_path,
+            {"application_train.csv": add_loan_id, "application_test.csv": add_loan_id},
+        )
+        cfg = json.loads(p.read_text())
+        cfg["data"]["id_column"] = "loan_id"
+        p.write_text(json.dumps(cfg))
+        assert main(["prepare", "--config", str(p)]) == 0
+        rel = "prepared/train_features.csv"
+        names, _ = read_matrix_csv(str(tmp_path / "out" / rel))
+        assert sum(n.startswith(("bureau_", "payments_")) for n in names) == 9
+        assert (tmp_path / "out" / rel).read_bytes() == (workdir[0] / "out" / rel).read_bytes()
+
     def test_test_matrix_uses_train_schema(self, workdir):
         root, _ = workdir
         with open(root / "out" / "prepared" / "train_features.csv") as fh:
@@ -479,6 +501,12 @@ def _repeat_first_id(rows):
     rows[2][0] = rows[1][0]
 
 
+def _rename_column(column, name):
+    def edit(rows):
+        rows[0][rows[0].index(column)] = name
+    return edit
+
+
 def _edited_config(workdir, tmp_dir, edits):
     """Config for a copy of the shared corpus with ``edits[file](rows)`` applied."""
     root, config_path = workdir
@@ -540,11 +568,15 @@ class TestCorruptCells:
             ("bureau.csv", _set_cell("amt_credit_sum", "lots"), 2, "'amt_credit_sum'"),
             ("application_train.csv", _set_cell("amt_income_total", "1e308"), 2,
              "'amt_income_total'"),
+            ("application_train.csv", _rename_column("applicant_id", "id"), 2,
+             "categorical column 'applicant_id' is not in the header"),
+            ("application_train.csv", _rename_column("target", "label"), 2,
+             "required column 'target' is missing"),
         ],
         ids=[
             "text-in-numeric-test", "text-in-numeric-train", "blank-numeric",
             "na-numeric", "ragged-row", "blank-target", "target-2", "duplicate-id",
-            "text-in-bureau-value", "huge-numeric-train",
+            "text-in-bureau-value", "huge-numeric-train", "no-id-column", "no-label-column",
         ],
     )
     def test_prepare_exit_code(self, workdir, tmp_path, capsys, name, edit, code, needle):
@@ -657,10 +689,17 @@ def _rename_last_column(path):
     path.write_text("".join(lines))
 
 
-def _text_in_first_cell(path):
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1] = "high" + lines[1][lines[1].index(","):]
-    path.write_text("".join(lines))
+def _set_first_cell(text, row=1):
+    def edit(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[row] = text + lines[row][lines[row].index(","):]
+        path.write_text("".join(lines))
+    return edit
+
+
+def _repeat_first_label_id(path):
+    first_id = path.read_text().splitlines()[1].split(",")[0]
+    _set_first_cell(first_id, row=2)(path)
 
 
 def _move_cell_to_next_row(path):
@@ -696,7 +735,7 @@ class TestCorruptStageFiles:
             ("prepared/pipeline.json", _edit_json(lambda d: d.pop("scaler")),
              "missing required key 'scaler'"),
             ("prepared/pipeline.json", _write_text("{bad"), "Expecting property name"),
-            ("prepared/test_features.csv", _text_in_first_cell,
+            ("prepared/test_features.csv", _set_first_cell("high"),
              "could not convert string to float"),
             ("prepared/test_features.csv", Path.unlink, "No such file"),
             ("prepared/test_features.csv", _move_cell_to_next_row, "row 2 has "),
@@ -707,6 +746,9 @@ class TestCorruptStageFiles:
              "row 3: label must be 0 or 1, got 1" + "0" * 23),
             ("prepared/test_labels.csv", _write_text("id,y\r\n7,0\r\n8,1\r\n9\r\n"),
              "row 4: 1 field(s), expected an id and a label"),
+            ("prepared/test_labels.csv", _set_first_cell("../../escaped"),
+             "row 2: applicant id '../../escaped' cannot name a directory"),
+            ("prepared/test_labels.csv", _repeat_first_label_id, "duplicate applicant id '481'"),
             ("prepared/test_loans.csv", Path.unlink, "No such file"),
             ("prepared/test_loans.csv", _rename_last_column,
              "prepared matrices do not match the loan columns"),
@@ -718,7 +760,8 @@ class TestCorruptStageFiles:
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
             "learning-rate-differs", "unknown-param", "no-scaler", "pipeline-not-json",
             "text-in-features", "no-test-features", "ragged-features", "short-label-row",
-            "label-3", "huge-label", "short-last-label-row",
+            "label-3", "huge-label", "short-last-label-row", "unsafe-label-id",
+            "duplicate-label-id",
             "no-test-loans", "loans-header", "short-loans", "nan-term",
         ],
     )
@@ -737,6 +780,7 @@ class TestCorruptStageFiles:
         assert code == 2
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
         assert line.startswith(f"error: {out / rel}: ") and needle in line
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
 
     @pytest.mark.parametrize(
         "corrupt, needle",

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from shap_oracle import oracle_phi
+from shap_oracle import brute_shapley, explain_row, oracle_phi
 from test_acceptance import _random_small_model
 from test_trees import GOLDEN_DIGESTS, fit, golden_data
 
@@ -11,7 +11,6 @@ from riskforge.errors import DataError, SchemaError
 from riskforge.explain import (
     LimeParams,
     TreeShapExplainer,
-    brute_shapley,
     lime_explain,
     shap_summary,
 )
@@ -23,6 +22,7 @@ from riskforge.trees import (
     ForestParams,
     TreeNode,
     predict_margin,
+    predict_proba,
 )
 from riskforge.utils import sigmoid
 
@@ -77,7 +77,7 @@ class TestTreeShapExamples:
         model = boosted([stump(0, 0.0, a, b, covers=(wa, wb))], d=3)
         base = (wa * a + wb * b) / (wa + wb)
         for x, leaf in (([-1.0, 9.0, 9.0], a), ([1.0, 9.0, 9.0], b)):
-            exp = TreeShapExplainer(model).explain(np.array(x))
+            exp = explain_row(model, np.array(x))
             assert exp.base_value == pytest.approx(base, abs=1e-12)
             assert exp.phi[0] == pytest.approx(leaf - base, abs=1e-12)
             assert exp.phi[1] == 0.0 and exp.phi[2] == 0.0
@@ -92,7 +92,7 @@ class TestTreeShapExamples:
         root.right = inner
         model = boosted([root], d=2, eta=0.7, base=-0.3)
         for x in ([-1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]):
-            fast = TreeShapExplainer(model).explain(np.array(x))
+            fast = explain_row(model, np.array(x))
             slow = brute_shapley(model, np.array(x))
             assert fast.phi == pytest.approx(slow.phi, abs=1e-12)
             assert fast.base_value == pytest.approx(slow.base_value, abs=1e-12)
@@ -100,7 +100,7 @@ class TestTreeShapExamples:
 
     def test_zero_tree_model_all_phi_zero(self):
         model = boosted([], d=3, base=-1.7)
-        exp = TreeShapExplainer(model).explain(np.zeros(3))
+        exp = explain_row(model, np.zeros(3))
         assert np.all(exp.phi == 0.0)
         assert exp.base_value == -1.7
         assert exp.margin == -1.7
@@ -112,7 +112,7 @@ class TestOracleEquivalence:
         for _ in range(25):
             model = random_model(rng)
             x = rng.normal(size=len(model.feature_names))
-            fast = TreeShapExplainer(model).explain(x)
+            fast = explain_row(model, x)
             slow = brute_shapley(model, x)
             assert fast.phi == pytest.approx(slow.phi, abs=1e-9)
             assert fast.base_value == pytest.approx(slow.base_value, abs=1e-9)
@@ -141,10 +141,9 @@ class TestShapProperties:
         x = rng.normal(size=(400, 6))
         y = (rng.random(400) < sigmoid(x[:, 0] - x[:, 1])).astype(int)
         model = fit(LabeledMatrix(x, y), BoostingParams(n_trees=20, seed=0))
-        explainer = TreeShapExplainer(model)
         margins = predict_margin(model, x[:50])
         for i in range(50):
-            exp = explainer.explain(x[i])
+            exp = explain_row(model, x[i])
             assert exp.base_value + exp.phi.sum() == pytest.approx(
                 margins[i], abs=1e-6
             )
@@ -155,7 +154,7 @@ class TestShapProperties:
         t0 = stump(0, 0.0, -1.0, 1.0, covers=(2.0, 2.0))
         t1 = stump(1, 0.0, -1.0, 1.0, covers=(2.0, 2.0))
         model = boosted([t0, t1], d=2, eta=0.5, base=0.0)
-        exp = TreeShapExplainer(model).explain(np.array([-1.0, -1.0]))
+        exp = explain_row(model, np.array([-1.0, -1.0]))
         assert exp.phi[0] == pytest.approx(exp.phi[1], abs=1e-12)
 
     def test_dummy_feature_gets_exactly_zero(self):
@@ -171,21 +170,21 @@ class TestShapProperties:
             for t in model.trees:
                 collect(t)
             x = rng.normal(size=6)
-            exp = TreeShapExplainer(model).explain(x)
+            exp = explain_row(model, x)
             for f in range(6):
                 if f not in used:
                     assert exp.phi[f] == 0.0
 
     def test_forest_scale_is_probability(self):
         model = forest([stump(0, 0.0, 0.2, 0.8)], d=1)
-        exp = TreeShapExplainer(model).explain(np.array([1.0]))
+        exp = explain_row(model, np.array([1.0]))
         assert exp.scale == "probability"
         assert exp.base_value + exp.phi.sum() == pytest.approx(0.8, abs=1e-12)
 
     def test_width_mismatch_rejected(self):
         model = boosted([stump(0, 0.0, 0.1, 0.9)], d=1)
-        with pytest.raises(SchemaError, match="features"):
-            TreeShapExplainer(model).explain(np.zeros(3))
+        with pytest.raises(SchemaError, match="columns"):
+            explain_row(model, np.zeros(3))
 
 
 class TestShapSummary:
@@ -193,7 +192,7 @@ class TestShapSummary:
         model = boosted([stump(0, 0.0, -0.5, 0.5)], d=2)
         x = np.array([[1.0, 3.0]])
         summary = shap_summary(model, x)
-        exp = TreeShapExplainer(model).explain(x[0])
+        exp = explain_row(model, x[0])
         assert summary.mean_abs == pytest.approx(np.abs(exp.phi))
 
     def test_unused_feature_ranks_last_with_zero(self):
@@ -295,7 +294,7 @@ class TestLime:
         y = (rng.random(300) < sigmoid(2 * x[:, 0])).astype(int)
         model = fit(LabeledMatrix(x, y), BoostingParams(n_trees=10, seed=0))
         exp = lime_explain(
-            model, x[0], (x.mean(axis=0), x.std(axis=0)),
+            lambda m: predict_proba(model, m), x[0], (x.mean(axis=0), x.std(axis=0)),
             LimeParams(n_samples=1000), 5,
             feature_names=("a", "b", "c"),
         )
