@@ -4,6 +4,9 @@ plus the synthetic corpus generator.
 Every command is a pure function of (config, seed): outputs land under the
 configured output directory and rerunning a command overwrites them with
 identical bytes. Exit codes: 0 success, 1 internal error, 2 user error.
+
+Raw application files and prepared label files are read by one loader, which
+keeps one id rule and one 0/1 label rule for both.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .preprocess import (
 )
 from .risk import assess, portfolio_impact
 from .sampling import LabeledMatrix
-from .tabular import ColumnKind, Table, aggregate_merge, read_csv, select_columns
+from .tabular import Column, ColumnKind, Table, aggregate_merge, read_csv, select_columns
 from .trees import model_from_doc, model_to_doc, predict_proba
 from .tuning import grid_search, search_result_to_doc
 from .utils import dump_json, load_json, stage_seed
@@ -99,53 +102,47 @@ def _check_applicant_ids(ids: list) -> None:
         what = f"{ids[k]!r} cannot name a directory" if ids[k] else "missing"
         raise DataError(f"row {k + 2}: applicant id {what}")
     seen = set()
-    for v in ids:
+    for k, v in enumerate(ids, 2):
         if v in seen:
-            raise DataError(f"duplicate applicant id {v!r}")
+            raise DataError(f"row {k}: duplicate applicant id {v!r}")
         seen.add(v)
 
 
-def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Applicant ids and 0/1 labels, the first two fields of each row after
-    the header; a row without both, or with another label, is a DataError
-    that names the row, as is an id that breaks ``_check_applicant_ids``."""
-    ids = []
-
-    def label(row):
-        try:
-            value = int(row[1])
-        except IndexError:
-            raise DataError(
-                f"row {len(ids) + 2}: {len(row)} field(s), expected an id and a label"
-            ) from None
-        except ValueError:
-            value = row[1]
-        if value not in (0, 1):
-            raise DataError(f"row {len(ids) + 2}: label must be 0 or 1, got {value!r}")
-        ids.append(row[0])
-        return value
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        labels = np.fromiter(map(label, reader), np.int64)
-    _check_applicant_ids(ids)
-    return ids, labels
-
-
-def _load_application(cfg: RunConfig, path: str) -> Table:
-    """A raw application table. Its id column and every aux key column are
-    read as text, so that aux keys match the table's own; a missing one fails
-    in ``read_csv``."""
-    keys = [a.spec.key_column for a in cfg.aux_tables]
-    table = read_csv(path, categorical=[cfg.id_column, *keys])
-    if not table.has_column(cfg.label_column):
-        raise DataError(f"{path}: required column {cfg.label_column!r} is missing")
+def _float(text: str) -> float:
     try:
-        _check_applicant_ids(table.column(cfg.id_column).strings())
+        return float(text)
+    except ValueError:
+        return np.nan
+
+
+def _check_labels(col: Column) -> np.ndarray:
+    """The labels of the text column ``col``: each must read as the number 0
+    or 1. The first other cell, missing ones too, fails naming its row."""
+    values = np.array([*map(_float, col.vocabulary), np.nan])[col.values]
+    bad = np.flatnonzero((values != 0.0) & (values != 1.0))  # NaN too
+    if bad.size:
+        k = bad[0]
+        what = f"must be 0 or 1, got {col.cell(k)!r}" if col.values[k] >= 0 else "missing"
+        raise DataError(f"row {k + 2}: label {col.name!r} {what}")
+    return values.astype(np.int64)
+
+
+def _read_applicants(path: str, id_column: str, label_column: str, keys=()):
+    """(table, ids, labels) of a raw application or prepared labels file,
+    with the id, label and ``keys`` columns read as text and checked by
+    ``_check_applicant_ids`` and ``_check_labels``, naming ``path`` once."""
+    table = read_csv(path, categorical=[id_column, label_column, *keys])
+    try:
+        ids = table.column(id_column).strings()
+        _check_applicant_ids(ids)
+        return table, ids, _check_labels(table.column(label_column))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return table
+
+
+def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Applicant ids and 0/1 labels of a file ``write_labels_csv`` wrote."""
+    return _read_applicants(path, "applicant_id", "label")[1:]
 
 
 #: Header of prepared/test_loans.csv, and the rule each of its columns keeps.
@@ -167,8 +164,8 @@ def _check_loans(path: str, ids, loans: np.ndarray, names, cell) -> None:
         )
 
 
-def _test_loans(cfg: RunConfig, table: Table) -> np.ndarray:
-    """(amount, term) per applicant of the raw test ``table``, checked."""
+def _test_loans(cfg: RunConfig, table: Table, ids) -> np.ndarray:
+    """(amount, term) per applicant ``ids`` of the raw test ``table``, checked."""
     path = cfg.application_test
     for column in (cfg.amount_column, cfg.term_column):
         if not table.has_column(column):
@@ -178,21 +175,8 @@ def _test_loans(cfg: RunConfig, table: Table) -> np.ndarray:
         c.values if c.kind is ColumnKind.NUMERIC else np.full(table.row_count, np.nan)
         for c in cols
     ])
-    ids = table.column(cfg.id_column).strings()
     _check_loans(path, ids, loans, [c.name for c in cols], lambda k, j: cols[j].cell(k))
     return loans
-
-
-def _labels_from(table: Table, label_column: str) -> np.ndarray:
-    col = table.column(label_column)
-    if col.kind is not ColumnKind.NUMERIC:
-        raise DataError(f"label column {label_column!r} must be numeric 0/1")
-    bad = np.flatnonzero((col.values != 0.0) & (col.values != 1.0))  # NaN too
-    if bad.size:
-        raise DataError(
-            f"label column {label_column!r} holds non-0/1 value {col.cell(bad[0])!r}"
-        )
-    return col.values.astype(np.int64)
 
 
 def _feature_table(cfg: RunConfig, table: Table) -> Table:
@@ -212,14 +196,17 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
     """Merge, engineer and fit-transform; test data uses the train-fitted pipeline.
     LIME's per-feature mean and std of the train matrix go to feature_stats.csv,
     and each test applicant's loan amount and term to test_loans.csv."""
-    train_raw = _load_application(cfg, cfg.application_train)
-    test_raw = _load_application(cfg, cfg.application_test)
-    loans = _test_loans(cfg, test_raw)
+    keys = [a.spec.key_column for a in cfg.aux_tables]
+    splits = {  # split: (table, ids, labels); merge and recipes only add columns
+        name: _read_applicants(path, cfg.id_column, cfg.label_column, keys)
+        for name, path in (("train", cfg.application_train), ("test", cfg.application_test))
+    }
+    loans = _test_loans(cfg, *splits["test"][:2])
     auxes = [
         (read_csv(a.path, categorical=[a.spec.key_column]), a.spec) for a in cfg.aux_tables
     ]
     fulls = []  # each aux table is read once and merged into both splits
-    for table in (train_raw, test_raw):
+    for table, _, _ in splits.values():
         for aux, spec in auxes:
             table = aggregate_merge(table, aux, spec)
         fulls.append(apply_recipes(table, cfg.catalog))
@@ -237,19 +224,11 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
     written = [os.path.join(out, "pipeline.json")]
     dump_json(doc, written[0])
 
-    pairs = [
-        ("train", train_full, train_matrix),
-        ("test", test_full, test_matrix),
-    ]
-    for name, full, matrix in pairs:
+    for (name, (_, ids, labels)), matrix in zip(splits.items(), (train_matrix, test_matrix)):
         feat_path = os.path.join(out, f"{name}_features.csv")
         write_matrix_csv(feat_path, pipeline.feature_names, matrix)
         label_path = os.path.join(out, f"{name}_labels.csv")
-        write_labels_csv(
-            label_path,
-            full.column(cfg.id_column).strings(),
-            _labels_from(full, cfg.label_column),
-        )
+        write_labels_csv(label_path, ids, labels)
         written.extend([feat_path, label_path])
     stats_path = os.path.join(out, "feature_stats.csv")
     stats = np.array([train_matrix.mean(axis=0), train_matrix.std(axis=0)])
@@ -297,9 +276,9 @@ def _load_matrix(path: str, header, rows=None) -> np.ndarray:
 def _load_split(cfg: RunConfig, pipeline: FittedPipeline, split: str):
     """(ids, matrix, labels) of the prepared ``split``, "train" or "test"."""
     out = _prepared_dir(cfg)
-    matrix = _load_matrix(os.path.join(out, f"{split}_features.csv"), pipeline.feature_names)
-    ids, labels = _read_stage_file(os.path.join(out, f"{split}_labels.csv"), read_labels_csv)
-    return ids, matrix, labels
+    ids, labels = read_labels_csv(os.path.join(out, f"{split}_labels.csv"))
+    path = os.path.join(out, f"{split}_features.csv")
+    return ids, _load_matrix(path, pipeline.feature_names, rows=len(ids)), labels
 
 
 def _load_loans(cfg: RunConfig, ids) -> np.ndarray:

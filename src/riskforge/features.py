@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import DataError, SchemaError
 from .tabular import Column, ColumnKind, Table
 
 DAYS_PER_YEAR = 365.25
@@ -38,6 +38,10 @@ class Flag:
     source: str
     op: str  # one of gt, ge, lt, le, eq
     value: float
+
+    def __post_init__(self):
+        if self.op not in _FLAG_OPS:
+            raise DataError(f"unknown flag op {self.op!r}, expected one of {list(_FLAG_OPS)}")
 
 
 _FLAG_OPS = dict(
@@ -80,12 +84,8 @@ def _recipe_values(table: Table, recipe: FeatureRecipe) -> np.ndarray:
             return np.divide(num, den, out=np.full(len(num), np.nan), where=den != 0)
     if isinstance(kind, DaysToYears):
         return -table.column(kind.source).values / DAYS_PER_YEAR
-    if isinstance(kind, Flag):
-        if kind.op not in _FLAG_OPS:
-            raise SchemaError(f"recipe {recipe.name!r} has unknown flag op {kind.op!r}")
-        src = table.column(kind.source).values
-        return np.where(np.isnan(src), np.nan, _FLAG_OPS[kind.op](src, kind.value))
-    raise SchemaError(f"recipe {recipe.name!r} has unsupported kind {kind!r}")
+    src = table.column(kind.source).values  # a Flag, whose op was checked when it was built
+    return np.where(np.isnan(src), np.nan, _FLAG_OPS[kind.op](src, kind.value))
 
 
 def apply_recipes(table: Table, catalog: FeatureCatalog) -> Table:

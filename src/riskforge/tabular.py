@@ -9,6 +9,7 @@ construction: every operation returns a new table.
 
 :func:`read_csv` streams its file: each column keeps one buffer, the packed
 text of its chunks, and is built, numeric or categorical, at end of file.
+:func:`aggregate_merge` matches rows on the text of a categorical key column.
 """
 
 from __future__ import annotations
@@ -300,26 +301,21 @@ def recode(codes: np.ndarray, vocabulary: Sequence, target: Sequence) -> np.ndar
     return np.array([position.get(v, -1) for v in vocabulary] + [-1], dtype=np.int64)[codes]
 
 
-def _keys(col: Column) -> tuple[list, np.ndarray]:
-    """A key column's distinct keys and each row's index into them (-1 missing)."""
-    if col.kind is ColumnKind.CATEGORICAL:
-        return list(col.vocabulary), col.values
-    keys, inverse = np.unique(col.values, return_inverse=True)
-    return keys.tolist(), np.where(col.missing, -1, inverse)
-
-
 def aggregate_merge(base: Table, aux: Table, spec: AggregationSpec) -> Table:
     """Fold per-key statistics of ``aux`` value columns into ``base``.
 
-    Adds one Numeric column per (value column, statistic) named
+    Rows match on the text of the key column, which must be categorical in
+    both tables. Adds one Numeric column per (value column, statistic) named
     ``<aux>_<col>_<STAT>``, where ``<aux>`` is the aux table's name. Rows
     without a matching aux key get missing cells, except Count which gets 0.
     Missing aux cells are ignored.
     """
-    if not base.has_column(spec.key_column):
-        raise SchemaError(f"key column {spec.key_column!r} absent from base table")
-    if not aux.has_column(spec.key_column):
-        raise SchemaError(f"key column {spec.key_column!r} absent from aux table")
+    for table, which in ((base, "base"), (aux, "aux")):
+        if not table.has_column(spec.key_column):
+            raise SchemaError(f"key column {spec.key_column!r} absent from {which} table")
+    base_key, aux_key = base.column(spec.key_column), aux.column(spec.key_column)
+    if ColumnKind.NUMERIC in (base_key.kind, aux_key.kind):
+        raise SchemaError(f"key column {spec.key_column!r} must be text in both tables")
     prefix = aux.name or "aux"
 
     value_cols = []
@@ -329,10 +325,8 @@ def aggregate_merge(base: Table, aux: Table, spec: AggregationSpec) -> Table:
             raise SchemaError(f"aux value column {name!r} is not numeric")
         value_cols.append(col)
 
-    # Each aux row's group is the index of its key among the base keys.
-    base_keys, base_codes = _keys(base.column(spec.key_column))
-    aux_keys, aux_codes = _keys(aux.column(spec.key_column))
-    group = recode(aux_codes, aux_keys, base_keys)
+    # Each aux row's group is the index of its key in the base vocabulary.
+    group = recode(aux_key.values, aux_key.vocabulary, base_key.vocabulary)
 
     new_columns = []
     for col in value_cols:
@@ -342,11 +336,12 @@ def aggregate_merge(base: Table, aux: Table, spec: AggregationSpec) -> Table:
         chunks = [c.tolist() for c in np.split(col.values[kept], starts[1:])] if kept.size else []
         for stat in spec.statistics:
             # The last slot is for base rows whose key matches no group.
-            per_key = np.full(len(base_keys) + 1, 0.0 if stat is Statistic.COUNT else np.nan)
+            empty = 0.0 if stat is Statistic.COUNT else np.nan
+            per_key = np.full(len(base_key.vocabulary) + 1, empty)
             per_key[groups] = [_STAT_FN[stat](vs) for vs in chunks]
             new_name = f"{prefix}_{col.name}_{stat.name}"
             if base.has_column(new_name):
                 raise SchemaError(f"merged column {new_name!r} already exists")
-            new_columns.append(Column(new_name, ColumnKind.NUMERIC, per_key[base_codes]))
+            new_columns.append(Column(new_name, ColumnKind.NUMERIC, per_key[base_key.values]))
 
     return base.with_columns(new_columns)

@@ -16,6 +16,7 @@ import os
 import time
 import xml.etree.ElementTree as ET
 from html.parser import HTMLParser
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,15 +467,12 @@ def test_criterion_11_report_fidelity(corpus_run):
 
     # Golden stability: re-render the applicant tree and compare bytes.
     cfg = corpus_run["cfg"]
-    first = {
-        rel: open(path, "rb").read()
-        for rel, path in _tree_files(out / "applicants").items()
-    }
+    first = {rel: Path(path).read_bytes() for rel, path in _tree_files(out / "applicants").items()}
     cmd_assess_and_report(cfg, ids=corpus_run["applicant_ids"])
     second = _tree_files(out / "applicants")
     assert first.keys() == second.keys()
     for rel in first:
-        assert open(second[rel], "rb").read() == first[rel], rel
+        assert Path(second[rel]).read_bytes() == first[rel], rel
 
 
 def test_corpus_default_rate_near_target(corpus_run):

@@ -562,16 +562,19 @@ class TestCorruptCells:
             ("application_train.csv", _set_cell("ext_score_1", ""), 0, None),
             ("application_test.csv", _set_cell("amt_income_total", "NA"), 0, None),
             ("application_train.csv", _drop_last_field, 2, "row 3"),
-            ("application_train.csv", _set_cell("target", ""), 2, "'target'"),
-            ("application_train.csv", _set_cell("target", "2"), 2, "'target'"),
-            ("application_test.csv", _repeat_first_id, 2, "duplicate applicant id"),
+            ("application_train.csv", _set_cell("target", ""), 2,
+             "application_train.csv: row 2: label 'target' missing"),
+            ("application_train.csv", _set_cell("target", "2"), 2,
+             "application_train.csv: row 2: label 'target' must be 0 or 1, got '2'"),
+            ("application_test.csv", _repeat_first_id, 2,
+             "application_test.csv: row 3: duplicate applicant id"),
             ("bureau.csv", _set_cell("amt_credit_sum", "lots"), 2, "'amt_credit_sum'"),
             ("application_train.csv", _set_cell("amt_income_total", "1e308"), 2,
              "'amt_income_total'"),
             ("application_train.csv", _rename_column("applicant_id", "id"), 2,
              "categorical column 'applicant_id' is not in the header"),
             ("application_train.csv", _rename_column("target", "label"), 2,
-             "required column 'target' is missing"),
+             "application_train.csv: categorical column 'target' is not in the header"),
         ],
         ids=[
             "text-in-numeric-test", "text-in-numeric-train", "blank-numeric",
@@ -667,10 +670,12 @@ def _write_text(text):
     return lambda path: path.write_text(text)
 
 
-def _first_label_3(path):
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1] = lines[1].split(",")[0] + ",3\n"
-    path.write_text("".join(lines))
+def _set_first_label(text):
+    def edit(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].split(",")[0] + f",{text}\n"
+        path.write_text("".join(lines))
+    return edit
 
 
 def _drop_last_line(path):
@@ -711,6 +716,46 @@ def _move_cell_to_next_row(path):
     path.write_text("".join(lines))
 
 
+def _copied_outputs(workdir, tmp_path):
+    """(out, config path): a copy of the shared run's prepared and model
+    files, and a config that reads them."""
+    root, config_path = workdir
+    out = tmp_path / "out"
+    for sub in ("prepared", "models"):
+        shutil.copytree(root / "out" / sub, out / sub)
+    cfg = json.loads(config_path.read_text())
+    cfg["output_dir"] = str(out)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return out, p
+
+
+@pytest.mark.parametrize(
+    "cell, valid",
+    [("0", True), ("1", True), ("1.0", True), ("2", False), ("", False), ("x", False)],
+)
+def test_label_rule_same_in_raw_and_prepared_files(workdir, tmp_path, capsys, cell, valid):
+    """One label cell in a raw application file and in a prepared labels file
+    gets one verdict; a rejected one is named by file and row."""
+    raw_cfg = _edited_config(
+        workdir, tmp_path / "raw", {"application_train.csv": _set_cell("target", cell)}
+    )
+    out, cfg = _copied_outputs(workdir, tmp_path / "stage")
+    labels = out / "prepared" / "test_labels.csv"
+    _set_first_label(cell)(labels)
+    capsys.readouterr()
+    for command, p, path in [
+        ("prepare", raw_cfg, tmp_path / "raw" / "corpus" / "application_train.csv"),
+        ("evaluate", cfg, labels),
+    ]:
+        code = main([command, "--config", str(p)])
+        lines = _assert_clean_exit(code, capsys.readouterr().err)
+        assert code == (0 if valid else 2)
+        if not valid:
+            assert lines[0].startswith(f"error: {path}: row 2: label ")
+            assert lines[0].count(str(path)) == 1
+
+
 class TestCorruptStageFiles:
     """A corrupted model or prepared file: evaluate and assess exit 2 with one
     stderr line that names the file."""
@@ -739,16 +784,22 @@ class TestCorruptStageFiles:
              "could not convert string to float"),
             ("prepared/test_features.csv", Path.unlink, "No such file"),
             ("prepared/test_features.csv", _move_cell_to_next_row, "row 2 has "),
-            ("prepared/test_labels.csv", _write_text("id\r\n7\r\n"),
-             "row 2: 1 field(s), expected an id and a label"),
-            ("prepared/test_labels.csv", _first_label_3, "row 2: label must be 0 or 1, got 3"),
-            ("prepared/test_labels.csv", _write_text("id,y\r\n7,0\r\n8,1" + "0" * 23 + "\r\n"),
-             "row 3: label must be 0 or 1, got 1" + "0" * 23),
-            ("prepared/test_labels.csv", _write_text("id,y\r\n7,0\r\n8,1\r\n9\r\n"),
-             "row 4: 1 field(s), expected an id and a label"),
+            ("prepared/test_labels.csv", _write_text("applicant_id,label\r\n7\r\n"),
+             "row 2 has 1 fields, expected 2"),
+            ("prepared/test_labels.csv", _set_first_label("3"),
+             "row 2: label 'label' must be 0 or 1, got '3'"),
+            ("prepared/test_labels.csv",
+             _write_text("applicant_id,label\r\n7,0\r\n8,1" + "0" * 23 + "\r\n"),
+             "row 3: label 'label' must be 0 or 1, got '1" + "0" * 23 + "'"),
+            ("prepared/test_labels.csv",
+             _write_text("applicant_id,label\r\n7,0\r\n8,1\r\n9\r\n"),
+             "row 4 has 1 fields, expected 2"),
+            ("prepared/test_labels.csv", _write_text("id,y\r\n7,0\r\n"),
+             "categorical column 'applicant_id' is not in the header"),
             ("prepared/test_labels.csv", _set_first_cell("../../escaped"),
              "row 2: applicant id '../../escaped' cannot name a directory"),
-            ("prepared/test_labels.csv", _repeat_first_label_id, "duplicate applicant id '481'"),
+            ("prepared/test_labels.csv", _repeat_first_label_id,
+             "row 3: duplicate applicant id '481'"),
             ("prepared/test_loans.csv", Path.unlink, "No such file"),
             ("prepared/test_loans.csv", _rename_last_column,
              "prepared matrices do not match the loan columns"),
@@ -760,21 +811,14 @@ class TestCorruptStageFiles:
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
             "learning-rate-differs", "unknown-param", "no-scaler", "pipeline-not-json",
             "text-in-features", "no-test-features", "ragged-features", "short-label-row",
-            "label-3", "huge-label", "short-last-label-row", "unsafe-label-id",
+            "label-3", "huge-label", "short-last-label-row", "label-header", "unsafe-label-id",
             "duplicate-label-id",
             "no-test-loans", "loans-header", "short-loans", "nan-term",
         ],
     )
     def test_exits_2_naming_file(self, workdir, tmp_path, capsys, command, rel, corrupt, needle):
-        root, config_path = workdir
-        out = tmp_path / "out"
-        for sub in ("prepared", "models"):
-            shutil.copytree(root / "out" / sub, out / sub)
+        out, p = _copied_outputs(workdir, tmp_path)
         corrupt(out / rel)
-        cfg = json.loads(config_path.read_text())
-        cfg["output_dir"] = str(out)
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
         capsys.readouterr()
         code = main([command, "--config", str(p)])
         assert code == 2
@@ -783,23 +827,46 @@ class TestCorruptStageFiles:
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
 
     @pytest.mark.parametrize(
+        "command, split, extra_loan",
+        [
+            ("evaluate", "test", False),
+            ("assess", "test", False),
+            ("evaluate", "test", True),
+            ("assess", "test", True),
+            ("train", "train", False),
+        ],
+    )
+    def test_extra_label_row_names_features_file(
+        self, workdir, tmp_path, capsys, command, split, extra_loan
+    ):
+        """A labels file one row longer than its features file (and the loans
+        file, when ``extra_loan``): the features file is named, with the row
+        count that the labels give."""
+        out, p = _copied_outputs(workdir, tmp_path)
+        labels = out / "prepared" / f"{split}_labels.csv"
+        n = len(labels.read_text().splitlines()) - 1
+        with open(labels, "a", newline="") as fh:
+            fh.write("extra,0\r\n")
+        if extra_loan:
+            with open(out / "prepared" / "test_loans.csv", "a", newline="") as fh:
+                fh.write("1000.0,12.0\r\n")
+        capsys.readouterr()
+        code = main([command, "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        features = out / "prepared" / f"{split}_features.csv"
+        assert line == f"error: {features}: expected {n + 1} rows, got {n}"
+
+    @pytest.mark.parametrize(
         "corrupt, needle",
         [(Path.unlink, "No such file"), (_drop_last_line, "expected 2 rows, got 1")],
         ids=["missing", "one-row"],
     )
     def test_assess_feature_stats_exits_2(self, workdir, tmp_path, capsys, corrupt, needle):
         """Only assess reads LIME's feature stats; it needs no train matrix."""
-        root, config_path = workdir
-        out = tmp_path / "out"
-        for sub in ("prepared", "models"):
-            shutil.copytree(root / "out" / sub, out / sub)
+        out, p = _copied_outputs(workdir, tmp_path)
         (out / "prepared" / "train_features.csv").unlink()
         path = out / "prepared" / "feature_stats.csv"
         corrupt(path)
-        cfg = json.loads(config_path.read_text())
-        cfg["output_dir"] = str(out)
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
         capsys.readouterr()
         code = main(["assess", "--config", str(p), "--ids", "481"])
         assert code == 2
@@ -829,19 +896,12 @@ class TestCorruptStageFiles:
     def test_format_1_model_exits_2(self, workdir, tmp_path, capsys, command):
         """Format-1 model files held every feature's bin edges; format 2
         holds trees and params only, so a format-1 file needs a new train."""
-        root, config_path = workdir
-        out = tmp_path / "out"
-        for sub in ("prepared", "models"):
-            shutil.copytree(root / "out" / sub, out / sub)
+        out, p = _copied_outputs(workdir, tmp_path)
         path = out / "models" / "forest.json"
         doc = json.loads(path.read_text())
         doc["format"] = "riskforge.model/1"
         doc["bin_edges"] = [[0.5] for _ in doc["feature_names"]]
         path.write_text(json.dumps(doc))
-        cfg = json.loads(config_path.read_text())
-        cfg["output_dir"] = str(out)
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
         capsys.readouterr()
         code = main([command, "--config", str(p)])
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
@@ -1097,6 +1157,8 @@ class TestConfig:
             ("models.boosted_levelwise.params.n_trees", 0,
              "models.boosted_levelwise.params: n_trees must be >= 1"),
             ("models.forest.grid.n_bins", [1], "models.forest.grid: n_bins must be >= 2"),
+            ("features.1", {"name": "BIG", "kind": "flag", "source": "amt_credit", "op": "gtx",
+                            "value": 1.0}, "features[1]: unknown flag op 'gtx'"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -1108,6 +1170,7 @@ class TestConfig:
             "metric-unknown", "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
             "band-rule-negative-term", "band-rule-negative-collateral", "smote-k-zero",
             "cv-one-fold", "lime-top-k-zero", "model-param-zero-trees", "grid-one-bin",
+            "flag-op-unknown",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):

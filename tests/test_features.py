@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from tables import cells, num_col, table
 
 from riskforge.config import default_config_dict, parse_config
-from riskforge.errors import SchemaError
+from riskforge.errors import DataError, SchemaError
 from riskforge.features import (
     DaysToYears,
     FeatureCatalog,
@@ -61,9 +61,8 @@ class TestFlag:
         assert cells(out.column("F"))[0] is None
 
     def test_unknown_op_rejected(self):
-        t = table(num_col("x", [1.0]))
-        with pytest.raises(SchemaError, match="op"):
-            apply_recipes(t, catalog(FeatureRecipe("F", Flag("x", "xor", 0.0))))
+        with pytest.raises(DataError, match="unknown flag op 'xor'"):
+            Flag("x", "xor", 0.0)
 
 
 class TestCatalog:

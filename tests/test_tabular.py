@@ -278,8 +278,8 @@ class TestAggregateMerge:
     def test_statistics_against_hand_oracle(self):
         # Oracle: plain python arithmetic over the matched values.
         values = [10.0, 30.0]
-        base = table(num_col("id", [1.0]))
-        aux = table(num_col("id", [1.0, 1.0]), num_col("amt", values), name="aux")
+        base = table(cat_col("id", ["1"]))
+        aux = table(cat_col("id", ["1", "1"]), num_col("amt", values), name="aux")
         out = aggregate_merge(base, aux, self.spec())
         assert cells(out.column("aux_amt_MEAN"))[0] == sum(values) / 2
         assert cells(out.column("aux_amt_MAX"))[0] == max(values)
@@ -292,15 +292,15 @@ class TestAggregateMerge:
         assert cells(out.column("aux_amt_STD"))[0] == pytest.approx(14.1421, abs=1e-4)
 
     def test_no_match_gives_missing_and_zero_count(self):
-        base = table(num_col("id", [7.0]))
-        aux = table(num_col("id", [1.0]), num_col("amt", [5.0]), name="aux")
+        base = table(cat_col("id", ["7"]))
+        aux = table(cat_col("id", ["1"]), num_col("amt", [5.0]), name="aux")
         out = aggregate_merge(base, aux, self.spec())
         assert cells(out.column("aux_amt_MEAN"))[0] is None
         assert cells(out.column("aux_amt_COUNT"))[0] == 0.0
 
     def test_single_row_std_missing(self):
-        base = table(num_col("id", [2.0]))
-        aux = table(num_col("id", [2.0]), num_col("amt", [5.0]), name="aux")
+        base = table(cat_col("id", ["2"]))
+        aux = table(cat_col("id", ["2"]), num_col("amt", [5.0]), name="aux")
         out = aggregate_merge(base, aux, self.spec())
         for stat in ("MEAN", "MAX", "MIN", "SUM"):
             assert cells(out.column(f"aux_amt_{stat}"))[0] == 5.0
@@ -309,36 +309,45 @@ class TestAggregateMerge:
 
     def test_std_overflow_is_data_error_naming_column(self):
         # (1e308 - mean) ** 2 is past the float range; MEAN and SUM stay finite.
-        base = table(num_col("id", [1.0]))
-        aux = table(num_col("id", [1.0, 1.0]), num_col("amt", [1e308, 0.0]), name="aux")
+        base = table(cat_col("id", ["1"]))
+        aux = table(cat_col("id", ["1", "1"]), num_col("amt", [1e308, 0.0]), name="aux")
         aggregate_merge(base, aux, self.spec([Statistic.MEAN, Statistic.SUM]))
         with pytest.raises(DataError, match="'aux_amt_STD'"):
             aggregate_merge(base, aux, self.spec([Statistic.STD]))
 
     def test_missing_aux_cells_ignored(self):
-        base = table(num_col("id", [1.0]))
-        aux = table(num_col("id", [1.0, 1.0]), num_col("amt", [4.0, None]), name="aux")
+        base = table(cat_col("id", ["1"]))
+        aux = table(cat_col("id", ["1", "1"]), num_col("amt", [4.0, None]), name="aux")
         out = aggregate_merge(base, aux, self.spec())
         assert cells(out.column("aux_amt_MEAN"))[0] == 4.0
         assert cells(out.column("aux_amt_COUNT"))[0] == 1.0
 
     def test_row_count_preserved_and_base_untouched(self):
-        base = table(num_col("id", [1.0, 2.0, 3.0]), num_col("v", [9.0, 8.0, 7.0]))
-        aux = table(num_col("id", [1.0]), num_col("amt", [5.0]), name="aux")
+        base = table(cat_col("id", ["1", "2", "3"]), num_col("v", [9.0, 8.0, 7.0]))
+        aux = table(cat_col("id", ["1"]), num_col("amt", [5.0]), name="aux")
         out = aggregate_merge(base, aux, self.spec((Statistic.MEAN,)))
         assert out.row_count == 3
         assert cells(out.column("v")) == (9.0, 8.0, 7.0)
         assert base.column_names == ["id", "v"]
 
     def test_key_absent(self):
-        base = table(num_col("other", [1.0]))
-        aux = table(num_col("id", [1.0]), num_col("amt", [5.0]))
+        base = table(cat_col("other", ["1"]))
+        aux = table(cat_col("id", ["1"]), num_col("amt", [5.0]))
         with pytest.raises(SchemaError, match="key column"):
             aggregate_merge(base, aux, self.spec())
 
+    @pytest.mark.parametrize("numeric", ["base", "aux"])
+    def test_numeric_key_rejected(self, numeric):
+        key = {side: cat_col("id", ["1"]) for side in ("base", "aux")}
+        key[numeric] = num_col("id", [1.0])
+        base = table(key["base"])
+        aux = table(key["aux"], num_col("amt", [5.0]))
+        with pytest.raises(SchemaError, match="key column 'id' must be text"):
+            aggregate_merge(base, aux, self.spec())
+
     def test_value_column_not_numeric(self):
-        base = table(num_col("id", [1.0]))
-        aux = table(num_col("id", [1.0]), cat_col("amt", ["x"]))
+        base = table(cat_col("id", ["1"]))
+        aux = table(cat_col("id", ["1"]), cat_col("amt", ["x"]))
         with pytest.raises(SchemaError, match="not numeric"):
             aggregate_merge(base, aux, self.spec())
 
@@ -355,7 +364,7 @@ class TestAggregateMerge:
     st.randoms(use_true_random=False),
 )
 def test_merge_invariants(pairs, rnd):
-    base = table(num_col("id", [0.0, 1.0, 2.0, 3.0, 4.0]))
+    base = table(cat_col("id", list("01234")))
     spec = AggregationSpec(
         "id", ("amt",), (Statistic.MEAN, Statistic.SUM, Statistic.COUNT)
     )
@@ -363,7 +372,7 @@ def test_merge_invariants(pairs, rnd):
     out = aggregate_merge(
         base,
         table(
-            num_col("id", [float(k) for k, _ in aux_rows]),
+            cat_col("id", [str(k) for k, _ in aux_rows]),
             num_col("amt", [v for _, v in aux_rows]),
             name="a",
         ),
@@ -384,7 +393,7 @@ def test_merge_invariants(pairs, rnd):
     out2 = aggregate_merge(
         base,
         table(
-            num_col("id", [float(k) for k, _ in aux_rows]),
+            cat_col("id", [str(k) for k, _ in aux_rows]),
             num_col("amt", [v for _, v in aux_rows]),
             name="a",
         ),
@@ -429,21 +438,18 @@ LONG_GROUP = [_rng.uniform(-1e3, 1e3) for _ in range(20)]
 
 @settings(max_examples=60, deadline=None)
 @example(  # one long group: numpy's pairwise sum rounds differently from sum()
-    base_keys=["a"], aux=[("a", v) for v in LONG_GROUP], numeric_keys=False
+    base_keys=["a"], aux=[("a", v) for v in LONG_GROUP],
 )
 @given(
     base_keys=st.lists(st.one_of(st.none(), st.sampled_from("abcdef")), max_size=8),
     aux=st.lists(st.tuples(st.one_of(st.none(), st.sampled_from("abcdefg")), amounts),
                  max_size=40),
-    numeric_keys=st.booleans(),
 )
-def test_merge_matches_per_cell_reference(base_keys, aux, numeric_keys):
-    """Bit for bit, signed zeros included, for categorical and numeric keys."""
-    key = (lambda k: None if k is None else float(ord(k))) if numeric_keys else (lambda k: k)
-    key_col = num_col if numeric_keys else cat_col
-    base = table(key_col("id", [key(k) for k in base_keys]))
+def test_merge_matches_per_cell_reference(base_keys, aux):
+    """Bit for bit, signed zeros included."""
+    base = table(cat_col("id", base_keys))
     aux_table = table(
-        key_col("id", [key(k) for k, _ in aux]), num_col("amt", [v for _, v in aux]), name="a"
+        cat_col("id", [k for k, _ in aux]), num_col("amt", [v for _, v in aux]), name="a"
     )
     out = aggregate_merge(base, aux_table, AggregationSpec("id", ("amt",), tuple(Statistic)))
     for stat in Statistic:
