@@ -249,7 +249,9 @@ def _read_stage_file(path: str, read, schema: str | None = None):
         doc = load_json(path)
         validate(doc, schema)
         return read(doc)
-    except (OSError, ValueError, LookupError, UserError) as exc:
+    except OSError as exc:  # str(exc) would name the path a second time
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except (ValueError, LookupError, UserError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

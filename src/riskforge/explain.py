@@ -67,6 +67,14 @@ class ShapSummary:
         )
 
 
+#: LIME's kernel weights divide by the width squared: from 2**-1022, the
+#: smallest normal float, to 2**1022, both exact.
+KERNEL_WIDTHS = (2.0**-511, 2.0**511)
+#: ``lime_explain`` holds several (n_samples, n_features) float64 arrays at
+#: once; six of them take 1.4 GB at this cap and 29 features.
+MAX_LIME_SAMPLES = 1_000_000
+
+
 @dataclass(frozen=True)
 class LimeParams:
     n_samples: int = 5000
@@ -77,8 +85,15 @@ class LimeParams:
     def __post_init__(self):
         if self.alpha < 0:
             raise DataError("ridge strength alpha must be non-negative")
-        if self.kernel_width is not None and self.kernel_width <= 0:
-            raise DataError("kernel_width must be positive")
+        if self.kernel_width is not None and not (
+            KERNEL_WIDTHS[0] <= self.kernel_width <= KERNEL_WIDTHS[1]
+        ):
+            raise DataError(
+                "kernel_width must be in [2**-511, 2**511], so that its square is a"
+                f" normal float, got {self.kernel_width!r}"
+            )
+        if self.n_samples > MAX_LIME_SAMPLES:
+            raise DataError(f"n_samples must be <= {MAX_LIME_SAMPLES}, got {self.n_samples}")
         if self.top_k < 1:
             raise DataError("top_k must be >= 1")
 

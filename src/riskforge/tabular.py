@@ -9,7 +9,8 @@ construction: every operation returns a new table.
 
 :func:`read_csv` streams its file: each column keeps one buffer, the packed
 text of its chunks, and is built, numeric or categorical, at end of file.
-:func:`aggregate_merge` matches rows on the text of a categorical key column.
+:func:`aggregate_merge` matches rows on the text of a categorical key column
+and computes each key's statistics with ``np.bincount`` in aux row order.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def read_csv(path: str | os.PathLike, categorical: Sequence[str] = ()) -> Table:
                 first_row += len(rows)
                 rows = row = fields = None  # this chunk's strings go before the next is read
     except OSError as exc:
-        raise CsvError(f"cannot read {path}: {exc}") from exc
+        raise CsvError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise CsvError(f"{path}: not UTF-8 text ({exc.reason}: byte 0x{byte:02x})") from exc
@@ -272,33 +273,56 @@ def select_columns(table: Table, names: Sequence[str]) -> Table:
     return Table(tuple(table.column(n) for n in names), table.name)
 
 
-def _sample_std(values: list[float]) -> float | None:
-    n = len(values)
-    if n < 2:
-        return None
-    mean = sum(values) / n
-    try:
-        return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-    except OverflowError:  # a square past the float range; Column rejects the inf
-        return math.inf
-
-
-#: Per-group statistics over a list of floats in aux row order. Python's
-#: ``sum`` adds left to right, which numpy's pairwise sums do not.
-_STAT_FN = {
-    Statistic.COUNT: len,
-    Statistic.MEAN: lambda vs: sum(vs) / len(vs),
-    Statistic.MAX: max,
-    Statistic.SUM: sum,
-    Statistic.MIN: min,
-    Statistic.STD: _sample_std,
-}
-
-
 def recode(codes: np.ndarray, vocabulary: Sequence, target: Sequence) -> np.ndarray:
     """Codes into ``vocabulary`` as codes into ``target``; -1 if missing or absent."""
     position = {v: k for k, v in enumerate(target)}
     return np.array([position.get(v, -1) for v in vocabulary] + [-1], dtype=np.int64)[codes]
+
+
+def _per_key_statistics(keys, values, n_keys, statistics):
+    """Each of ``statistics`` over ``values`` per key in ``range(n_keys)``.
+
+    ``np.bincount`` adds each key's values left to right from 0.0, in the
+    order given, as Python 3.11's ``sum()`` does (numpy's pairwise sums and
+    the compensated ``sum()`` of Python 3.12+ round differently), so the
+    bytes do not depend on the Python version. A key without values gets NaN,
+    or 0 for COUNT; STD, the sample deviation, needs two values. A square past
+    the float range gives inf, which ``Column`` rejects.
+    """
+    count = np.bincount(keys, minlength=n_keys).astype(np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 / 0 for an empty key
+        total = np.bincount(keys, values, minlength=n_keys)
+        mean = total / count
+        if Statistic.STD in statistics:
+            d = values - mean[keys]
+            std = np.sqrt(np.bincount(keys, d * d, minlength=n_keys) / (count - 1))
+    out = []
+    for stat in statistics:
+        if stat is Statistic.COUNT:
+            out.append(count)
+        elif stat is Statistic.SUM:
+            out.append(np.where(count > 0, total, np.nan))
+        elif stat is Statistic.MEAN:
+            out.append(mean)
+        elif stat is Statistic.STD:
+            out.append(np.where(count > 1, std, np.nan))
+        else:
+            out.append(_extreme(stat, keys, values, count))
+    return out
+
+
+def _extreme(stat, keys, values, count):
+    """Per-key MAX or MIN, equal to Python's ``max()``/``min()`` in key order:
+    those keep the first of two equal values, and ``ufunc.at`` the later, which
+    matters only for signed zeros. So a zero result takes the sign of the
+    key's first zero."""
+    ufunc, start = (np.maximum, -np.inf) if stat is Statistic.MAX else (np.minimum, np.inf)
+    out = np.full(len(count), start)
+    ufunc.at(out, keys, values)
+    zero = np.flatnonzero(values == 0)
+    zero_keys, first = np.unique(keys[zero], return_index=True)
+    out[zero_keys] = np.where(out[zero_keys] == 0, values[zero[first]], out[zero_keys])
+    return np.where(count > 0, out, np.nan)
 
 
 def aggregate_merge(base: Table, aux: Table, spec: AggregationSpec) -> Table:
@@ -325,23 +349,19 @@ def aggregate_merge(base: Table, aux: Table, spec: AggregationSpec) -> Table:
             raise SchemaError(f"aux value column {name!r} is not numeric")
         value_cols.append(col)
 
-    # Each aux row's group is the index of its key in the base vocabulary.
+    # Each aux row's group is the index of its key in the base vocabulary;
+    # the last slot is for base rows whose key matches no group.
     group = recode(aux_key.values, aux_key.vocabulary, base_key.vocabulary)
+    n_keys = len(base_key.vocabulary) + 1
 
     new_columns = []
     for col in value_cols:
-        kept = np.flatnonzero((group >= 0) & ~col.missing)
-        kept = kept[np.argsort(group[kept], kind="stable")]  # aux row order per group
-        groups, starts = np.unique(group[kept], return_index=True)
-        chunks = [c.tolist() for c in np.split(col.values[kept], starts[1:])] if kept.size else []
-        for stat in spec.statistics:
-            # The last slot is for base rows whose key matches no group.
-            empty = 0.0 if stat is Statistic.COUNT else np.nan
-            per_key = np.full(len(base_key.vocabulary) + 1, empty)
-            per_key[groups] = [_STAT_FN[stat](vs) for vs in chunks]
+        kept = np.flatnonzero((group >= 0) & ~col.missing)  # in aux row order
+        per_key = _per_key_statistics(group[kept], col.values[kept], n_keys, spec.statistics)
+        for stat, values in zip(spec.statistics, per_key):
             new_name = f"{prefix}_{col.name}_{stat.name}"
             if base.has_column(new_name):
                 raise SchemaError(f"merged column {new_name!r} already exists")
-            new_columns.append(Column(new_name, ColumnKind.NUMERIC, per_key[base_key.values]))
+            new_columns.append(Column(new_name, ColumnKind.NUMERIC, values[base_key.values]))
 
     return base.with_columns(new_columns)

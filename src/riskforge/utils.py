@@ -1,11 +1,24 @@
-"""Small shared helpers: seed derivation, deterministic JSON IO."""
+"""Small shared helpers: seed derivation, deterministic JSON IO.
+
+Seeds are hashed with CPython's own SHA-256 module, not ``hashlib``:
+importing ``hashlib`` loads OpenSSL's libcrypto, about 3.6 MiB of resident
+memory in a stage that needs one short digest per seed. The digests are the
+same.
+"""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Any
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -15,7 +28,7 @@ def stage_seed(seed: int, stage: str) -> int:
     (seed, stage) pair always yields the same stream, independent of
     platform hash randomization.
     """
-    digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).digest()
+    digest = sha256(f"{seed}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 

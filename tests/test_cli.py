@@ -824,6 +824,7 @@ class TestCorruptStageFiles:
         assert code == 2
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
         assert line.startswith(f"error: {out / rel}: ") and needle in line
+        assert line.count(str(out / rel)) == 1
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out"]
 
     @pytest.mark.parametrize(
@@ -1159,6 +1160,11 @@ class TestConfig:
             ("models.forest.grid.n_bins", [1], "models.forest.grid: n_bins must be >= 2"),
             ("features.1", {"name": "BIG", "kind": "flag", "source": "amt_credit", "op": "gtx",
                             "value": 1.0}, "features[1]: unknown flag op 'gtx'"),
+            ("explain.lime.kernel_width", 1e-300,
+             "explain.lime: kernel_width must be in [2**-511, 2**511], so that its square is"
+             " a normal float, got 1e-300"),
+            ("explain.lime.n_samples", 10**12,
+             "explain.lime: n_samples must be <= 1000000, got 1000000000000"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -1170,7 +1176,7 @@ class TestConfig:
             "metric-unknown", "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
             "band-rule-negative-term", "band-rule-negative-collateral", "smote-k-zero",
             "cv-one-fold", "lime-top-k-zero", "model-param-zero-trees", "grid-one-bin",
-            "flag-op-unknown",
+            "flag-op-unknown", "lime-kernel-width-square-underflows", "lime-samples-too-many",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):
@@ -1233,16 +1239,42 @@ class TestConfig:
         assert "threads" in capsys.readouterr().err
 
 
+def _child_env():
+    """The environment of a child that imports the same riskforge as this
+    process, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(riskforge.__file__))
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_help(self):
-        # The child imports the same riskforge as this process, installed or not.
-        package_root = os.path.dirname(os.path.dirname(riskforge.__file__))
-        path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "riskforge.cli", "--help"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "gen-corpus" in proc.stdout
+
+
+def test_scoring_the_book_loads_no_openssl(tmp_path):
+    """``prepare`` then ``evaluate`` draw no random numbers, and seeds are
+    hashed without ``hashlib``, so neither loads OpenSSL's libcrypto."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(small_config(tmp_path / "corpus", tmp_path / "out", n_rows=400)))
+    for command in ("gen-corpus", "prepare", "train"):
+        assert main([command, "--config", str(p)]) == 0
+    script = (
+        "import sys\n"
+        "from riskforge.cli import main\n"
+        "for command in ('prepare', 'evaluate'):\n"
+        f"    assert main([command, '--config', {str(p)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m in ('_hashlib', 'hashlib', '_ssl')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
