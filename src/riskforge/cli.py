@@ -253,6 +253,8 @@ def _read_stage_file(path: str, read, schema: str | None = None):
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except (ValueError, LookupError, UserError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path}: the document is nested too deep") from exc
 
 
 def _load_pipeline(cfg: RunConfig) -> FittedPipeline:

@@ -268,9 +268,11 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deep") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return parse_config(doc)

@@ -70,8 +70,8 @@ class ShapSummary:
 #: LIME's kernel weights divide by the width squared: from 2**-1022, the
 #: smallest normal float, to 2**1022, both exact.
 KERNEL_WIDTHS = (2.0**-511, 2.0**511)
-#: ``lime_explain`` holds several (n_samples, n_features) float64 arrays at
-#: once; six of them take 1.4 GB at this cap and 29 features.
+#: One ``lime_explain`` call holds two (n_samples, n_features + 1) float64
+#: arrays; they take 480 MB at this cap and 29 features.
 MAX_LIME_SAMPLES = 1_000_000
 
 
@@ -259,7 +259,9 @@ def lime_explain(
     standardized instance, i.e. raw-space sigma from the training scaler),
     weighted by exp(-||z - x||^2 / kernel_width^2), and the surrogate is fit
     on standardized features so weights are comparable across features.
-    ``predict`` maps a matrix to one probability per row.
+    ``predict`` maps a matrix to one probability per row. Its matrix is
+    column-major (its transpose is C-contiguous), and ``predict`` must return
+    a new array and keep no reference to the matrix, whose memory is reused.
     """
     x = np.asarray(instance, dtype=np.float64).ravel()
     d = x.size
@@ -267,7 +269,8 @@ def lime_explain(
     sd = np.asarray(feature_stats[1], dtype=np.float64).ravel()
     if mu.size != d or sd.size != d:
         raise SchemaError("feature statistics do not match the instance width")
-    if params.n_samples < d + 2:
+    n = params.n_samples
+    if n < d + 2:
         raise DataError(f"n_samples must be >= {d + 2} for {d} features")
     kernel_width = params.kernel_width or 0.75 * math.sqrt(d)
 
@@ -277,23 +280,37 @@ def lime_explain(
 
     sd_safe = np.where(sd > 0, sd, 1.0)
     x_std = (x - mu) / sd_safe
-    rng = np.random.default_rng(seed)
-    z_std = x_std + rng.standard_normal((params.n_samples, d))
+    # Two arrays of n * (d + 1) cells: the design, whose columns after the
+    # intercept's are the perturbations, and one scratch buffer that holds in
+    # turn the draws, the predict batch, the squared differences and the
+    # weighted design. It fits each of them because n >= d.
+    design = np.empty((n, d + 1))
+    design[:, 0] = 1.0
+    z_std = design[:, 1:]
+    scratch = np.empty(n * (d + 1))
+    draws = scratch[: n * d].reshape(n, d)
+    np.random.default_rng(seed).standard_normal(out=draws)
+    np.add(x_std, draws, out=z_std)
     # One predict batch: row 0 is the instance itself, the rest are the
-    # perturbations in raw space, written in place so no temporary is kept.
-    batch = np.empty((params.n_samples + 1, d))
+    # perturbations in raw space. It is the transpose of a C-contiguous
+    # (d, n + 1) block, so the tree walk reads its columns without a copy.
+    batch = scratch[: d * (n + 1)].reshape(d, n + 1).T
     batch[0] = x
     np.multiply(z_std, sd_safe, out=batch[1:])
     batch[1:] += mu
     y = np.asarray(predict(batch), dtype=np.float64).ravel()
     prediction, y = float(y[0]), y[1:]
 
-    dist2 = np.sum((z_std - x_std) ** 2, axis=1)
+    sq = scratch[: n * d].reshape(n, d)
+    np.subtract(z_std, x_std, out=sq)
+    np.square(sq, out=sq)
+    dist2 = np.sum(sq, axis=1)
     w = np.exp(-dist2 / kernel_width**2)
 
-    design = np.hstack([np.ones((params.n_samples, 1)), z_std])
+    weighted = scratch.reshape(n, d + 1)
+    np.multiply(design, w[:, None], out=weighted)
     # einsum without ``optimize`` never calls BLAS, so no BLAS thread pool wakes.
-    gram = np.einsum("ki,kj->ij", design, design * w[:, None])
+    gram = np.einsum("ki,kj->ij", design, weighted)
     gram[1:, 1:] += params.alpha * np.eye(d)
     rhs = np.einsum("ki,k->i", design, w * y)
     try:

@@ -716,6 +716,21 @@ def _move_cell_to_next_row(path):
     path.write_text("".join(lines))
 
 
+def _deep_first_tree(depth):
+    """Tree 0 made a left chain ``depth`` splits deep. The chain is written as
+    text, because the json module cannot encode a document that deep."""
+    def edit(path):
+        doc = json.loads(path.read_text())
+        doc["trees"][0] = "chain"
+        split = (
+            '{"feature": 0, "threshold": 0.0, "cover": 2.0,'
+            ' "right": {"value": 0.0, "cover": 1.0}, "left": '
+        )
+        chain = split * depth + '{"value": 0.0, "cover": 1.0}' + "}" * depth
+        path.write_text(json.dumps(doc).replace('"chain"', chain))
+    return edit
+
+
 def _copied_outputs(workdir, tmp_path):
     """(out, config path): a copy of the shared run's prepared and model
     files, and a config that reads them."""
@@ -777,6 +792,7 @@ class TestCorruptStageFiles:
              "learning_rate 0.5 differs from its params"),
             ("models/forest.json", _edit_json(lambda d: d["params"].update(depth=3)),
              "unexpected keyword argument 'depth'"),
+            ("models/forest.json", _deep_first_tree(2000), "the document is nested too deep"),
             ("prepared/pipeline.json", _edit_json(lambda d: d.pop("scaler")),
              "missing required key 'scaler'"),
             ("prepared/pipeline.json", _write_text("{bad"), "Expecting property name"),
@@ -809,7 +825,7 @@ class TestCorruptStageFiles:
         ],
         ids=[
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
-            "learning-rate-differs", "unknown-param", "no-scaler", "pipeline-not-json",
+            "learning-rate-differs", "unknown-param", "deep-tree", "no-scaler", "pipeline-not-json",
             "text-in-features", "no-test-features", "ragged-features", "short-label-row",
             "label-3", "huge-label", "short-last-label-row", "label-header", "unsafe-label-id",
             "duplicate-label-id",
@@ -1222,6 +1238,19 @@ class TestConfig:
         p.write_text("{not json")
         assert main(["prepare", "--config", str(p)]) == 2
         assert "JSON" in capsys.readouterr().err
+
+    def test_missing_config_names_path_once(self, tmp_path, capsys):
+        p = tmp_path / "nowhere.json"
+        code = main(["evaluate", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line == f"error: cannot read config {p}: No such file or directory"
+
+    def test_deep_config_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text('{"seed": ' + "[" * 3000 + "]" * 3000 + "}")
+        code = main(["evaluate", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line == f"error: config {p} is nested too deep"
 
     def test_threads_flag_only_accepts_one(self, workdir, tmp_path, capsys):
         _, config_path = workdir

@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from lime_oracle import lime_oracle
 from shap_oracle import brute_shapley, explain_row, oracle_phi
 from test_acceptance import _random_small_model
 from test_trees import GOLDEN_DIGESTS, fit, golden_data
@@ -300,6 +302,81 @@ class TestLime:
         )
         assert exp.weights[0][0] in ("a", "b", "c")
         assert 0.0 <= exp.prediction <= 1.0
+
+
+def lime_hex(exp):
+    """Every float of a LIME explanation as exact hex text."""
+    return (
+        exp.intercept.hex(),
+        [(name, w.hex()) for name, w in exp.weights],
+        exp.r2.hex(),
+        exp.prediction.hex(),
+    )
+
+
+def assert_lime_matches_oracle(predict, instance, stats, params, seed):
+    got = lime_explain(predict, instance, stats, params, seed)
+    assert lime_hex(got) == lime_hex(lime_oracle(predict, instance, stats, params, seed))
+
+
+class TestLimeMatchesOracle:
+    """The two reused arrays of ``lime_explain`` give the oracle's bits."""
+
+    @pytest.mark.parametrize("learner", sorted(GOLDEN_DIGESTS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_samples", [6, 100, 5000])
+    @pytest.mark.parametrize("kernel_width", [None, 0.5])
+    def test_golden_models(self, learner, seed, n_samples, kernel_width):
+        # golden_data has 4 features, so 6 is the fewest samples allowed;
+        # its feature 3 is constant, so its sd is zero.
+        x = golden_data().features
+        stats = (x.mean(axis=0), x.std(axis=0))
+        assert stats[1][3] == 0.0
+        params = LimeParams(n_samples=n_samples, kernel_width=kernel_width, top_k=4)
+        predict = functools.partial(predict_proba, golden_model(learner))
+        assert_lime_matches_oracle(predict, x[seed], stats, params, seed)
+
+    @pytest.mark.parametrize("kind", ["boosted", "forest"])
+    @pytest.mark.parametrize("n_samples", [31, 100, 5000])
+    def test_wide_random_models(self, kind, n_samples):
+        # 29 features, as the shipped pipeline makes: each squared distance
+        # sums more than one block of the pairwise reduction.
+        rng = np.random.default_rng(29)
+        model = random_model(rng, d=29, n_trees=8, max_depth=6, kind=kind)
+        mu, sd = rng.normal(size=29), np.abs(rng.normal(size=29))
+        sd[[3, 17]] = 0.0
+        predict = functools.partial(predict_proba, model)
+        for seed in range(3):
+            params = LimeParams(n_samples=n_samples, top_k=29)
+            assert_lime_matches_oracle(predict, rng.normal(size=29), (mu, sd), params, seed)
+
+    @pytest.mark.parametrize("n_samples", [5000, 20000])
+    def test_peak_memory_is_two_design_arrays(self, n_samples):
+        d = 29
+        coefs = np.linspace(-1.0, 1.0, d)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lime_explain(
+                lambda z: z @ coefs, np.zeros(d), (np.zeros(d), np.ones(d)),
+                LimeParams(n_samples=n_samples), 1,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n_samples * (d + 1) * 8
+
+    def test_predict_gets_column_major_batch(self):
+        d = 5
+        instance = np.arange(d, dtype=np.float64)
+
+        def predict(batch):
+            assert batch.shape == (301, d) and batch.T.flags.c_contiguous
+            assert np.array_equal(batch[0], instance)
+            return sigmoid(batch[:, 0] - batch[:, 2])
+
+        exp = lime_explain(predict, instance, (np.zeros(d), np.ones(d)), LimeParams(300), 4)
+        assert exp.prediction == float(sigmoid(np.float64(-2.0)))
 
 
 def golden_model(learner):
