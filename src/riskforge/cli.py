@@ -65,7 +65,6 @@ def read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
     more than one row is held as strings."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        names = next(reader, [])
         n_rows = 0
 
         def fields(row):
@@ -75,8 +74,12 @@ def read_matrix_csv(path: str) -> tuple[list[str], np.ndarray]:
                 raise CsvError(f"row {n_rows + 1} has {len(row)} fields, expected {len(names)}")
             return row
 
-        cells = itertools.chain.from_iterable(map(fields, reader))
-        matrix = np.fromiter(map(float, cells), np.float64)
+        try:
+            names = next(reader, [])
+            cells = itertools.chain.from_iterable(map(fields, reader))
+            matrix = np.fromiter(map(float, cells), np.float64)
+        except csv.Error as exc:
+            raise CsvError(f"line {reader.line_num}: {exc}") from exc
     return names, matrix.reshape(n_rows, len(names))
 
 
@@ -154,7 +157,8 @@ def _check_loans(path: str, ids, loans: np.ndarray, names, cell) -> None:
     """The first row of ``loans`` whose amount or term breaks ``_LOAN_RULES``
     fails, naming its applicant, its column ``names[j]`` and ``cell(k, j)``."""
     a, t = loans.T
-    ok = np.column_stack((np.isfinite(a) & (a > 0), (t >= 1) & (np.floor(t) == t)))
+    whole = np.isfinite(t) & (t >= 1) & (np.floor(t) == t)
+    ok = np.column_stack((np.isfinite(a) & (a > 0), whole))
     bad = np.argwhere(~ok)  # a missing (NaN) cell breaks its rule
     if bad.size:
         k, j = bad[0]
@@ -267,13 +271,19 @@ def _load_pipeline(cfg: RunConfig) -> FittedPipeline:
 
 def _load_matrix(path: str, header, rows=None) -> np.ndarray:
     """The prepared matrix at ``path``; its header must be ``header`` and, when
-    ``rows`` is given, it must have that many rows."""
+    ``rows`` is given, it must have that many rows. A feature matrix must be
+    finite, as ``transform`` writes it; test_loans.csv keeps ``_check_loans``."""
     names, matrix = _read_stage_file(path, read_matrix_csv)
+    loans = header is LOAN_COLUMNS
     if tuple(names) != header:
-        what = "loan columns" if header is LOAN_COLUMNS else "pipeline feature names"
+        what = "loan columns" if loans else "pipeline feature names"
         raise DataError(f"{path}: prepared matrices do not match the {what}")
     if rows is not None and len(matrix) != rows:
         raise DataError(f"{path}: expected {rows} rows, got {len(matrix)}")
+    if not loans and not np.isfinite(matrix).all():
+        k, j = np.argwhere(~np.isfinite(matrix))[0]
+        cell = matrix[k, j].item()
+        raise DataError(f"{path}: row {k + 2}: {names[j]!r} must be a finite number, got {cell!r}")
     return matrix
 
 
@@ -302,7 +312,6 @@ def cmd_train(cfg: RunConfig) -> list[str]:
         LabeledMatrix(train, y_tr),
         [(spec.kind, spec.grid, spec.params) for spec in cfg.models],
         cfg.cv,
-        metric=cfg.metric,
         smote_params=cfg.smote if cfg.smote_enabled else None,
         feature_names=pipeline.feature_names,
     )
@@ -403,15 +412,12 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
         report_mod.render_xai(summaries, stage_seed(cfg.seed, "beeswarm"), cfg.output_dir)
     )
 
-    report_kind = cfg.report_model
-    if report_kind == "best":
-        report_kind = evaluations[0].name
-    model = models[report_kind]
-    probs = next(ev.probabilities for ev in evaluations if ev.name == report_kind)
-
-    # Applicants in the SHAP sample reuse the summary's phi and margin; the
-    # others are explained together, in one batch.
-    shap_of = {int(k): (summaries[report_kind], j) for j, k in enumerate(sample_rows)}
+    # Applicant reports use the best model. Applicants in the SHAP sample
+    # reuse the summary's phi and margin; the others are explained together,
+    # in one batch.
+    best = evaluations[0]
+    model, probs = models[best.name], best.probabilities
+    shap_of = {int(k): (summaries[best.name], j) for j, k in enumerate(sample_rows)}
     outside = sorted({index_of[a] for a in chosen} - shap_of.keys())
     if outside:
         batch = shap_summary(model, test[outside])
@@ -434,7 +440,7 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
         )
         written.extend(
             report_mod.render_applicant(
-                assessment, summary.explanation(row), lime_exp, report_kind, cfg.output_dir
+                assessment, summary.explanation(row), lime_exp, best.name, cfg.output_dir
             )
         )
     return written

@@ -24,7 +24,7 @@ from .risk import Band, BandRule, RiskConfig
 from .sampling import SmoteParams
 from .tabular import AggregationSpec, Statistic
 from .trees import BoostingParams, ForestParams
-from .tuning import LEARNER_KINDS, METRIC_NAMES, CvPlan, _build_params, enumerate_grid
+from .tuning import LEARNER_KINDS, CvPlan, _build_params, enumerate_grid
 from .utils import stage_seed
 
 _BAND_KEYS = {"low": Band.LOW, "moderate": Band.MODERATE, "high": Band.HIGH}
@@ -61,7 +61,6 @@ class RunConfig:
     smote_enabled: bool
     smote: SmoteParams
     cv: CvPlan
-    metric: str
     threshold: float
     models: tuple[ModelSpec, ...]
     risk: RiskConfig
@@ -69,7 +68,6 @@ class RunConfig:
     term_column: str
     shap_sample: int
     lime: LimeParams
-    report_model: str
 
 
 def _require(cond: bool, message: str):
@@ -197,7 +195,7 @@ _BAND_READERS = {
 
 _TOP_KEYS = {
     "seed", "output_dir", "corpus", "data", "features", "smote", "cv",
-    "metric", "threshold", "models", "risk", "explain", "report",
+    "threshold", "models", "risk", "explain",
 }
 
 
@@ -218,17 +216,7 @@ def parse_config(doc: dict) -> RunConfig:
         if section in risk
     }
     explain = _check_keys(doc.get("explain", {}), {"shap_sample", "lime"}, "explain")
-    report = _check_keys(doc.get("report", {}), {"model"}, "report")
     models = _parse_models(doc.get("models", {}), seed)
-    report_model = _get(report, "report.model", "str", "best")
-    _require(
-        report_model in ("best", *(spec.kind for spec in models)),
-        f"report.model must be 'best' or a configured learner, got {report_model!r}",
-    )
-    metric = _get(doc, "metric", "str", "roc_auc")
-    _require(
-        metric in METRIC_NAMES, f"unknown metric {metric!r}; expected one of {METRIC_NAMES}"
-    )
     threshold = _get(doc, "threshold", "float", 0.5)
     _require(0.0 <= threshold <= 1.0, "threshold must be in [0, 1]")
     shap_sample = _get(explain, "explain.shap_sample", "int", 1000)
@@ -251,7 +239,6 @@ def parse_config(doc: dict) -> RunConfig:
         smote=_read(SmoteParams, smote, "smote", ("enabled",), seed=stage_seed(seed, "smote")),
         smote_enabled=_get(smote, "smote.enabled", "bool", True),
         cv=_read(CvPlan, doc.get("cv", {}), "cv", seed=stage_seed(seed, "cv")),
-        metric=metric,
         threshold=threshold,
         models=models,
         risk=_read(RiskConfig, risk, "risk", ("amount_column", "term_column", *bands), **bands),
@@ -259,7 +246,6 @@ def parse_config(doc: dict) -> RunConfig:
         term_column=_get(risk, "risk.term_column", "str", "term_months"),
         shap_sample=shap_sample,
         lime=_read(LimeParams, explain.get("lime", {}), "explain.lime"),
-        report_model=report_model,
     )
 
 
@@ -325,7 +311,6 @@ def default_config_dict(
         ],
         "smote": {"enabled": True, "k": 5, "target_ratio": 1.0},
         "cv": {"n_folds": 5},
-        "metric": "roc_auc",
         "threshold": 0.5,
         "models": {
             "boosted_leafwise": {
@@ -363,5 +348,4 @@ def default_config_dict(
             "shap_sample": 1000,
             "lime": {"n_samples": 5000, "top_k": 10, "alpha": 1.0, "kernel_width": None},
         },
-        "report": {"model": "best"},
     }

@@ -240,6 +240,8 @@ def read_csv(path: str | os.PathLike, categorical: Sequence[str] = ()) -> Table:
                 rows = row = fields = None  # this chunk's strings go before the next is read
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise CsvError(f"{path}: line {reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise CsvError(f"{path}: not UTF-8 text ({exc.reason}: byte 0x{byte:02x})") from exc

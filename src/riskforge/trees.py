@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -521,13 +522,20 @@ def _node_to_doc(node: TreeNode) -> dict:
 
 def _node_from_doc(doc: dict, n_features: int) -> TreeNode:
     """One node and its subtree; SchemaError for a node that is not an object,
-    lacks a number, or splits on a feature outside [0, n_features)."""
+    lacks a number, holds a number the trainer never writes (a threshold or
+    value that is not finite, a cover that is not finite and > 0), or splits
+    on a feature outside [0, n_features)."""
     if not isinstance(doc, dict):
         raise SchemaError(f"tree node must be an object, got {doc!r}")
     leaf = "value" in doc
     for key in ("value", "cover") if leaf else ("threshold", "cover"):
-        if type(doc.get(key)) not in (int, float):
-            raise SchemaError(f"tree node {key!r} must be a number, got {doc.get(key)!r}")
+        v = doc.get(key)
+        if type(v) not in (int, float):
+            raise SchemaError(f"tree node {key!r} must be a number, got {v!r}")
+        # abs() <= max is false for NaN and +-inf, and exact for any int
+        if not abs(v) <= sys.float_info.max or key == "cover" and not v > 0:
+            rule = "finite and > 0" if key == "cover" else "finite"
+            raise SchemaError(f"tree node {key!r} must be {rule}, got {v!r}")
     if leaf:
         return TreeNode(value=doc["value"], cover=doc["cover"])
     f = doc.get("feature")

@@ -58,7 +58,6 @@ class CandidateResult:
 
 @dataclass
 class SearchResult:
-    metric: str
     candidates: list[CandidateResult]
     best_index: int
     best_params: dict
@@ -132,34 +131,16 @@ def fold_training_set(
     return rows if smote_params is None else smote(rows, smote_params)
 
 
-METRIC_NAMES = ("roc_auc", "accuracy", "precision", "recall", "f1")
-
-
-def score_predictions(metric: str, labels, probabilities, threshold: float = 0.5) -> float:
-    if metric == "roc_auc":
-        return metrics.roc_auc(labels, probabilities).auc
-    cm = metrics.confusion(labels, probabilities, threshold)
-    if metric == "accuracy":
-        return metrics.accuracy(cm)
-    if metric == "precision":
-        return metrics.precision(cm)
-    if metric == "recall":
-        return metrics.recall(cm)
-    if metric == "f1":
-        return metrics.f1_score(cm)
-    raise ConfigError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
-
-
 def grid_search(
     data: LabeledMatrix,
     learners: list[tuple[str, dict, dict]],
     plan: CvPlan,
-    metric: str = "roc_auc",
     smote_params: SmoteParams | None = None,
     feature_names=None,
 ) -> list[tuple[SearchResult, object]]:
     """Cross-validate every candidate of every ``(kind, grid, defaults)``
-    learner and retrain each learner's winner on the full training data.
+    learner by its mean fold ROC AUC and retrain each learner's winner on
+    the full training data.
 
     The fold loop is outermost: each fold's training set is cut, SMOTE'd and
     binned once, shared by every candidate, then dropped before the next
@@ -181,7 +162,7 @@ def grid_search(
                     try:
                         params = _build_params(kind, defaults, cand.params)
                         probs = predict_proba(_fit(kind, binned(params.n_bins), params), val_x)
-                        cand.fold_scores.append(score_predictions(metric, val_y, probs))
+                        cand.fold_scores.append(metrics.roc_auc(val_y, probs).auc)
                     except DataError as exc:
                         cand.error = str(exc)
         del fold_data, binned
@@ -199,7 +180,7 @@ def grid_search(
                 f"the first failed with: {candidates[0].error}"
             )
         result = SearchResult(
-            metric, candidates, best_index, best.params, best.mean_score, used_defaults=not grid
+            candidates, best_index, best.params, best.mean_score, used_defaults=not grid
         )
         winners.append((kind, result, _build_params(kind, defaults, best.params)))
 
@@ -214,7 +195,7 @@ def grid_search(
 def search_result_to_doc(result: SearchResult) -> dict:
     return {
         "format": "riskforge.search_result/1",
-        "metric": result.metric,
+        "metric": "roc_auc",
         "used_defaults": result.used_defaults,
         "best_index": result.best_index,
         "best_params": result.best_params,

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -469,13 +470,9 @@ class TestLoanDecisions:
         shutil.copytree(root / "out" / "models", tmp_path / "out" / "models")
         model_path = tmp_path / "out" / "models" / "boosted_leafwise.json"
         doc = json.loads(model_path.read_text())
-        stack = [doc["trees"][0]]
-        while stack:  # every leaf of the first tree, so every row scores NaN
-            node = stack.pop()
-            if "value" in node:
-                node["value"] = float("nan")
-            else:
-                stack.extend((node["left"], node["right"]))
+        # Tree nodes must be finite, but the base score adds into every row's
+        # margin, so every row scores NaN.
+        doc["base_score"] = float("nan")
         model_path.write_text(json.dumps(doc))
         cfg = json.loads(config_path.read_text())
         cfg["output_dir"] = str(tmp_path / "out")
@@ -534,9 +531,10 @@ DELETE = object()
 
 #: SHA-256 of ``repr(parse_config(default_config_dict()))``, recorded before
 #: each config section was read from its dataclass, so that no parsed value or
-#: type (an int where a float was read, say) can drift. Re-recorded once when
-#: ``LimeParams`` lost its ``seed=0`` field, the repr's only change.
-DEFAULT_CONFIG_REPR_SHA256 = "d48f1d9cba4b80e94cf3e818fccd053a3c3776a99db914da84959ea7007302f4"
+#: type (an int where a float was read, say) can drift. Re-recorded when
+#: ``LimeParams`` lost its ``seed=0`` field and when ``RunConfig`` lost its
+#: ``metric`` and ``report_model`` fields, each time the repr's only change.
+DEFAULT_CONFIG_REPR_SHA256 = "7adde7f85847239b57cfa2c34fa2c071f46d92ec0b2f1c655698c2d82b46efd5"
 
 
 def _assert_clean_exit(code, err):
@@ -575,11 +573,14 @@ class TestCorruptCells:
              "categorical column 'applicant_id' is not in the header"),
             ("application_train.csv", _rename_column("target", "label"), 2,
              "application_train.csv: categorical column 'target' is not in the header"),
+            ("application_train.csv", _set_cell("ext_score_1", "9" * 140_000), 2,
+             "application_train.csv: line 2: field larger than field limit (131072)"),
         ],
         ids=[
             "text-in-numeric-test", "text-in-numeric-train", "blank-numeric",
             "na-numeric", "ragged-row", "blank-target", "target-2", "duplicate-id",
             "text-in-bureau-value", "huge-numeric-train", "no-id-column", "no-label-column",
+            "long-field",
         ],
     )
     def test_prepare_exit_code(self, workdir, tmp_path, capsys, name, edit, code, needle):
@@ -670,7 +671,9 @@ def _write_text(text):
     return lambda path: path.write_text(text)
 
 
-def _set_first_label(text):
+def _set_second_cell(text):
+    """The second cell of a two-column file's first row (a label or a loan
+    term) set to ``text``."""
     def edit(path):
         lines = path.read_text().splitlines(keepends=True)
         lines[1] = lines[1].split(",")[0] + f",{text}\n"
@@ -680,12 +683,6 @@ def _set_first_label(text):
 
 def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-
-
-def _nan_first_term(path):
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1] = lines[1].split(",")[0] + ",nan\n"
-    path.write_text("".join(lines))
 
 
 def _rename_last_column(path):
@@ -714,6 +711,16 @@ def _move_cell_to_next_row(path):
     head, _, cell = lines[1].rstrip("\r\n").rpartition(",")
     lines[1:3] = [head + "\r\n", cell + "," + lines[2]]
     path.write_text("".join(lines))
+
+
+def _edit_first_leaf(**values):
+    """Tree 0's leftmost leaf updated with ``values``."""
+    def edit(doc):
+        node = doc["trees"][0]
+        while "value" not in node:
+            node = node["left"]
+        node.update(values)
+    return _edit_json(edit)
 
 
 def _deep_first_tree(depth):
@@ -757,7 +764,7 @@ def test_label_rule_same_in_raw_and_prepared_files(workdir, tmp_path, capsys, ce
     )
     out, cfg = _copied_outputs(workdir, tmp_path / "stage")
     labels = out / "prepared" / "test_labels.csv"
-    _set_first_label(cell)(labels)
+    _set_second_cell(cell)(labels)
     capsys.readouterr()
     for command, p, path in [
         ("prepare", raw_cfg, tmp_path / "raw" / "corpus" / "application_train.csv"),
@@ -802,7 +809,7 @@ class TestCorruptStageFiles:
             ("prepared/test_features.csv", _move_cell_to_next_row, "row 2 has "),
             ("prepared/test_labels.csv", _write_text("applicant_id,label\r\n7\r\n"),
              "row 2 has 1 fields, expected 2"),
-            ("prepared/test_labels.csv", _set_first_label("3"),
+            ("prepared/test_labels.csv", _set_second_cell("3"),
              "row 2: label 'label' must be 0 or 1, got '3'"),
             ("prepared/test_labels.csv",
              _write_text("applicant_id,label\r\n7,0\r\n8,1" + "0" * 23 + "\r\n"),
@@ -820,8 +827,33 @@ class TestCorruptStageFiles:
             ("prepared/test_loans.csv", _rename_last_column,
              "prepared matrices do not match the loan columns"),
             ("prepared/test_loans.csv", _drop_last_line, "expected 120 rows, got 119"),
-            ("prepared/test_loans.csv", _nan_first_term,
+            ("prepared/test_loans.csv", _set_second_cell("nan"),
              "applicant 481: 'term_months' must be a whole number >= 1, got nan"),
+            ("prepared/test_loans.csv", _set_second_cell("inf"),
+             "applicant 481: 'term_months' must be a whole number >= 1, got inf"),
+            ("models/boosted_leafwise.json", _edit_json(lambda d: d["trees"][0].update(cover=0)),
+             "tree node 'cover' must be finite and > 0, got 0"),
+            ("models/boosted_leafwise.json", _edit_first_leaf(cover=0),
+             "tree node 'cover' must be finite and > 0, got 0"),
+            ("models/boosted_leafwise.json", _edit_first_leaf(cover=math.nan),
+             "tree node 'cover' must be finite and > 0, got nan"),
+            ("models/boosted_leafwise.json", _edit_first_leaf(value=math.nan),
+             "tree node 'value' must be finite, got nan"),
+            ("models/boosted_leafwise.json",
+             _edit_json(lambda d: d["trees"][0].update(threshold=math.nan)),
+             "tree node 'threshold' must be finite, got nan"),
+            ("prepared/test_labels.csv", _set_first_cell("7" * 140_000),
+             "line 2: field larger than field limit (131072)"),
+            ("prepared/test_features.csv", _set_first_cell("1" * 140_000),
+             "line 2: field larger than field limit (131072)"),
+            ("prepared/test_features.csv", _set_first_cell("nan"),
+             "row 2: 'ext_score_1' must be a finite number, got nan"),
+            ("prepared/test_features.csv", _set_first_cell("inf", row=3),
+             "row 4: 'ext_score_1' must be a finite number, got inf"),
+            ("prepared/test_features.csv", _set_first_cell("-inf"),
+             "row 2: 'ext_score_1' must be a finite number, got -inf"),
+            ("prepared/test_features.csv", _set_first_cell("1e400"),
+             "row 2: 'ext_score_1' must be a finite number, got inf"),
         ],
         ids=[
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
@@ -829,7 +861,11 @@ class TestCorruptStageFiles:
             "text-in-features", "no-test-features", "ragged-features", "short-label-row",
             "label-3", "huge-label", "short-last-label-row", "label-header", "unsafe-label-id",
             "duplicate-label-id",
-            "no-test-loans", "loans-header", "short-loans", "nan-term",
+            "no-test-loans", "loans-header", "short-loans", "nan-term", "inf-term",
+            "split-cover-zero", "leaf-cover-zero", "leaf-cover-nan", "leaf-value-nan",
+            "threshold-nan",
+            "long-label-field", "long-feature-field", "nan-feature", "inf-feature",
+            "minus-inf-feature", "1e400-feature",
         ],
     )
     def test_exits_2_naming_file(self, workdir, tmp_path, capsys, command, rel, corrupt, needle):
@@ -875,8 +911,12 @@ class TestCorruptStageFiles:
 
     @pytest.mark.parametrize(
         "corrupt, needle",
-        [(Path.unlink, "No such file"), (_drop_last_line, "expected 2 rows, got 1")],
-        ids=["missing", "one-row"],
+        [
+            (Path.unlink, "No such file"),
+            (_drop_last_line, "expected 2 rows, got 1"),
+            (_set_first_cell("nan", row=2), "row 3: 'ext_score_1' must be a finite number"),
+        ],
+        ids=["missing", "one-row", "nan-sd"],
     )
     def test_assess_feature_stats_exits_2(self, workdir, tmp_path, capsys, corrupt, needle):
         """Only assess reads LIME's feature stats; it needs no train matrix."""
@@ -1117,17 +1157,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="svm"):
             parse_config(cfg)
 
-    def test_report_model_must_be_known(self):
-        cfg = default_config_dict()
-        cfg["report"]["model"] = "xgboost"
-        with pytest.raises(ConfigError, match="report.model"):
-            parse_config(cfg)
-        cfg["report"]["model"] = "forest"
-        assert parse_config(cfg).report_model == "forest"
-        cfg["models"] = {"forest": cfg["models"]["forest"]}
-        cfg["report"]["model"] = "boosted_leafwise"
-        with pytest.raises(ConfigError, match="report.model .* 'boosted_leafwise'"):
-            parse_config(cfg)
+    @pytest.mark.parametrize(
+        "key, value",
+        [("metric", "roc_auc"), ("report", {"model": "best"})],
+        ids=["metric", "report"],
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, key, value):
+        """Every model choice is made by ROC AUC, so neither a CV ``metric``
+        nor a ``report`` model is a key."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**default_config_dict(), key: value}))
+        code = main(["prepare", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line == f"error: config: unknown keys ['{key}']"
 
     @pytest.mark.parametrize(
         "path, value, needle",
@@ -1159,7 +1201,6 @@ class TestConfig:
             ("smote.seed", 3, "smote: unknown keys ['seed']"),
             ("explain.lime.seed", 3, "explain.lime: unknown keys ['seed']"),
             ("threshold", 10**400, "threshold: float out of range"),
-            ("metric", "auroc", "unknown metric 'auroc'"),
             ("explain.shap_sample", -1, "explain.shap_sample must be >= 1, got -1"),
             ("explain.shap_sample", 0, "explain.shap_sample must be >= 1, got 0"),
             ("risk.band_rules.low.max_term_months", 0,
@@ -1189,7 +1230,7 @@ class TestConfig:
             "threshold-text", "top-k-text", "seed-bool", "kernel-width-text",
             "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
             "smote-seed-is-fixed", "lime-seed-is-no-key", "integer-beyond-float-range",
-            "metric-unknown", "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
+            "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
             "band-rule-negative-term", "band-rule-negative-collateral", "smote-k-zero",
             "cv-one-fold", "lime-top-k-zero", "model-param-zero-trees", "grid-one-bin",
             "flag-op-unknown", "lime-kernel-width-square-underflows", "lime-samples-too-many",
