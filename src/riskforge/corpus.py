@@ -10,6 +10,7 @@ imbalanced book). Ground-truth coefficients are written next to the CSVs.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .tabular import Column, ColumnKind, Table, write_csv
 from .utils import dump_json, sigmoid, stage_seed
 
 GROUND_TRUTH_FORMAT = "riskforge.ground_truth/1"
@@ -54,17 +54,13 @@ def calibrate_intercept(signal_scale: float, target_rate: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _table(name: str, columns: dict, rows=slice(None)) -> Table:
-    """A table of the given rows; string arrays become Categorical columns."""
-    return Table(
-        tuple(
-            Column.categorical(key, values[rows].tolist())
-            if values.dtype.kind == "U"
-            else Column(key, ColumnKind.NUMERIC, values[rows])
-            for key, values in columns.items()
-        ),
-        name=name,
-    )
+def _write_csv(path: str, columns: dict, rows: slice) -> None:
+    """Write the given rows of ``columns`` (name -> array) as CSV: text as it
+    is, floats by ``repr``, as ``csv.writer`` writes them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*(values[rows].tolist() for values in columns.values())))
 
 
 @dataclass(frozen=True)
@@ -132,35 +128,33 @@ def generate_corpus(
         "noise_3": noise[:, 2],
     }
     n_train = int(round(train_fraction * n))
-    train = _table("application_train", columns, slice(0, n_train))
-    test = _table("application_test", columns, slice(n_train, n))
 
     # Auxiliary tables are pure noise; 0..4 bureau rows, 0..6 payment rows each.
     bureau_counts = rng.integers(0, 5, size=n)
     bureau_ids = np.repeat(ids, bureau_counts)
     nb = len(bureau_ids)
-    bureau = _table(
-        "bureau",
-        {
-            "applicant_id": bureau_ids,
-            "amt_credit_sum": np.round(np.exp(rng.normal(12.0, 0.8, size=nb)), 2),
-            "days_credit": -rng.integers(100, 3_000, size=nb).astype(np.float64),
-        },
-    )
+    bureau = {
+        "applicant_id": bureau_ids,
+        "amt_credit_sum": np.round(np.exp(rng.normal(12.0, 0.8, size=nb)), 2),
+        "days_credit": -rng.integers(100, 3_000, size=nb).astype(np.float64),
+    }
     payment_counts = rng.integers(0, 7, size=n)
     payment_ids = np.repeat(ids, payment_counts)
-    payments = _table(
-        "payments",
-        {
-            "applicant_id": payment_ids,
-            "amt_payment": np.round(np.exp(rng.normal(9.5, 0.7, size=len(payment_ids))), 2),
-        },
-    )
+    payments = {
+        "applicant_id": payment_ids,
+        "amt_payment": np.round(np.exp(rng.normal(9.5, 0.7, size=len(payment_ids))), 2),
+    }
 
+    os.makedirs(out_dir, exist_ok=True)
     csv_paths = []
-    for table in (train, test, bureau, payments):
-        csv_paths.append(os.path.join(out_dir, f"{table.name}.csv"))
-        write_csv(table, csv_paths[-1])
+    for name, table, rows in (
+        ("application_train", columns, slice(0, n_train)),
+        ("application_test", columns, slice(n_train, n)),
+        ("bureau", bureau, slice(None)),
+        ("payments", payments, slice(None)),
+    ):
+        csv_paths.append(os.path.join(out_dir, f"{name}.csv"))
+        _write_csv(csv_paths[-1], table, rows)
     paths = CorpusPaths(*csv_paths, ground_truth=os.path.join(out_dir, "ground_truth.json"))
     dump_json(
         {

@@ -106,18 +106,9 @@ class LimeExplanation:
     prediction: float
 
 
-def _expected_value(node: TreeNode) -> float:
-    """Cover-weighted expectation of a subtree's leaf values."""
-    if node.is_leaf:
-        return node.value
-    left, right = node.left, node.right
-    el = _expected_value(left)
-    er = _expected_value(right)
-    return (left.cover * el + right.cover * er) / (left.cover + right.cover)
-
-
-def _path_groups(root: TreeNode) -> list[tuple]:
-    """A tree's root-to-leaf paths as merged elements, grouped by count.
+def _path_groups(root: TreeNode) -> tuple[float, list[tuple]]:
+    """A tree's cover-weighted leaf expectation, and its root-to-leaf paths
+    as merged elements, grouped by count, from one walk.
 
     An element is a distinct split feature, placed at its last split, with
     its cover ratios multiplied into a zero fraction and its turns merged
@@ -127,28 +118,28 @@ def _path_groups(root: TreeNode) -> list[tuple]:
     """
     groups: dict[int, list] = {}
 
-    def walk(node: TreeNode, path: dict):
+    def walk(node: TreeNode, path: dict) -> float:
+        """Group the paths below ``node``; return its subtree's expectation."""
         if node.is_leaf:
             if path:
                 groups.setdefault(len(path), []).append((node.value, path))
-            return
+            return node.value
         f, t = node.feature, node.threshold
         zero, lo, hi, free = path.get(f, (1.0, math.nan, math.inf, True))
         rest = {k: v for k, v in path.items() if k != f}
-        for child, left in ((node.left, True), (node.right, False)):
-            z = child.cover / node.cover * zero
-            if left:
-                walk(child, {**rest, f: (z, lo, min(hi, t), False)})
-            else:
-                walk(child, {**rest, f: (z, t if math.isnan(lo) else max(lo, t), hi, free)})
+        cl, cr = node.left.cover, node.right.cover
+        el = walk(node.left, {**rest, f: (cl / node.cover * zero, lo, min(hi, t), False)})
+        right_lo = t if math.isnan(lo) else max(lo, t)
+        er = walk(node.right, {**rest, f: (cr / node.cover * zero, right_lo, hi, free)})
+        return (cl * el + cr * er) / (cl + cr)
 
-    walk(root, {})
+    expected = walk(root, {})
     packed = []
     for _, leaves in sorted(groups.items()):
         zero, lo, hi, free = np.array([list(p.values()) for _, p in leaves]).transpose(2, 0, 1)
         features = np.array([list(p) for _, p in leaves], dtype=np.intp)
         packed.append((features, zero, lo, hi, free == 1.0, np.array([v for v, _ in leaves])))
-    return packed
+    return expected, packed
 
 
 def _add_group_phi(x, group, phi) -> None:
@@ -200,10 +191,9 @@ class TreeShapExplainer:
         else:
             raise SchemaError(f"cannot explain model type {type(model).__name__}")
         self.n_features = len(model.feature_names)
-        self.base_value = self.offset + self.coef * sum(
-            _expected_value(t) for t in model.trees
-        )
-        self.paths = [_path_groups(t) for t in model.trees]
+        walks = [_path_groups(t) for t in model.trees]
+        self.base_value = self.offset + self.coef * sum(expected for expected, _ in walks)
+        self.paths = [paths for _, paths in walks]
         widest = max((g[0].size + len(g[5]) for p in self.paths for g in p), default=1)
         self.chunk_rows = max(1, CHUNK_CELLS // widest)
 

@@ -67,18 +67,6 @@ class Column:
             if not -1 <= values.min() <= values.max() < len(self.vocabulary):
                 raise DataError(f"categorical column {self.name!r} has out-of-range codes")
 
-    @classmethod
-    def categorical(cls, name: str, cells: Sequence, missing=(None,)) -> "Column":
-        """A Categorical column from string cells; cells in ``missing`` are missing."""
-        present = set(cells).difference(missing)
-        bad = [cell for cell in present if not isinstance(cell, str)]
-        if bad:
-            raise DataError(f"categorical column {name!r} contains non-string cell {bad[0]!r}")
-        vocabulary = tuple(sorted(present))
-        code = {cell: k for k, cell in enumerate(vocabulary)} | dict.fromkeys(missing, -1)
-        codes = np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
-        return cls(name, ColumnKind.CATEGORICAL, codes, vocabulary)
-
     @property
     def missing(self) -> np.ndarray:
         """Boolean mask of the missing cells."""
@@ -93,13 +81,9 @@ class Column:
             return None if math.isnan(v) else float(v)
         return self.vocabulary[v] if v >= 0 else None
 
-    def strings(self, missing=None) -> list:
-        """Each cell as text (numbers by ``repr``), ``missing`` where missing."""
-        vocabulary, codes = self.vocabulary, self.values
-        if self.kind is ColumnKind.NUMERIC:
-            vocabulary = list(map(repr, self.values.tolist()))
-            codes = np.where(self.missing, -1, np.arange(len(vocabulary)))
-        return np.array([*vocabulary, missing], dtype=object)[codes].tolist()
+    def strings(self) -> list:
+        """Each cell of a Categorical column as text, None where missing."""
+        return np.array([*self.vocabulary, None], dtype=object)[self.values].tolist()
 
 
 @dataclass(frozen=True)
@@ -255,19 +239,6 @@ def read_csv(path: str | os.PathLike, categorical: Sequence[str] = ()) -> Table:
         packs[j] = None  # each column's text goes as soon as the column is built
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return Table(tuple(columns), name=stem)
-
-
-def write_csv(table: Table, path: str | os.PathLike) -> None:
-    """Write a Table as RFC-4180 CSV; missing cells become empty fields.
-
-    Numbers are written with ``repr`` so a read-back reproduces every cell
-    exactly.
-    """
-    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.column_names)
-        writer.writerows(zip(*(col.strings(missing="") for col in table.columns)))
 
 
 def select_columns(table: Table, names: Sequence[str]) -> Table:

@@ -311,8 +311,12 @@ def _grow_boosted(train: BinnedSet, g, h, feats, prm):
     of the split that fills the leaf budget, and one whose hessian sum is
     below ``2 * min_child_weight``. Hessians are non-negative, so there
     ``hl >= min_child_weight`` forces ``h_sum - hl < min_child_weight``
-    (exact by Sterbenz when ``hl <= h_sum``, negative otherwise). Leaves
-    cover disjoint rows, so the order of the returned pairs does not matter.
+    (exact by Sterbenz when ``hl <= h_sum``, negative otherwise). A popped
+    split that would give a child a hessian sum of 0 is not taken and its node
+    becomes a leaf, as a model file may not hold a cover of 0. With
+    ``min_child_weight`` 0 the search can offer one, as its right sums
+    ``h_sum - hl`` may read a few ulps above 0. Leaves cover disjoint rows, so the order of the returned
+    pairs does not matter.
     """
     level_wise = prm.growth == GROWTH_LEVEL
     max_depth = prm.max_depth if level_wise else math.inf
@@ -320,9 +324,8 @@ def _grow_boosted(train: BinnedSet, g, h, feats, prm):
     min_h_sum = 2.0 * prm.min_child_weight
     heap, leaves, created = [], [], itertools.count()
 
-    def add(rows, depth, search=True):
+    def add(rows, h_sum, depth, search=True):
         g_sum = float(g[rows].sum())
-        h_sum = float(h[rows].sum())
         node = TreeNode(cover=h_sum)
         split = None
         if search and depth < max_depth and h_sum >= min_h_sum:
@@ -335,17 +338,23 @@ def _grow_boosted(train: BinnedSet, g, h, feats, prm):
             heapq.heappush(heap, entry)
         return node
 
-    root = add(np.arange(g.size), 0)
+    root = add(np.arange(g.size), float(h.sum()), 0)
     n_leaves = 1
     while heap and n_leaves < max_leaves:
-        _, _, node, rows, depth, (f, edge_idx, _), _ = heapq.heappop(heap)
+        _, _, node, rows, depth, (f, edge_idx, _), g_sum = heapq.heappop(heap)
         mask = train.goes_left(rows, f, edge_idx)
+        left, right = rows[mask], rows[~mask]
+        h_left, h_right = float(h[left].sum()), float(h[right].sum())
+        if not (h_left > 0 and h_right > 0):
+            node.value = leaf_value(g_sum, node.cover, prm.l2_regularization)
+            leaves.append((node, rows))
+            continue
         node.feature = f
         node.threshold = float(train.edges[f][edge_idx])
         n_leaves += 1
         search = n_leaves < max_leaves
-        node.left = add(rows[mask], depth + 1, search)
-        node.right = add(rows[~mask], depth + 1, search)
+        node.left = add(left, h_left, depth + 1, search)
+        node.right = add(right, h_right, depth + 1, search)
     for _, _, node, rows, _, _, g_sum in heap:
         node.value = leaf_value(g_sum, node.cover, prm.l2_regularization)
         leaves.append((node, rows))
@@ -583,6 +592,8 @@ def model_from_doc(doc: dict):
     for key in ("learning_rate", "growth"):  # readers may predict from either
         if doc.get(key) != getattr(params, key):
             raise SchemaError(f"model {key} {doc.get(key)!r} differs from its params")
+    if not abs(doc["base_score"]) <= sys.float_info.max:  # it adds into every margin
+        raise SchemaError(f"model 'base_score' must be finite, got {doc['base_score']!r}")
     return BoostedModel(
         trees=trees, base_score=doc["base_score"], params=params, feature_names=names,
         train_loss=tuple(doc.get("train_loss", ())),

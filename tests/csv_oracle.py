@@ -6,6 +6,7 @@ import csv
 import os
 
 import numpy as np
+from tables import cat_col
 
 from riskforge.errors import CsvError
 from riskforge.tabular import MISSING_TOKENS, Column, ColumnKind, Table
@@ -53,7 +54,7 @@ def read_csv_whole(path, categorical=()):
         if values is not None:
             columns.append(Column(name, ColumnKind.NUMERIC, values))
         else:
-            columns.append(Column.categorical(name, fields, missing=MISSING_TOKENS))
+            columns.append(cat_col(name, fields, missing=MISSING_TOKENS))
 
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return Table(tuple(columns), name=stem)

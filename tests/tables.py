@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from riskforge.tabular import Column, ColumnKind, Table
 
 
@@ -10,9 +12,14 @@ def num_col(name, values):
     return Column(name, ColumnKind.NUMERIC, [math.nan if v is None else v for v in values])
 
 
-def cat_col(name, values):
-    """A Categorical column from strings, with None for missing."""
-    return Column.categorical(name, list(values))
+def cat_col(name, values, missing=(None,)):
+    """A Categorical column from strings, with the cells in ``missing`` missing:
+    codes into the sorted set of the other cells, made without ``read_csv``."""
+    values = list(values)
+    vocabulary = tuple(sorted(set(values).difference(missing)))
+    code = {cell: k for k, cell in enumerate(vocabulary)} | dict.fromkeys(missing, -1)
+    codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+    return Column(name, ColumnKind.CATEGORICAL, codes, vocabulary)
 
 
 def table(*cols, name=""):

@@ -8,6 +8,7 @@ import split_oracle
 
 from riskforge import trees
 from riskforge.errors import DataError, SchemaError
+from riskforge.explain import shap_summary
 from riskforge.sampling import LabeledMatrix
 from riskforge.trees import (
     GROWTH_LEAF,
@@ -779,6 +780,24 @@ class TestSerialization:
         assert np.array_equal(
             predict_proba(model, data.features), predict_proba(back, data.features)
         )
+
+    @pytest.mark.parametrize("growth", [GROWTH_LEAF, GROWTH_LEVEL])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_hessian_side_is_not_split_off(self, seed, growth):
+        # With min_child_weight 0 and a learning rate of 1, rows saturate at
+        # probability 0 or 1 and so have hessian 0; a child of only such rows
+        # would have cover 0, which model_from_doc rejects.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((200, 2))
+        y = (x[:, 0] + 0.5 * rng.standard_normal(200) > 0).astype(int)
+        params = BoostingParams(
+            n_trees=100, learning_rate=1.0, min_child_weight=0.0, l2_regularization=1e-30,
+            max_depth=4, growth=growth,
+        )
+        model = fit(LabeledMatrix(x, y), params)
+        back = model_from_doc(json.loads(json.dumps(model_to_doc(model))))
+        assert np.array_equal(predict_margin(back, x), predict_margin(model, x))
+        assert np.isfinite(shap_summary(back, x).shap_values).all()
 
     def test_unknown_format_rejected(self):
         with pytest.raises(SchemaError, match="format"):
