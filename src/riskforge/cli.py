@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import itertools
 import os
@@ -185,35 +184,32 @@ def _test_loans(cfg: RunConfig, table: Table, ids) -> np.ndarray:
 
 def _feature_table(cfg: RunConfig, table: Table) -> Table:
     """Every column but the id, the label and the aux key columns."""
-    keys = {cfg.id_column, cfg.label_column, *(a.spec.key_column for a in cfg.aux_tables)}
+    keys = {cfg.id_column, cfg.label_column, *(spec.key_column for _, spec in cfg.aux_tables)}
     return select_columns(table, [n for n in table.column_names if n not in keys])
 
 
 def cmd_gen_corpus(cfg: RunConfig) -> list[str]:
-    paths = generate_corpus(
-        cfg.corpus_dir, cfg.seed, cfg.corpus_rows, cfg.corpus_train_fraction
-    )
-    return list(dataclasses.astuple(paths))
+    return generate_corpus(cfg.corpus_dir, cfg.seed, cfg.corpus_rows, cfg.corpus_train_fraction)
 
 
 def cmd_prepare(cfg: RunConfig) -> list[str]:
     """Merge, engineer and fit-transform; test data uses the train-fitted pipeline.
     LIME's per-feature mean and std of the train matrix go to feature_stats.csv,
     and each test applicant's loan amount and term to test_loans.csv."""
-    keys = [a.spec.key_column for a in cfg.aux_tables]
+    keys = [spec.key_column for _, spec in cfg.aux_tables]
     splits = {  # split: (table, ids, labels); merge and recipes only add columns
         name: _read_applicants(path, cfg.id_column, cfg.label_column, keys)
         for name, path in (("train", cfg.application_train), ("test", cfg.application_test))
     }
     loans = _test_loans(cfg, *splits["test"][:2])
     auxes = [
-        (read_csv(a.path, categorical=[a.spec.key_column]), a.spec) for a in cfg.aux_tables
+        (read_csv(path, categorical=[spec.key_column]), spec) for path, spec in cfg.aux_tables
     ]
     fulls = []  # each aux table is read once and merged into both splits
     for table, _, _ in splits.values():
         for aux, spec in auxes:
             table = aggregate_merge(table, aux, spec)
-        fulls.append(apply_recipes(table, cfg.catalog))
+        fulls.append(apply_recipes(table, cfg.recipes))
     train_full, test_full = fulls
 
     train_features = _feature_table(cfg, train_full)

@@ -4,22 +4,25 @@ A section backed by a dataclass is read by ``_read`` from its fields: the
 keys are the field names, a missing key takes the field default, and a field
 without one is required. Other scalars are read by ``_get``, each default
 written once, in ``parse_config``. Values must have the annotated type (a
-JSON integer passes as a float; no string or bool is coerced), and unknown
-keys are rejected anywhere in the tree, so typos fail fast. The global seed
-fans out to independent per-stage seeds through ``utils.stage_seed``.
+JSON integer passes as a float; no string or bool is coerced; a float must be
+finite), and unknown keys are rejected anywhere in the tree, so typos fail
+fast. The global seed fans out to independent per-stage seeds through
+``utils.stage_seed``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass
 
+from .corpus import MAX_CORPUS_ROWS
 from .errors import ConfigError, DataError
 from .explain import LimeParams
-from .features import DaysToYears, FeatureCatalog, FeatureRecipe, Flag, Ratio
+from .features import DaysToYears, Flag, Ratio
 from .risk import Band, BandRule, RiskConfig
 from .sampling import SmoteParams
 from .tabular import AggregationSpec, Statistic
@@ -30,12 +33,6 @@ from .utils import stage_seed
 _BAND_KEYS = {"low": Band.LOW, "moderate": Band.MODERATE, "high": Band.HIGH}
 _RECIPES = {"ratio": Ratio, "days_to_years": DaysToYears, "flag": Flag}
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str, "list": list, "dict": dict}
-
-
-@dataclass(frozen=True)
-class AuxTableSpec:
-    path: str
-    spec: AggregationSpec
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ class RunConfig:
     application_test: str
     id_column: str
     label_column: str
-    aux_tables: tuple[AuxTableSpec, ...]
-    catalog: FeatureCatalog
+    aux_tables: tuple[tuple[str, AggregationSpec], ...]  # (path, spec)
+    recipes: tuple[Ratio | DaysToYears | Flag, ...]
     smote_enabled: bool
     smote: SmoteParams
     cv: CvPlan
@@ -84,7 +81,8 @@ def _check_keys(node: dict, allowed: set, path: str) -> dict:
 def _value(value, annotation: str, path: str):
     """``value`` if it has the type ``annotation`` names: ``int``, ``float``,
     ``bool``, ``str``, ``list``, ``dict``, ``list[<type>]`` or ``<type> | None``.
-    A JSON integer passes as a float and is returned as one."""
+    A JSON integer passes as a float and is returned as one; a float must be
+    finite (``json`` reads ``NaN``, ``Infinity`` and ``1e400``)."""
     kind, _, rest = annotation.partition(" | ")
     if value is None and rest == "None":
         return None
@@ -95,7 +93,8 @@ def _value(value, annotation: str, path: str):
         _require(abs(value) <= sys.float_info.max, f"{path}: {kind} out of range")
         return float(value)
     _require(
-        type(value) is _TYPES[kind], f"{path}: expected {annotation}, got {json.dumps(value)}"
+        type(value) is _TYPES[kind] and (kind != "float" or math.isfinite(value)),
+        f"{path}: expected {annotation}, got {json.dumps(value)}",
     )
     return value
 
@@ -128,28 +127,24 @@ def _read(cls, node: dict, path: str, extra=(), **fixed):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_recipe(entry: dict, i: int) -> FeatureRecipe:
+def _parse_recipe(entry: dict, i: int) -> Ratio | DaysToYears | Flag:
     path = f"features[{i}]"
     kind = _get(_value(entry, "dict", path), f"{path}.kind", "str", None)
     _require(kind in _RECIPES, f"{path}: unknown recipe kind {kind!r}")
-    recipe = _read(_RECIPES[kind], entry, path, ("name", "kind"))
-    return FeatureRecipe(_get(entry, f"{path}.name", "str"), recipe)
+    return _read(_RECIPES[kind], entry, path, ("kind",))
 
 
-def _parse_aux(entry: dict, i: int) -> AuxTableSpec:
+def _parse_aux(entry: dict, i: int) -> tuple[str, AggregationSpec]:
     path = f"data.aux[{i}]"
     _check_keys(entry, {"path", "key_column", "value_columns", "statistics"}, path)
     try:
         stats = tuple(Statistic(s) for s in _get(entry, f"{path}.statistics", "list[str]"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return AuxTableSpec(
-        _get(entry, f"{path}.path", "str"),
-        AggregationSpec(
-            _get(entry, f"{path}.key_column", "str"),
-            tuple(_get(entry, f"{path}.value_columns", "list[str]")),
-            stats,
-        ),
+    return _get(entry, f"{path}.path", "str"), AggregationSpec(
+        _get(entry, f"{path}.key_column", "str"),
+        tuple(_get(entry, f"{path}.value_columns", "list[str]")),
+        stats,
     )
 
 
@@ -219,6 +214,11 @@ def parse_config(doc: dict) -> RunConfig:
     models = _parse_models(doc.get("models", {}), seed)
     threshold = _get(doc, "threshold", "float", 0.5)
     _require(0.0 <= threshold <= 1.0, "threshold must be in [0, 1]")
+    corpus_rows = _get(corpus, "corpus.n_rows", "int", 10000)
+    _require(
+        corpus_rows <= MAX_CORPUS_ROWS,
+        f"corpus.n_rows must be <= {MAX_CORPUS_ROWS}, got {corpus_rows}",
+    )
     shap_sample = _get(explain, "explain.shap_sample", "int", 1000)
     _require(shap_sample >= 1, f"explain.shap_sample must be >= 1, got {shap_sample}")
     aux = _get(data, "data.aux", "list", [])
@@ -228,14 +228,14 @@ def parse_config(doc: dict) -> RunConfig:
         seed=seed,
         output_dir=_get(doc, "output_dir", "str", "out"),
         corpus_dir=_get(corpus, "corpus.dir", "str", "corpus"),
-        corpus_rows=_get(corpus, "corpus.n_rows", "int", 10000),
+        corpus_rows=corpus_rows,
         corpus_train_fraction=_get(corpus, "corpus.train_fraction", "float", 0.8),
         application_train=_get(data, "data.application_train", "str"),
         application_test=_get(data, "data.application_test", "str"),
         id_column=_get(data, "data.id_column", "str", "applicant_id"),
         label_column=_get(data, "data.label_column", "str", "target"),
         aux_tables=tuple(_parse_aux(e, i) for i, e in enumerate(aux)),
-        catalog=FeatureCatalog(tuple(_parse_recipe(e, i) for i, e in enumerate(features))),
+        recipes=tuple(_parse_recipe(e, i) for i, e in enumerate(features)),
         smote=_read(SmoteParams, smote, "smote", ("enabled",), seed=stage_seed(seed, "smote")),
         smote_enabled=_get(smote, "smote.enabled", "bool", True),
         cv=_read(CvPlan, doc.get("cv", {}), "cv", seed=stage_seed(seed, "cv")),

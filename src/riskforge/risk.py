@@ -9,6 +9,7 @@ condition caps without touching code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -76,6 +77,8 @@ class RiskConfig:
                 f"band thresholds must satisfy 0 < t_low < t_high < 1, "
                 f"got ({self.t_low}, {self.t_high})"
             )
+        if not self.base_rate >= 0:  # NaN fails every comparison
+            raise ConfigError(f"base_rate must be >= 0, got {self.base_rate}")
         for band in Band:
             if band not in self.decisions:
                 raise ConfigError(f"no decision mapped for band {band.label}")
@@ -85,6 +88,8 @@ class RiskConfig:
                 raise ConfigError(f"no rate premium for band {band.label}")
             if self.premiums[band] < 0:
                 raise ConfigError("rate premiums must be non-negative")
+            if not math.isfinite(self.base_rate + self.premiums[band]):
+                raise ConfigError(f"base_rate plus the {band.label} premium overflows")
             if band not in self.band_rules:
                 raise ConfigError(f"no condition rule for band {band.label}")
 
@@ -112,12 +117,19 @@ def band_for(probability: float, cfg: RiskConfig) -> Band:
 
 
 def amortized_payment(principal: float, annual_rate_pct: float, term_months: int) -> float:
-    """Constant monthly payment; falls back to principal/n at zero rate."""
+    """Constant monthly payment; falls back to principal/n at zero rate.
+    ``inf`` when the payment itself overflows a float."""
     r = annual_rate_pct / 100.0 / 12.0
-    factor = (1.0 + r) ** term_months
+    try:
+        factor = (1.0 + r) ** term_months
+    except OverflowError:
+        factor = math.inf
     if factor == 1.0:  # zero rate, or so small that compounding underflows
         return principal / term_months
-    return principal * r * factor / (factor - 1.0)
+    payment = principal * r * factor / (factor - 1.0)
+    if not math.isfinite(payment):  # the compounding overflowed, not necessarily the payment
+        payment = principal * r / -math.expm1(-term_months * math.log1p(r))
+    return payment
 
 
 def assess(
@@ -153,6 +165,11 @@ def assess(
     payment = None
     if decision == APPROVE:
         payment = amortized_payment(loan_amount, rate, effective_term)
+        if not math.isfinite(payment):
+            raise DataError(
+                f"applicant {applicant_id}: the monthly payment at {rate}% a year over"
+                f" {effective_term} months overflows a float"
+            )
 
     return ApplicantAssessment(
         applicant_id=applicant_id,

@@ -28,7 +28,7 @@ from riskforge.errors import ConfigError
 from riskforge.explain import LimeParams, TreeShapExplainer
 from riskforge.risk import Band, RiskConfig, assess
 from riskforge.sampling import SmoteParams
-from riskforge.trees import model_from_doc
+from riskforge.trees import BoostingParams, ForestParams, model_from_doc
 from riskforge.tuning import CvPlan
 from riskforge.utils import load_json
 from riskforge.validation import validate
@@ -482,6 +482,24 @@ class TestLoanDecisions:
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [f"error: {model_path}: model 'base_score' must be finite, got nan"]
 
+    def test_overflowing_payment_exits_2_naming_applicant(self, workdir, tmp_path, capsys):
+        root, config_path = workdir
+        shutil.copytree(root / "out" / "prepared", tmp_path / "out" / "prepared")
+        shutil.copytree(root / "out" / "models", tmp_path / "out" / "models")
+        cfg = json.loads(config_path.read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        cfg["risk"]["base_rate"] = 1e308
+        cfg["risk"]["decisions"] = dict.fromkeys(("low", "moderate", "high"), "approve")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        with open(root / "out" / "prepared" / "test_labels.csv") as fh:
+            applicant = list(csv.reader(fh))[1][0]
+        code = main(["assess", "--config", str(p), "--ids", applicant])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2
+        assert line.startswith(f"error: applicant {applicant}: the monthly payment at 1e+308% a")
+        assert line.endswith("months overflows a float")
+
 
 def _set_cell(column, value, row=1):
     def edit(rows):
@@ -531,9 +549,11 @@ DELETE = object()
 #: SHA-256 of ``repr(parse_config(default_config_dict()))``, recorded before
 #: each config section was read from its dataclass, so that no parsed value or
 #: type (an int where a float was read, say) can drift. Re-recorded when
-#: ``LimeParams`` lost its ``seed=0`` field and when ``RunConfig`` lost its
-#: ``metric`` and ``report_model`` fields, each time the repr's only change.
-DEFAULT_CONFIG_REPR_SHA256 = "7adde7f85847239b57cfa2c34fa2c071f46d92ec0b2f1c655698c2d82b46efd5"
+#: ``LimeParams`` lost its ``seed=0`` field, when ``RunConfig`` lost its
+#: ``metric`` and ``report_model`` fields, and when ``aux_tables`` became
+#: (path, spec) pairs and ``catalog`` became ``recipes``, a tuple of named
+#: recipes, each time the repr's only change.
+DEFAULT_CONFIG_REPR_SHA256 = "c6710d421987e1bb35ef7e877d4a5788ed1518912dceb107e8ae8c5214fa13b1"
 
 
 def _assert_clean_exit(code, err):
@@ -1172,6 +1192,41 @@ class TestReportGolden:
         assert _digests(out, written) == REPORT_GOLDEN
 
 
+def _float_key_config():
+    """The default config with every float key set: each learner's params hold
+    every float field of its params class, LIME has a kernel width, and a Flag
+    recipe is added."""
+    cfg = default_config_dict()
+    for kind, entry in cfg["models"].items():
+        cls = ForestParams if kind == tuning.LEARNER_FOREST else BoostingParams
+        for f in dataclasses.fields(cls):
+            if f.type == "float":
+                entry["params"].setdefault(f.name, f.default)
+    cfg["explain"]["lime"]["kernel_width"] = 1.0
+    cfg["features"].append(
+        {"name": "BIG_LOAN", "kind": "flag", "source": "amt_credit", "op": "gt", "value": 1e6}
+    )
+    return cfg
+
+
+def _float_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if type(node) is float else []
+    return [p for k, v in items for p in _float_paths(v, (*path, k))]
+
+
+_FLOAT_KEYS = _float_paths(_float_key_config())
+
+
+def _key_name(path):
+    """A key path as config errors print it: ``features[4].value``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
 class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -1254,6 +1309,16 @@ class TestConfig:
              " a normal float, got 1e-300"),
             ("explain.lime.n_samples", 10**12,
              "explain.lime: n_samples must be <= 1000000, got 1000000000000"),
+            ("models.boosted_leafwise.params.l2_regularization", math.nan,
+             "models.boosted_leafwise.params.l2_regularization: expected float, got NaN"),
+            ("explain.lime.alpha", math.inf, "explain.lime.alpha: expected float, got Infinity"),
+            ("risk.base_rate", math.nan, "risk.base_rate: expected float, got NaN"),
+            ("risk.premiums.low", math.inf, "risk.premiums.low: expected float, got Infinity"),
+            ("risk.base_rate", -2400, "risk: base_rate must be >= 0, got -2400.0"),
+            ("risk", {"base_rate": 1e308, "premiums": {"low": 0.0, "moderate": 1e308,
+                                                        "high": 1e308}},
+             "risk: base_rate plus the Moderate premium overflows"),
+            ("corpus.n_rows", 10**12, "corpus.n_rows must be <= 1000000, got 1000000000000"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -1266,6 +1331,8 @@ class TestConfig:
             "band-rule-negative-term", "band-rule-negative-collateral", "smote-k-zero",
             "cv-one-fold", "lime-top-k-zero", "model-param-zero-trees", "grid-one-bin",
             "flag-op-unknown", "lime-kernel-width-square-underflows", "lime-samples-too-many",
+            "l2-nan", "lime-alpha-inf", "base-rate-nan", "premium-inf", "base-rate-negative",
+            "rate-overflows", "corpus-rows-too-many",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):
@@ -1283,6 +1350,31 @@ class TestConfig:
         code = main(["prepare", "--config", str(p)])
         assert code == 2
         assert needle in _assert_clean_exit(code, capsys.readouterr().err)[0]
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("path", _FLOAT_KEYS, ids=_key_name)
+    def test_non_finite_float_exits_2_naming_key(self, tmp_path, capsys, path, token):
+        """``json`` reads the NaN and Infinity tokens; no config float may hold one."""
+        cfg = _float_key_config()
+        *parents, key = path
+        node = cfg
+        for k in parents:
+            node = node[k]
+        node[key] = float(token)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = main(["prepare", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert code == 2
+        assert line.startswith(f"error: {_key_name(path)}: expected float")  # or float | None
+        assert line.endswith(f", got {token}")
+
+    def test_float_beyond_range_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(default_config_dict()).replace('"alpha": 1.0', '"alpha": 1e400'))
+        code = main(["prepare", "--config", str(p)])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line == "error: explain.lime.alpha: expected float, got Infinity"
 
     def test_default_config_parses_to_golden_repr(self):
         parsed = repr(parse_config(default_config_dict()))

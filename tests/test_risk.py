@@ -85,6 +85,24 @@ class TestAmortization:
         m = amortized_payment(principal, rate, n)
         assert present_value(m, rate, n) == pytest.approx(principal, rel=1e-6)
 
+    def test_overflowing_payment_is_inf(self):
+        assert amortized_payment(1_000_000.0, 1e308, 360) == float("inf")
+
+    @pytest.mark.parametrize(
+        "rate, term, payment",
+        [(9000.0, 360, 7_500_000.0), (1.2e27, 12, 1e30)],
+        ids=["compounding-overflows", "product-overflows"],
+    )
+    def test_payment_survives_overflowing_compounding(self, rate, term, payment):
+        """(1 + r)^n, or the product over it, may overflow a float when the
+        payment, about principal * r at such rates, does not."""
+        assert amortized_payment(1_000_000.0, rate, term) == pytest.approx(payment, rel=1e-12)
+
+    def test_overflowing_payment_names_applicant(self):
+        with pytest.raises(DataError, match=r"^applicant 17: the monthly payment at 1e\+308% a"
+                           r" year over 12 months overflows a float$"):
+            assess(0.01, 1_000_000.0, 12, RiskConfig(base_rate=1e308), applicant_id="17")
+
 
 class TestConditions:
     def test_term_capped_by_band_rule(self):
@@ -130,6 +148,17 @@ class TestValidation:
     def test_negative_premium_rejected(self):
         with pytest.raises(ConfigError, match="premium"):
             RiskConfig(premiums={Band.LOW: -1.0, Band.MODERATE: 0.0, Band.HIGH: 0.0})
+
+    @pytest.mark.parametrize("rate", [-2400.0, float("nan")])
+    def test_base_rate_below_zero_rejected(self, rate):
+        with pytest.raises(ConfigError, match="base_rate must be >= 0"):
+            RiskConfig(base_rate=rate)
+
+    def test_rate_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="base_rate plus the Moderate premium overflows"):
+            RiskConfig(
+                base_rate=1e308, premiums={Band.LOW: 0.0, Band.MODERATE: 1e308, Band.HIGH: 1e308}
+            )
 
 
 def per_row_reference(probs, amounts, labels, cfg):
