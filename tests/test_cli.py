@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import riskforge
-from riskforge import tuning
+from riskforge import cli, corpus, tuning
 from riskforge.cli import (
     _evaluate_models,
     main,
@@ -24,11 +25,11 @@ from riskforge.cli import (
     read_matrix_csv,
 )
 from riskforge.config import default_config_dict, load_config, parse_config
-from riskforge.errors import ConfigError
+from riskforge.errors import ConfigError, DataError
 from riskforge.explain import LimeParams, TreeShapExplainer
 from riskforge.risk import Band, RiskConfig, assess
 from riskforge.sampling import SmoteParams
-from riskforge.trees import BoostingParams, ForestParams, model_from_doc
+from riskforge.trees import model_from_doc
 from riskforge.tuning import CvPlan
 from riskforge.utils import load_json
 from riskforge.validation import validate
@@ -202,6 +203,38 @@ class TestTrain:
         )
         assert sr["used_defaults"] is True
         assert len(sr["candidates"]) == 1
+
+    def test_search_document_written_as_returned(self, workdir, tmp_path, monkeypatch):
+        """A candidate that fails on every fold keeps ``"mean_score": null``
+        and its error, and train writes each document grid_search returns
+        unchanged."""
+        p, cfg = _train_config(workdir, tmp_path)
+        cfg["models"]["boosted_leafwise"]["grid"] = {"learning_rate": [0.05, 0.1]}
+        p.write_text(json.dumps(cfg))
+        leafwise = tuning.LEARNERS[tuning.LEARNER_LEAFWISE]
+
+        def fit(train, params, feature_names=None):
+            if params.learning_rate == 0.05:
+                raise DataError("no fit at 0.05")
+            return leafwise.fit(train, params, feature_names=feature_names)
+
+        monkeypatch.setitem(tuning.LEARNERS, tuning.LEARNER_LEAFWISE, leafwise._replace(fit=fit))
+        returned = []
+        search = cli.grid_search
+
+        def recording_search(*args, **kwargs):
+            returned.extend(search(*args, **kwargs))
+            return returned
+
+        monkeypatch.setattr(cli, "grid_search", recording_search)
+        assert main(["train", "--config", str(p)]) == 0
+        for kind, (doc, _) in zip(cfg["models"], returned):
+            text = (tmp_path / "out" / "models" / f"{kind}_search.json").read_text()
+            assert text == json.dumps(doc, indent=2) + "\n"
+        failed, ok = returned[0][0]["candidates"]  # boosted_leafwise
+        assert failed == {"params": {"learning_rate": 0.05}, "fold_scores": [],
+                          "mean_score": None, "error": "no fit at 0.05"}
+        assert ok["error"] is None and len(ok["fold_scores"]) == cfg["cv"]["n_folds"]
 
     def test_one_smote_per_fold_plus_full_set(self, workdir, tmp_path, monkeypatch):
         p, cfg = _train_config(workdir, tmp_path)
@@ -819,6 +852,11 @@ class TestCorruptStageFiles:
             ("models/forest.json", _edit_json(lambda d: d["params"].update(depth=3)),
              "unexpected keyword argument 'depth'"),
             ("models/forest.json", _deep_first_tree(2000), "the document is nested too deep"),
+            ("models/forest.json", _edit_json(lambda d: d["params"].update(max_depth=513)),
+             "max_depth must be <= 512, got 513"),
+            ("models/boosted_leafwise.json",
+             _edit_json(lambda d: d["params"].update(max_leaves=513)),
+             "max_leaves must be <= 512, got 513"),
             ("prepared/pipeline.json", _edit_json(lambda d: d.pop("scaler")),
              "missing required key 'scaler'"),
             ("prepared/pipeline.json", _write_text("{bad"), "Expecting property name"),
@@ -878,7 +916,8 @@ class TestCorruptStageFiles:
         ],
         ids=[
             "no-cover", "empty-forest", "feature-999", "model-is-list", "model-not-json",
-            "learning-rate-differs", "unknown-param", "deep-tree", "no-scaler", "pipeline-not-json",
+            "learning-rate-differs", "unknown-param", "deep-tree", "depth-over-cap",
+            "leaves-over-cap", "no-scaler", "pipeline-not-json",
             "text-in-features", "no-test-features", "ragged-features", "short-label-row",
             "label-3", "huge-label", "short-last-label-row", "label-header", "unsafe-label-id",
             "duplicate-label-id",
@@ -1147,6 +1186,27 @@ def test_corpus_at_bench_shape_matches_golden(shape, tmp_path):
     assert _digests(tmp_path / "corpus", CORPUS_CSVS) == CORPUS_GOLDEN[shape]
 
 
+def test_corpus_writes_one_chunk_of_rows_at_a_time(tmp_path, monkeypatch):
+    """Each CSV of a 20,000-row corpus is written a chunk of rows at a time:
+    the traced peak of each write stays under 1.5 MiB. Turning a whole file's
+    columns into Python lists at once took 8.4 MiB for application_train.csv."""
+    peaks = {}
+    write = corpus._write_csv
+
+    def traced_write(path, columns, rows):
+        tracemalloc.start()
+        try:
+            write(path, columns, rows)
+            peaks[os.path.basename(path)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(corpus, "_write_csv", traced_write)
+    corpus.generate_corpus(str(tmp_path), 42, 20_000)
+    assert sorted(peaks) == sorted(CORPUS_CSVS)
+    assert max(peaks.values()) < 1.5 * 2**20, peaks
+
+
 #: SHA-256 of every file that ``evaluate`` and then ``assess`` for the first
 #: two test applicants write from the ``workdir`` prepared and model files
 #: (600 rows, seed 7), recorded with numpy 2.4.6 on x86-64 while the reports
@@ -1198,8 +1258,7 @@ def _float_key_config():
     recipe is added."""
     cfg = default_config_dict()
     for kind, entry in cfg["models"].items():
-        cls = ForestParams if kind == tuning.LEARNER_FOREST else BoostingParams
-        for f in dataclasses.fields(cls):
+        for f in dataclasses.fields(tuning.LEARNERS[kind].params):
             if f.type == "float":
                 entry["params"].setdefault(f.name, f.default)
     cfg["explain"]["lime"]["kernel_width"] = 1.0
@@ -1319,6 +1378,12 @@ class TestConfig:
                                                         "high": 1e308}},
              "risk: base_rate plus the Moderate premium overflows"),
             ("corpus.n_rows", 10**12, "corpus.n_rows must be <= 1000000, got 1000000000000"),
+            ("models.forest.params.max_depth", 513,
+             "models.forest.params: max_depth must be <= 512, got 513"),
+            ("models.boosted_levelwise.grid.max_depth", [4, 513],
+             "models.boosted_levelwise.grid: max_depth must be <= 512, got 513"),
+            ("models.boosted_leafwise.params.max_leaves", 513,
+             "models.boosted_leafwise.params: max_leaves must be <= 512, got 513"),
         ],
         ids=[
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
@@ -1332,7 +1397,8 @@ class TestConfig:
             "cv-one-fold", "lime-top-k-zero", "model-param-zero-trees", "grid-one-bin",
             "flag-op-unknown", "lime-kernel-width-square-underflows", "lime-samples-too-many",
             "l2-nan", "lime-alpha-inf", "base-rate-nan", "premium-inf", "base-rate-negative",
-            "rate-overflows", "corpus-rows-too-many",
+            "rate-overflows", "corpus-rows-too-many", "forest-depth-over-cap",
+            "grid-depth-over-cap", "leaves-over-cap",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from riskforge.sampling import LabeledMatrix
 from riskforge.trees import (
     GROWTH_LEAF,
     GROWTH_LEVEL,
+    MAX_TREE_DEPTH,
     BinnedSet,
     BoostedModel,
     BoostingParams,
@@ -878,3 +880,54 @@ def test_model_doc_matches_golden_digest(learner):
     params, expected = GOLDEN_DIGESTS[learner]
     doc = json.dumps(model_to_doc(fit(golden_data(), params)))
     assert hashlib.sha256(doc.encode()).hexdigest() == expected
+
+
+class TestDepthCap:
+    """Five walks recurse once per tree level, so params cap tree depth and
+    the leaf count at ``MAX_TREE_DEPTH``; a tree at the cap goes through each
+    of them."""
+
+    @pytest.mark.parametrize(
+        "fit, params, depth",
+        [
+            (fit_forest, ForestParams(n_trees=1, max_depth=MAX_TREE_DEPTH, n_bins=3000,
+                                      feature_fraction=1.0, bootstrap=False), 512),
+            (fit_boosted, BoostingParams(n_trees=1, max_leaves=MAX_TREE_DEPTH, n_bins=3000,
+                                         learning_rate=1.0, min_child_weight=0.0), 511),
+        ],
+        ids=["forest", "leaf_wise"],
+    )
+    def test_tree_at_cap_round_trips_predicts_and_explains(self, fit, params, depth):
+        """Alternating labels on one feature make every split peel off one
+        row, so the tree grows as deep as its params let it. Fit, JSON round
+        trip, predict and TreeSHAP all run 200 frames deep under the default
+        recursion limit."""
+        assert sys.getrecursionlimit() == 1000
+        x = np.arange(3000.0)[:, None]
+        binned = BinnedSet.of(LabeledMatrix(x, np.arange(3000) % 2), params.n_bins)
+
+        def run(frames):
+            if frames:
+                return run(frames - 1)
+            model = fit(binned, params)
+            doc = json.loads(json.dumps(model_to_doc(model)))
+            back = model_from_doc(doc)
+            probs = predict_proba(back, x)
+            return model, back, probs, shap_summary(back, x[:20])
+
+        model, back, probs, shap = run(200)
+        assert _depth(model.trees[0]) == depth
+        assert model_to_doc(back) == model_to_doc(model)
+        assert np.array_equal(probs, predict_proba(model, x))
+        assert shap.shap_values.shape == (20, 1)
+        assert np.allclose(shap.shap_values[:, 0] + shap.base_value, shap.margins)
+
+
+def _depth(node):
+    stack, deepest = [(node, 0)], 0
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if not node.is_leaf:
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return deepest

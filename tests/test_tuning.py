@@ -22,6 +22,7 @@ from riskforge.tuning import (
     make_folds,
 )
 from riskforge.utils import sigmoid
+from riskforge.validation import validate
 
 
 def make_data(n=160, d=4, seed=0):
@@ -34,7 +35,7 @@ def make_data(n=160, d=4, seed=0):
 
 
 def search_one(data, grid, plan, kind, defaults=None):
-    """Search a single learner; returns its (search record, final model)."""
+    """Search a single learner; returns its (search document, final model)."""
     (pair,) = grid_search(data, [(kind, grid, defaults or {})], plan)
     return pair
 
@@ -110,8 +111,8 @@ class TestGridSearch:
             LEARNER_LEAFWISE,
             defaults={"n_trees": 5},
         )
-        assert result.best_params == {"learning_rate": 0.1}
-        assert len(result.candidates) == 1
+        assert result["best_params"] == {"learning_rate": 0.1}
+        assert len(result["candidates"]) == 1
         assert model is not None
 
     def test_means_match_independent_re_evaluation(self):
@@ -128,18 +129,18 @@ class TestGridSearch:
 
         folds = make_folds(data.labels, plan)
         for (kind, _, defaults), (result, _) in zip(learners, searches):
-            for cand in result.candidates:
-                params = _build_params(kind, defaults, cand.params)
+            for cand in result["candidates"]:
+                params = _build_params(kind, defaults, cand["params"])
                 scores = []
                 for f in range(plan.n_folds):
                     mask = folds != f
                     model = fit_learner(kind, fold_training_set(data, mask, smote), params)
                     probs = predict_proba(model, data.features[~mask])
                     scores.append(roc_auc(data.labels[~mask], probs).auc)
-                assert scores == pytest.approx(cand.fold_scores, abs=1e-12)
-                assert cand.mean_score == pytest.approx(float(np.mean(scores)), abs=1e-12)
-            best_mean = max(c.mean_score for c in result.candidates)
-            assert result.best_score == best_mean
+                assert scores == pytest.approx(cand["fold_scores"], abs=1e-12)
+                assert cand["mean_score"] == pytest.approx(float(np.mean(scores)), abs=1e-12)
+            best_mean = max(c["mean_score"] for c in result["candidates"])
+            assert result["best_score"] == best_mean
 
     def test_failed_candidate_leaves_other_learner_unchanged(self):
         data = make_data(seed=12)
@@ -152,10 +153,10 @@ class TestGridSearch:
 
         clean = search({"learning_rate": [0.1]})
         mixed = search({"learning_rate": [5.0, 0.1]})  # 5.0 fails to build
-        assert mixed[0][0].candidates[0].error is not None
-        assert mixed[0][0].best_index == 1
-        want = [c.fold_scores for c in clean[1][0].candidates]
-        assert [c.fold_scores for c in mixed[1][0].candidates] == want
+        assert mixed[0][0]["candidates"][0]["error"] is not None
+        assert mixed[0][0]["best_index"] == 1
+        want = [c["fold_scores"] for c in clean[1][0]["candidates"]]
+        assert [c["fold_scores"] for c in mixed[1][0]["candidates"]] == want
 
     def test_product_grid_evaluates_every_candidate(self):
         data = make_data(seed=4)
@@ -166,7 +167,7 @@ class TestGridSearch:
             LEARNER_LEAFWISE,
             defaults={"n_trees": 3},
         )
-        assert len(result.candidates) == 4
+        assert len(result["candidates"]) == 4
 
     def test_tie_breaks_toward_earlier_candidate(self):
         data = make_data(seed=5)
@@ -178,8 +179,9 @@ class TestGridSearch:
             LEARNER_LEAFWISE,
             defaults={"n_trees": 3},
         )
-        assert result.candidates[0].mean_score == result.candidates[1].mean_score
-        assert result.best_index == 0
+        first, second = result["candidates"]
+        assert first["mean_score"] == second["mean_score"]
+        assert result["best_index"] == 0
 
     def test_rerun_reproduces_fold_scores(self):
         data = make_data(seed=6)
@@ -191,10 +193,13 @@ class TestGridSearch:
         )
         r1, _ = search_one(*args, defaults={"n_trees": 4})
         r2, _ = search_one(*args, defaults={"n_trees": 4})
-        for c1, c2 in zip(r1.candidates, r2.candidates):
-            assert c1.fold_scores == c2.fold_scores
+        for c1, c2 in zip(r1["candidates"], r2["candidates"]):
+            assert c1["fold_scores"] == c2["fold_scores"]
 
     def test_failed_candidate_recorded_not_fatal(self):
+        """The returned document is the one train writes: it validates
+        against its schema, and a candidate that failed holds its error and
+        a null mean, in JSON as in memory."""
         data = make_data(seed=7)
         result, _ = search_one(
             data,
@@ -203,10 +208,13 @@ class TestGridSearch:
             LEARNER_LEAFWISE,
             defaults={"n_trees": 3},
         )
-        ok, bad = result.candidates
-        assert bad.error is not None
-        assert bad.mean_score == -np.inf
-        assert result.best_index == 0 and ok.error is None
+        validate(result, "search_result")
+        assert json.loads(json.dumps(result)) == result
+        ok, bad = result["candidates"]
+        assert bad == {"params": {"learning_rate": 5.0}, "fold_scores": [],
+                       "mean_score": None, "error": "learning_rate must be in (0, 1]"}
+        assert result["best_index"] == 0 and ok["error"] is None
+        assert result["best_score"] == ok["mean_score"]
 
     def test_all_candidates_failing_is_an_error(self):
         data = make_data(seed=8)
@@ -232,7 +240,7 @@ class TestGridSearch:
             LEARNER_FOREST,
             defaults={"n_trees": 3, "max_depth": 3},
         )
-        assert result.used_defaults
+        assert result["used_defaults"]
         assert len(model.trees) == 3
 
     def test_unknown_learner_rejected(self):
@@ -270,23 +278,23 @@ class TestSharedBinning:
 
         # Each fold set is binned for every n_bins a candidate asks for, the
         # refit set only for the n_bins its winners ask for.
-        winners = {_build_params(kind, d, r.best_params).n_bins
+        winners = {_build_params(kind, d, r["best_params"]).n_bins
                    for (kind, _, d), (r, _) in zip(learners, searches)}
         assert len(winners) == 2
         assert sorted(calls) == sorted([8, 16, 255] * plan.n_folds + list(winners))
 
         folds = make_folds(data.labels, plan)
         for (kind, _, defaults), (result, final) in zip(learners, searches):
-            for cand in result.candidates:
-                params = _build_params(kind, defaults, cand.params)
+            for cand in result["candidates"]:
+                params = _build_params(kind, defaults, cand["params"])
                 scores = []
                 for f in range(plan.n_folds):
                     mask = folds != f
                     model = fit_learner(kind, fold_training_set(data, mask, smote), params)
                     probs = predict_proba(model, data.features[~mask])
                     scores.append(roc_auc(data.labels[~mask], probs).auc)
-                assert scores == cand.fold_scores
-            params = _build_params(kind, defaults, result.best_params)
+                assert scores == cand["fold_scores"]
+            params = _build_params(kind, defaults, result["best_params"])
             alone = fit_learner(kind, fold_training_set(data, slice(None), smote), params)
             assert json.dumps(model_to_doc(final)) == json.dumps(model_to_doc(alone))
 
