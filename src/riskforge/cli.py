@@ -387,9 +387,13 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     ids_te, test, _ = test_split
     index_of = {i: k for k, i in enumerate(ids_te)}
     chosen = list(ids_te) if ids is None else list(ids)
+    seen = set()
     for applicant_id in chosen:
         if applicant_id not in index_of:
             raise ConfigError(f"unknown applicant id {applicant_id!r}")
+        if applicant_id in seen:
+            raise ConfigError(f"duplicate applicant id {applicant_id!r}")
+        seen.add(applicant_id)
     loans = _load_loans(cfg, ids_te)
     evaluations = _evaluate_models(cfg, models, test_split, loans[:, 0])
     written = []

@@ -19,10 +19,10 @@ import os
 import sys
 from dataclasses import MISSING, dataclass
 
-from .corpus import MAX_CORPUS_ROWS
+from .corpus import MAX_CORPUS_ROWS, MIN_CORPUS_ROWS
 from .errors import ConfigError, DataError
 from .explain import LimeParams
-from .features import DaysToYears, Flag, Ratio
+from .features import DaysToYears, Ratio
 from .risk import Band, BandRule, RiskConfig
 from .sampling import SmoteParams
 from .tabular import AggregationSpec, Statistic
@@ -30,7 +30,7 @@ from .tuning import LEARNERS, CvPlan, _build_params, enumerate_grid
 from .utils import stage_seed
 
 _BAND_KEYS = {"low": Band.LOW, "moderate": Band.MODERATE, "high": Band.HIGH}
-_RECIPES = {"ratio": Ratio, "days_to_years": DaysToYears, "flag": Flag}
+_RECIPES = {"ratio": Ratio, "days_to_years": DaysToYears}
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str, "list": list, "dict": dict}
 
 
@@ -53,7 +53,7 @@ class RunConfig:
     id_column: str
     label_column: str
     aux_tables: tuple[tuple[str, AggregationSpec], ...]  # (path, spec)
-    recipes: tuple[Ratio | DaysToYears | Flag, ...]
+    recipes: tuple[Ratio | DaysToYears, ...]
     smote_enabled: bool
     smote: SmoteParams
     cv: CvPlan
@@ -126,7 +126,7 @@ def _read(cls, node: dict, path: str, extra=(), **fixed):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_recipe(entry: dict, i: int) -> Ratio | DaysToYears | Flag:
+def _parse_recipe(entry: dict, i: int) -> Ratio | DaysToYears:
     path = f"features[{i}]"
     kind = _get(_value(entry, "dict", path), f"{path}.kind", "str", None)
     _require(kind in _RECIPES, f"{path}: unknown recipe kind {kind!r}")
@@ -138,13 +138,13 @@ def _parse_aux(entry: dict, i: int) -> tuple[str, AggregationSpec]:
     _check_keys(entry, {"path", "key_column", "value_columns", "statistics"}, path)
     try:
         stats = tuple(Statistic(s) for s in _get(entry, f"{path}.statistics", "list[str]"))
-    except ValueError as exc:
+        return _get(entry, f"{path}.path", "str"), AggregationSpec(
+            _get(entry, f"{path}.key_column", "str"),
+            tuple(_get(entry, f"{path}.value_columns", "list[str]")),
+            stats,
+        )
+    except (ValueError, DataError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return _get(entry, f"{path}.path", "str"), AggregationSpec(
-        _get(entry, f"{path}.key_column", "str"),
-        tuple(_get(entry, f"{path}.value_columns", "list[str]")),
-        stats,
-    )
 
 
 def _parse_models(node: dict, seed: int) -> tuple[ModelSpec, ...]:
@@ -215,8 +215,17 @@ def parse_config(doc: dict) -> RunConfig:
     _require(0.0 <= threshold <= 1.0, "threshold must be in [0, 1]")
     corpus_rows = _get(corpus, "corpus.n_rows", "int", 10000)
     _require(
+        corpus_rows >= MIN_CORPUS_ROWS,
+        f"corpus.n_rows must be >= {MIN_CORPUS_ROWS}, got {corpus_rows}",
+    )
+    _require(
         corpus_rows <= MAX_CORPUS_ROWS,
         f"corpus.n_rows must be <= {MAX_CORPUS_ROWS}, got {corpus_rows}",
+    )
+    train_fraction = _get(corpus, "corpus.train_fraction", "float", 0.8)
+    _require(
+        0.0 < train_fraction < 1.0,
+        f"corpus.train_fraction must be in (0, 1), got {train_fraction}",
     )
     shap_sample = _get(explain, "explain.shap_sample", "int", 1000)
     _require(shap_sample >= 1, f"explain.shap_sample must be >= 1, got {shap_sample}")
@@ -228,7 +237,7 @@ def parse_config(doc: dict) -> RunConfig:
         output_dir=_get(doc, "output_dir", "str", "out"),
         corpus_dir=_get(corpus, "corpus.dir", "str", "corpus"),
         corpus_rows=corpus_rows,
-        corpus_train_fraction=_get(corpus, "corpus.train_fraction", "float", 0.8),
+        corpus_train_fraction=train_fraction,
         application_train=_get(data, "data.application_train", "str"),
         application_test=_get(data, "data.application_test", "str"),
         id_column=_get(data, "data.id_column", "str", "applicant_id"),

@@ -33,6 +33,8 @@ HOUSING_TYPES = ("owned", "rented", "with_parents", "municipal")
 HOUSING_PROBS = (0.5, 0.25, 0.15, 0.1)
 TERM_CHOICES = (60.0, 120.0, 180.0, 240.0, 360.0)
 
+#: Fewest rows ``generate_corpus`` writes.
+MIN_CORPUS_ROWS = 200
 #: Largest ``corpus.n_rows`` a config may ask for. One ``gen-corpus`` of a
 #: million rows peaked at 490 MiB resident and wrote 260 MiB of CSV (measured
 #: on a 2-vCPU Linux machine; 82 MiB at 100,000 rows).
@@ -82,8 +84,8 @@ def generate_corpus(
 ) -> list[str]:
     """Write train/test application CSVs, two auxiliary CSVs and the ground truth;
     return the five paths in that order."""
-    if n_rows < 200:
-        raise DataError(f"corpus needs at least 200 rows, got {n_rows}")
+    if n_rows < MIN_CORPUS_ROWS:
+        raise DataError(f"corpus needs at least {MIN_CORPUS_ROWS} rows, got {n_rows}")
     if not (0.0 < train_fraction < 1.0):
         raise DataError("train_fraction must be in (0, 1)")
 

@@ -67,9 +67,6 @@ class ShapSummary:
         )
 
 
-#: LIME's kernel weights divide by the width squared: from 2**-1022, the
-#: smallest normal float, to 2**1022, both exact.
-KERNEL_WIDTHS = (2.0**-511, 2.0**511)
 #: One ``lime_explain`` call holds two (n_samples, n_features + 1) float64
 #: arrays; they take 480 MB at this cap and 29 features.
 MAX_LIME_SAMPLES = 1_000_000
@@ -78,20 +75,12 @@ MAX_LIME_SAMPLES = 1_000_000
 @dataclass(frozen=True)
 class LimeParams:
     n_samples: int = 5000
-    kernel_width: float | None = None  # defaults to 0.75 * sqrt(n_features)
     top_k: int = 10
     alpha: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 0:
             raise DataError("ridge strength alpha must be non-negative")
-        if self.kernel_width is not None and not (
-            KERNEL_WIDTHS[0] <= self.kernel_width <= KERNEL_WIDTHS[1]
-        ):
-            raise DataError(
-                "kernel_width must be in [2**-511, 2**511], so that its square is a"
-                f" normal float, got {self.kernel_width!r}"
-            )
         if self.n_samples > MAX_LIME_SAMPLES:
             raise DataError(f"n_samples must be <= {MAX_LIME_SAMPLES}, got {self.n_samples}")
         if self.top_k < 1:
@@ -247,8 +236,9 @@ def lime_explain(
 
     Perturbations are drawn in standardized space (unit normal around the
     standardized instance, i.e. raw-space sigma from the training scaler),
-    weighted by exp(-||z - x||^2 / kernel_width^2), and the surrogate is fit
-    on standardized features so weights are comparable across features.
+    weighted by exp(-||z - x||^2 / kernel_width^2) with the reference LIME's
+    kernel width 0.75 * sqrt(d) for d features, and the surrogate is fit on
+    standardized features so weights are comparable across features.
     ``predict`` maps a matrix to one probability per row. Its matrix is
     column-major (its transpose is C-contiguous), and ``predict`` must return
     a new array and keep no reference to the matrix, whose memory is reused.
@@ -262,7 +252,7 @@ def lime_explain(
     n = params.n_samples
     if n < d + 2:
         raise DataError(f"n_samples must be >= {d + 2} for {d} features")
-    kernel_width = params.kernel_width or 0.75 * math.sqrt(d)
+    kernel_width = 0.75 * math.sqrt(d)
 
     names = tuple(feature_names) if feature_names else tuple(f"f{i}" for i in range(d))
     if len(names) != d:

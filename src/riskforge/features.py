@@ -1,8 +1,8 @@
 """Domain feature engineering on the merged raw table.
 
 Recipes are applied in the order given, so later recipes may consume the
-outputs of earlier ones. All recipes are row-local: ratios, day-count to
-year conversions, and threshold flags.
+outputs of earlier ones. All recipes are row-local: ratios and day-count
+to year conversions.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import SchemaError
 from .tabular import Column, ColumnKind, Table
 
 DAYS_PER_YEAR = 365.25
@@ -32,26 +32,7 @@ class DaysToYears:
     source: str
 
 
-@dataclass(frozen=True)
-class Flag:
-    """0/1 indicator: 1 when ``<source> <op> <value>`` holds."""
-
-    name: str
-    source: str
-    op: str  # one of gt, ge, lt, le, eq
-    value: float
-
-    def __post_init__(self):
-        if self.op not in _FLAG_OPS:
-            raise DataError(f"unknown flag op {self.op!r}, expected one of {list(_FLAG_OPS)}")
-
-
-_FLAG_OPS = dict(
-    gt=np.greater, ge=np.greater_equal, lt=np.less, le=np.less_equal, eq=np.equal
-)
-
-
-def _recipe_values(table: Table, recipe: Ratio | DaysToYears | Flag) -> np.ndarray:
+def _recipe_values(table: Table, recipe: Ratio | DaysToYears) -> np.ndarray:
     ratio = isinstance(recipe, Ratio)
     for name in (recipe.numerator, recipe.denominator) if ratio else (recipe.source,):
         if not table.has_column(name):
@@ -65,13 +46,10 @@ def _recipe_values(table: Table, recipe: Ratio | DaysToYears | Flag) -> np.ndarr
         den = table.column(recipe.denominator).values
         with np.errstate(over="ignore"):  # Column rejects a ratio that overflows
             return np.divide(num, den, out=np.full(len(num), np.nan), where=den != 0)
-    if isinstance(recipe, DaysToYears):
-        return -table.column(recipe.source).values / DAYS_PER_YEAR
-    src = table.column(recipe.source).values  # a Flag, whose op was checked when it was built
-    return np.where(np.isnan(src), np.nan, _FLAG_OPS[recipe.op](src, recipe.value))
+    return -table.column(recipe.source).values / DAYS_PER_YEAR
 
 
-def apply_recipes(table: Table, recipes: tuple[Ratio | DaysToYears | Flag, ...]) -> Table:
+def apply_recipes(table: Table, recipes: tuple[Ratio | DaysToYears, ...]) -> Table:
     """Append one Numeric column per recipe, named by it; existing cells are untouched."""
     out = table
     for recipe in recipes:

@@ -40,9 +40,7 @@ class Statistic(str, Enum):
     MEAN = "mean"
     MAX = "max"
     SUM = "sum"
-    MIN = "min"
     COUNT = "count"
-    STD = "std"
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,16 +257,12 @@ def _per_key_statistics(keys, values, n_keys, statistics):
     order given, as Python 3.11's ``sum()`` does (numpy's pairwise sums and
     the compensated ``sum()`` of Python 3.12+ round differently), so the
     bytes do not depend on the Python version. A key without values gets NaN,
-    or 0 for COUNT; STD, the sample deviation, needs two values. A square past
-    the float range gives inf, which ``Column`` rejects.
+    or 0 for COUNT.
     """
     count = np.bincount(keys, minlength=n_keys).astype(np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):  # 0 / 0 for an empty key
+    with np.errstate(invalid="ignore"):  # 0 / 0 for an empty key
         total = np.bincount(keys, values, minlength=n_keys)
         mean = total / count
-        if Statistic.STD in statistics:
-            d = values - mean[keys]
-            std = np.sqrt(np.bincount(keys, d * d, minlength=n_keys) / (count - 1))
     out = []
     for stat in statistics:
         if stat is Statistic.COUNT:
@@ -277,21 +271,18 @@ def _per_key_statistics(keys, values, n_keys, statistics):
             out.append(np.where(count > 0, total, np.nan))
         elif stat is Statistic.MEAN:
             out.append(mean)
-        elif stat is Statistic.STD:
-            out.append(np.where(count > 1, std, np.nan))
         else:
-            out.append(_extreme(stat, keys, values, count))
+            out.append(_max(keys, values, count))
     return out
 
 
-def _extreme(stat, keys, values, count):
-    """Per-key MAX or MIN, equal to Python's ``max()``/``min()`` in key order:
-    those keep the first of two equal values, and ``ufunc.at`` the later, which
-    matters only for signed zeros. So a zero result takes the sign of the
-    key's first zero."""
-    ufunc, start = (np.maximum, -np.inf) if stat is Statistic.MAX else (np.minimum, np.inf)
-    out = np.full(len(count), start)
-    ufunc.at(out, keys, values)
+def _max(keys, values, count):
+    """Per-key MAX, equal to Python's ``max()`` in key order: that keeps the
+    first of two equal values, and ``ufunc.at`` the later, which matters only
+    for signed zeros. So a zero result takes the sign of the key's first
+    zero."""
+    out = np.full(len(count), -np.inf)
+    np.maximum.at(out, keys, values)
     zero = np.flatnonzero(values == 0)
     zero_keys, first = np.unique(keys[zero], return_index=True)
     out[zero_keys] = np.where(out[zero_keys] == 0, values[zero[first]], out[zero_keys])

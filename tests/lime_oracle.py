@@ -21,7 +21,7 @@ def lime_oracle(predict, instance, feature_stats, params, seed, feature_names=No
     d = x.size
     mu = np.asarray(feature_stats[0], dtype=np.float64).ravel()
     sd = np.asarray(feature_stats[1], dtype=np.float64).ravel()
-    kernel_width = params.kernel_width or 0.75 * math.sqrt(d)
+    kernel_width = 0.75 * math.sqrt(d)
     names = tuple(feature_names) if feature_names else tuple(f"f{i}" for i in range(d))
 
     sd_safe = np.where(sd > 0, sd, 1.0)

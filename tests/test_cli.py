@@ -336,14 +336,19 @@ class TestAssess:
         xai = json.loads((root / "out" / "xai_report.json").read_text())
         validate(xai, "xai_report")
 
-    def test_unknown_id_exits_2(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "ids, message",
+        [("zzz", "unknown applicant id 'zzz'"), ("481,482,481", "duplicate applicant id '481'")],
+        ids=["unknown", "repeated"],
+    )
+    def test_bad_id_exits_2(self, workdir, tmp_path, capsys, ids, message):
         root, _ = workdir
         p, _ = _train_config(workdir, tmp_path)
         shutil.copytree(root / "out" / "models", tmp_path / "out" / "models")
         capsys.readouterr()
-        code = main(["assess", "--config", str(p), "--ids", "zzz"])
+        code = main(["assess", "--config", str(p), "--ids", ids])
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
-        assert code == 2 and line == "error: unknown applicant id 'zzz'"
+        assert code == 2 and line == f"error: {message}"
         assert sorted(os.listdir(tmp_path / "out")) == ["models", "prepared"]
 
     def test_rerun_overwrites_identically(self, workdir):
@@ -402,6 +407,28 @@ class TestShapBatch:
             got = {c["feature"]: c["phi"] for c in doc["shap"]["contributions"]}
             for name, phi in zip(model.feature_names, expected):
                 assert got[name] == pytest.approx(phi, abs=1e-6)
+
+    def test_report_bytes_same_from_sample_or_batch(self, workdir, tmp_path):
+        """An applicant's files have the same bytes whether its SHAP row comes
+        from the XAI summary's sample or from the batch of applicants outside
+        it: the sample covers every test row, then only one."""
+        root, config_path = workdir
+        ids, _ = read_labels_csv(str(root / "out" / "prepared" / "test_labels.csv"))
+        written = []
+        for shap_sample in (len(ids), 1):
+            out = tmp_path / f"sample{shap_sample}"
+            for sub in ("prepared", "models"):
+                shutil.copytree(root / "out" / sub, out / sub)
+            cfg = json.loads(config_path.read_text())
+            cfg["output_dir"] = str(out)
+            cfg["explain"]["shap_sample"] = shap_sample
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps(cfg))
+            assert main(["assess", "--config", str(p), "--ids", ",".join(ids[:3])]) == 0
+            files = sorted(f for f in (out / "applicants").rglob("*") if f.is_file())
+            written.append({str(f.relative_to(out)): f.read_bytes() for f in files})
+        assert len(written[0]) == 12
+        assert written[0] == written[1]
 
 
 class TestRawLoanInputs:
@@ -583,10 +610,11 @@ DELETE = object()
 #: each config section was read from its dataclass, so that no parsed value or
 #: type (an int where a float was read, say) can drift. Re-recorded when
 #: ``LimeParams`` lost its ``seed=0`` field, when ``RunConfig`` lost its
-#: ``metric`` and ``report_model`` fields, and when ``aux_tables`` became
+#: ``metric`` and ``report_model`` fields, when ``aux_tables`` became
 #: (path, spec) pairs and ``catalog`` became ``recipes``, a tuple of named
-#: recipes, each time the repr's only change.
-DEFAULT_CONFIG_REPR_SHA256 = "c6710d421987e1bb35ef7e877d4a5788ed1518912dceb107e8ae8c5214fa13b1"
+#: recipes, and when ``LimeParams`` lost its ``kernel_width=None`` field, each
+#: time the repr's only change.
+DEFAULT_CONFIG_REPR_SHA256 = "0f3ddff2847524bedc71b95a99b4d74e00bc037e32aca64c6e8dde0c857b899f"
 
 
 def _assert_clean_exit(code, err):
@@ -1254,17 +1282,12 @@ class TestReportGolden:
 
 def _float_key_config():
     """The default config with every float key set: each learner's params hold
-    every float field of its params class, LIME has a kernel width, and a Flag
-    recipe is added."""
+    every float field of its params class."""
     cfg = default_config_dict()
     for kind, entry in cfg["models"].items():
         for f in dataclasses.fields(tuning.LEARNERS[kind].params):
             if f.type == "float":
                 entry["params"].setdefault(f.name, f.default)
-    cfg["explain"]["lime"]["kernel_width"] = 1.0
-    cfg["features"].append(
-        {"name": "BIG_LOAN", "kind": "flag", "source": "amt_credit", "op": "gt", "value": 1e6}
-    )
     return cfg
 
 
@@ -1282,8 +1305,25 @@ _FLOAT_KEYS = _float_paths(_float_key_config())
 
 
 def _key_name(path):
-    """A key path as config errors print it: ``features[4].value``."""
+    """A key path as config errors print it: ``data.aux[0].statistics``."""
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _config_with(tmp_path, path, value):
+    """A file holding the default config with the key at the dotted ``path``
+    (list indices as digits) set to ``value``, or deleted for DELETE."""
+    cfg = default_config_dict()
+    *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = cfg
+    for k in parents:
+        node = node[k]
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return p
 
 
 class TestConfig:
@@ -1304,18 +1344,29 @@ class TestConfig:
             parse_config(cfg)
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("metric", "roc_auc"), ("report", {"model": "best"})],
-        ids=["metric", "report"],
+        "path, value, message",
+        [
+            ("metric", "roc_auc", "config: unknown keys ['metric']"),
+            ("report", {"model": "best"}, "config: unknown keys ['report']"),
+            ("explain.lime.kernel_width", None, "explain.lime: unknown keys ['kernel_width']"),
+            ("explain.lime.kernel_width", 1.0, "explain.lime: unknown keys ['kernel_width']"),
+            ("features.1", {"name": "BIG", "kind": "flag", "source": "amt_credit", "op": "gt",
+                            "value": 1e6}, "features[1]: unknown recipe kind 'flag'"),
+            ("data.aux.0.statistics", ["mean", "min"],
+             "data.aux[0]: 'min' is not a valid Statistic"),
+            ("data.aux.1.statistics", ["std"], "data.aux[1]: 'std' is not a valid Statistic"),
+        ],
+        ids=["metric", "report", "kernel-width-null", "kernel-width", "flag-recipe",
+             "min-statistic", "std-statistic"],
     )
-    def test_removed_key_exits_2(self, tmp_path, capsys, key, value):
+    def test_removed_key_exits_2(self, tmp_path, capsys, path, value, message):
         """Every model choice is made by ROC AUC, so neither a CV ``metric``
-        nor a ``report`` model is a key."""
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({**default_config_dict(), key: value}))
-        code = main(["prepare", "--config", str(p)])
+        nor a ``report`` model is a key. LIME's kernel width is always the
+        reference LIME's 0.75 * sqrt(d), the recipes are ratios and day counts,
+        and the aux statistics are mean, max, sum and count."""
+        code = main(["prepare", "--config", str(_config_with(tmp_path, path, value))])
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
-        assert line == f"error: config: unknown keys ['{key}']"
+        assert line == f"error: {message}"
 
     @pytest.mark.parametrize(
         "path, value, needle",
@@ -1337,8 +1388,6 @@ class TestConfig:
             ("threshold", "0.5", 'threshold: expected float, got "0.5"'),
             ("explain.lime.top_k", "3", 'explain.lime.top_k: expected int, got "3"'),
             ("seed", True, "seed: expected int, got true"),
-            ("explain.lime.kernel_width", "wide",
-             'explain.lime.kernel_width: expected float | None, got "wide"'),
             ("risk.band_rules.high.require_cosigner", 1,
              "risk.band_rules.high.require_cosigner: expected bool, got 1"),
             ("models.forest.params.n_trees", "40", "models.forest.params.n_trees: expected int"),
@@ -1361,11 +1410,6 @@ class TestConfig:
             ("models.boosted_levelwise.params.n_trees", 0,
              "models.boosted_levelwise.params: n_trees must be >= 1"),
             ("models.forest.grid.n_bins", [1], "models.forest.grid: n_bins must be >= 2"),
-            ("features.1", {"name": "BIG", "kind": "flag", "source": "amt_credit", "op": "gtx",
-                            "value": 1.0}, "features[1]: unknown flag op 'gtx'"),
-            ("explain.lime.kernel_width", 1e-300,
-             "explain.lime: kernel_width must be in [2**-511, 2**511], so that its square is"
-             " a normal float, got 1e-300"),
             ("explain.lime.n_samples", 10**12,
              "explain.lime: n_samples must be <= 1000000, got 1000000000000"),
             ("models.boosted_leafwise.params.l2_regularization", math.nan,
@@ -1378,6 +1422,13 @@ class TestConfig:
                                                         "high": 1e308}},
              "risk: base_rate plus the Moderate premium overflows"),
             ("corpus.n_rows", 10**12, "corpus.n_rows must be <= 1000000, got 1000000000000"),
+            ("corpus.n_rows", 199, "corpus.n_rows must be >= 200, got 199"),
+            ("corpus.train_fraction", 1, "corpus.train_fraction must be in (0, 1), got 1.0"),
+            ("corpus.train_fraction", 0.0, "corpus.train_fraction must be in (0, 1), got 0.0"),
+            ("data.aux.0.statistics", [],
+             "data.aux[0]: aggregation requires at least one statistic"),
+            ("data.aux.1.statistics", ["mean", "sum", "mean"],
+             "data.aux[1]: duplicate statistics in aggregation spec"),
             ("models.forest.params.max_depth", 513,
              "models.forest.params: max_depth must be <= 512, got 513"),
             ("models.boosted_levelwise.grid.max_depth", [4, 513],
@@ -1389,31 +1440,21 @@ class TestConfig:
             "seed-text", "threshold-null", "smote-k-text", "premium-text", "ratio-no-numerator",
             "band-rule-no-term", "aux-no-statistics", "grid-not-list", "statistics-not-list",
             "value-columns-not-list", "statistic-not-text", "value-column-not-text",
-            "threshold-text", "top-k-text", "seed-bool", "kernel-width-text",
-            "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
+            "threshold-text", "top-k-text", "seed-bool", "cosigner-int", "model-param-text", "unknown-recipe-kind", "recipe-no-name",
             "smote-seed-is-fixed", "lime-seed-is-no-key", "integer-beyond-float-range",
             "shap-sample-negative", "shap-sample-zero", "band-rule-zero-term",
             "band-rule-negative-term", "band-rule-negative-collateral", "smote-k-zero",
             "cv-one-fold", "lime-top-k-zero", "model-param-zero-trees", "grid-one-bin",
-            "flag-op-unknown", "lime-kernel-width-square-underflows", "lime-samples-too-many",
+            "lime-samples-too-many",
             "l2-nan", "lime-alpha-inf", "base-rate-nan", "premium-inf", "base-rate-negative",
-            "rate-overflows", "corpus-rows-too-many", "forest-depth-over-cap",
+            "rate-overflows", "corpus-rows-too-many", "corpus-rows-too-few",
+            "train-fraction-one", "train-fraction-zero", "aux-statistics-empty",
+            "aux-statistic-repeated", "forest-depth-over-cap",
             "grid-depth-over-cap", "leaves-over-cap",
         ],
     )
     def test_bad_config_exits_2_naming_key(self, tmp_path, capsys, path, value, needle):
-        cfg = default_config_dict()
-        *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
-        node = cfg
-        for k in parents:
-            node = node[k]
-        if value is DELETE:
-            del node[key]
-        else:
-            node[key] = value
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        code = main(["prepare", "--config", str(p)])
+        code = main(["prepare", "--config", str(_config_with(tmp_path, path, value))])
         assert code == 2
         assert needle in _assert_clean_exit(code, capsys.readouterr().err)[0]
 

@@ -325,14 +325,13 @@ class TestLimeMatchesOracle:
     @pytest.mark.parametrize("learner", sorted(GOLDEN_DIGESTS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_samples", [6, 100, 5000])
-    @pytest.mark.parametrize("kernel_width", [None, 0.5])
-    def test_golden_models(self, learner, seed, n_samples, kernel_width):
+    def test_golden_models(self, learner, seed, n_samples):
         # golden_data has 4 features, so 6 is the fewest samples allowed;
         # its feature 3 is constant, so its sd is zero.
         x = golden_data().features
         stats = (x.mean(axis=0), x.std(axis=0))
         assert stats[1][3] == 0.0
-        params = LimeParams(n_samples=n_samples, kernel_width=kernel_width, top_k=4)
+        params = LimeParams(n_samples=n_samples, top_k=4)
         predict = functools.partial(predict_proba, golden_model(learner))
         assert_lime_matches_oracle(predict, x[seed], stats, params, seed)
 

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 from tables import cells, num_col, table
 
 from riskforge.config import default_config_dict, parse_config
-from riskforge.errors import DataError, SchemaError
-from riskforge.features import DaysToYears, Flag, Ratio, apply_recipes
+from riskforge.errors import SchemaError
+from riskforge.features import DaysToYears, Ratio, apply_recipes
 
 
 class TestRatio:
@@ -36,22 +36,6 @@ class TestDaysToYears:
         t = table(num_col("d", [None]))
         out = apply_recipes(t, (DaysToYears("Y", "d"),))
         assert cells(out.column("Y"))[0] is None
-
-
-class TestFlag:
-    def test_threshold_flag(self):
-        t = table(num_col("x", [-1.0, 0.0, 2.0]))
-        out = apply_recipes(t, (Flag("F", "x", "gt", 0.0),))
-        assert cells(out.column("F")) == (0.0, 0.0, 1.0)
-
-    def test_missing_stays_missing(self):
-        t = table(num_col("x", [None]))
-        out = apply_recipes(t, (Flag("F", "x", "ge", 0.0),))
-        assert cells(out.column("F"))[0] is None
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(DataError, match="unknown flag op 'xor'"):
-            Flag("F", "x", "xor", 0.0)
 
 
 class TestCatalog:
