@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -92,6 +93,22 @@ class TestGenCorpus:
         p.write_text(json.dumps(cfg))
         assert main(["gen-corpus", "--config", str(p)]) == 2
         assert "200" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n_rows, train_fraction, needle",
+        [
+            (199, 0.8, "corpus needs at least 200 rows, got 199"),
+            (200, 0.0, "train_fraction must be in (0, 1)"),
+            (200, 1.0, "train_fraction must be in (0, 1)"),
+        ],
+        ids=["rows-too-few", "train-fraction-zero", "train-fraction-one"],
+    )
+    def test_generate_corpus_checks_its_own_bounds(self, tmp_path, n_rows, train_fraction,
+                                                   needle):
+        """The library call checks what a config is checked for when read."""
+        with pytest.raises(DataError, match=re.escape(needle)):
+            corpus.generate_corpus(str(tmp_path), 0, n_rows, train_fraction)
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_rate_within_tolerance(self, workdir):
         root, _ = workdir

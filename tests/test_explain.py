@@ -325,13 +325,15 @@ class TestLimeMatchesOracle:
     @pytest.mark.parametrize("learner", sorted(GOLDEN_DIGESTS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_samples", [6, 100, 5000])
-    def test_golden_models(self, learner, seed, n_samples):
+    @pytest.mark.parametrize("alpha", [1.0, 0.0])
+    def test_golden_models(self, learner, seed, n_samples, alpha):
         # golden_data has 4 features, so 6 is the fewest samples allowed;
-        # its feature 3 is constant, so its sd is zero.
+        # its feature 3 is constant, so its sd is zero. alpha 0 solves the
+        # weighted least squares without a ridge.
         x = golden_data().features
         stats = (x.mean(axis=0), x.std(axis=0))
         assert stats[1][3] == 0.0
-        params = LimeParams(n_samples=n_samples, top_k=4)
+        params = LimeParams(n_samples=n_samples, top_k=4, alpha=alpha)
         predict = functools.partial(predict_proba, golden_model(learner))
         assert_lime_matches_oracle(predict, x[seed], stats, params, seed)
 
