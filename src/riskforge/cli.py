@@ -445,6 +445,19 @@ def cmd_assess_and_report(cfg: RunConfig, ids=None) -> list[str]:
     return written
 
 
+def _parse_ids(command: str, text: str | None) -> list[str] | None:
+    """The applicant ids of ``--ids``, or None without it. Only ``assess``
+    takes ids, and every comma-separated item must be non-empty."""
+    if text is None:
+        return None
+    if command != "assess":
+        raise ConfigError(f"--ids applies to assess only, not {command}")
+    ids = text.split(",")
+    if "" in ids:
+        raise ConfigError(f"--ids {text!r} holds an empty applicant id")
+    return ids
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="riskforge",
@@ -465,6 +478,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        ids = _parse_ids(args.command, args.ids)
         cfg = load_config(args.config)
         if args.command == "gen-corpus":
             written = cmd_gen_corpus(cfg)
@@ -475,7 +489,6 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             written = cmd_evaluate(cfg)
         else:
-            ids = None if args.ids is None else [i for i in args.ids.split(",") if i]
             written = cmd_assess_and_report(cfg, ids)
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,14 +3,18 @@
 Bins belong to the training set: a ``BinnedSet`` is quantile-binned once
 for one ``n_bins``, every fit on it takes its split thresholds from its bin
 edges, and a model holds only its trees and params. All three learners
-share one split-search kernel (``BinnedSet.histograms``): the bin codes are
-offset so that one gathered ``np.bincount`` per quantity builds a node's
-(features x bins) histograms, weighted by gradient and hessian for boosting
-and by the class-1 indicator for the forest. Only occupied candidates are
-scored: an edge between two occupied bins of one feature, found from the
-node's count histogram, so the cost of a search follows the node's rows and
-not features x ``n_bins``. An edge next to an empty bin would repeat its
-neighbour's sums, so the first maximum and every model keep their bits.
+share one split-search kernel (``BinnedSet.histograms``). Each row's two
+split-search weights are packed into one complex weight, ``g + i*h`` for
+boosting and ``1 + i*y1`` (row count and class-1 count) for the forest, and
+the bin codes are offset so that one gathered ``np.add.at`` builds a node's
+(features x bins) complex histogram and one complex cumsum gives both left
+sums. A complex add is two independent float adds, so each part equals the
+float sum of its quantity, added in the same order. Only occupied
+candidates are scored: an edge between two occupied bins of one feature,
+found from the node's occupancy, so the cost of a search follows the node's
+rows and not features x ``n_bins``. An edge next to an empty bin would
+repeat its neighbour's sums, so the first maximum and every model keep
+their bits.
 Each learner scores its candidates in one array expression with its own
 gain, and one pick step applies the shared tie rule.
 
@@ -227,16 +231,18 @@ class BinnedSet:
         codes = binned.astype(np.intp) + offsets
         return cls(data.labels, n_bins, edges, codes, stride)
 
-    def histograms(self, rows: np.ndarray, feats: np.ndarray, weights=()):
-        """(features x bins) row-count histogram of one node, and one
-        weighted histogram per array in ``weights``; row k is feature
-        ``feats[k]``; ``feats`` is sorted and distinct.
+    def histograms(self, rows: np.ndarray, feats: np.ndarray, weights: np.ndarray):
+        """(features x bins) histogram of one node's complex ``weights`` and
+        its bool occupancy; row k is feature ``feats[k]``; ``feats`` is
+        sorted and distinct.
 
-        The codes are gathered row-major, so each bin adds its rows in the
-        order of ``rows`` and every sum equals a per-feature ``np.bincount``
-        bit for bit. A row take is much cheaper than a 2-D fancy index, and
-        the column take and the row selection of the histograms are skipped
-        when ``feats`` is every feature.
+        The codes are gathered row-major and ``np.add.at`` applies its
+        updates in index order, so each bin adds its rows in the order of
+        ``rows``, and the real and the imaginary part each equal a
+        per-feature ``np.bincount`` of that part bit for bit. A row take is
+        much cheaper than a 2-D fancy index, and the column take and the row
+        selection of the histograms are skipped when ``feats`` is every
+        feature.
         """
         block = self.codes.take(rows, axis=0)
         subset = len(feats) < block.shape[1]
@@ -244,36 +250,47 @@ class BinnedSet:
             block = block.take(feats, axis=1)
         flat = block.ravel()
         size = self.codes.shape[1] * self.stride
-
-        def hist(w):
-            out = np.bincount(flat, w, minlength=size).reshape(-1, self.stride)
-            return out[feats] if subset else out
-
-        return hist(None), [hist(np.repeat(w[rows], len(feats))) for w in weights]
+        hist = np.zeros(size, dtype=np.complex128)
+        np.add.at(hist, flat, np.repeat(weights[rows], len(feats)))
+        occupied = np.zeros(size, dtype=bool)
+        occupied[flat] = True
+        hist, occupied = hist.reshape(-1, self.stride), occupied.reshape(-1, self.stride)
+        return (hist[feats], occupied[feats]) if subset else (hist, occupied)
 
     def goes_left(self, rows: np.ndarray, feature: int, edge_idx: int) -> np.ndarray:
         return self.codes[rows, feature] <= feature * self.stride + edge_idx
 
 
-def _candidates(count: np.ndarray) -> np.ndarray:
+def _pack(re, im) -> np.ndarray:
+    """Complex array whose real and imaginary parts are ``re`` and ``im``,
+    bit for bit (``re + 1j * im`` can turn a -0.0 in ``re`` into 0.0)."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _candidates(occupied: np.ndarray) -> np.ndarray:
     """Flat (feature-major) indices of the edges worth scoring in a node's
-    (features x bins) count histogram: each occupied bin whose next occupied
-    bin is in the same feature. Edge i sends bins 0..i left.
+    (features x bins) occupancy: each occupied bin whose next occupied bin
+    is in the same feature. Edge i sends bins 0..i left.
 
     An empty bin adds exact zeros to every left sum, so its edge repeats the
     previous candidate's sums and gain and is never the first maximum; the
     last occupied bin of a feature sends every row left. So both children of
     every candidate are non-empty.
     """
-    occupied = np.flatnonzero(count)
-    feature = occupied // count.shape[1]
-    return occupied[:-1][feature[:-1] == feature[1:]]
+    flat = np.flatnonzero(occupied)
+    feature = flat // occupied.shape[1]
+    return flat[:-1][feature[:-1] == feature[1:]]
 
 
-def _left_sums(hist: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Left-child sum of each candidate, from the full per-feature cumsum so
-    that every sum keeps its bits."""
-    return np.cumsum(hist, axis=1).take(cand)
+def _left_right_sums(hist: np.ndarray, cand: np.ndarray, total: complex):
+    """Left- and right-child sums of each candidate. The left sums come from
+    the full per-feature cumsum, and each part of a complex add or subtract
+    is one float add or subtract, so every sum keeps its bits."""
+    left = np.cumsum(hist, axis=1).take(cand)
+    return left, total - left
 
 
 def _pick_split(gains: np.ndarray, cand: np.ndarray, feats: np.ndarray, stride: int):
@@ -297,13 +314,13 @@ def _pick_split(gains: np.ndarray, cand: np.ndarray, feats: np.ndarray, stride: 
     return int(feats[row]), edge, float(gains[k])
 
 
-def _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum):
-    """Best (feature, edge index, gain) by second-order gain, or None."""
-    count, (gb, hb) = train.histograms(rows, feats, (g, h))
-    cand = _candidates(count)
-    gl, hl = _left_sums(gb, cand), _left_sums(hb, cand)
-    gr = g_sum - gl
-    hr = h_sum - hl
+def _best_split_boosted(train, rows, gh, feats, prm, g_sum, h_sum):
+    """Best (feature, edge index, gain) by second-order gain, or None;
+    ``gh`` packs each row's gradient and hessian as ``g + i*h``."""
+    hist, occupied = train.histograms(rows, feats, gh)
+    cand = _candidates(occupied)
+    left, right = _left_right_sums(hist, cand, complex(g_sum, h_sum))
+    gl, hl, gr, hr = left.real, left.imag, right.real, right.imag
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = split_gain(gl, hl, gr, hr, prm.l2_regularization, prm.min_split_gain)
     valid = (hl >= prm.min_child_weight) & (hr >= prm.min_child_weight)
@@ -331,6 +348,7 @@ def _grow_boosted(train: BinnedSet, g, h, feats, prm):
     pairs does not matter.
     """
     level_wise = prm.growth == GROWTH_LEVEL
+    gh = _pack(g, h)
     max_depth = prm.max_depth if level_wise else math.inf
     max_leaves = math.inf if level_wise else prm.max_leaves
     min_h_sum = 2.0 * prm.min_child_weight
@@ -341,7 +359,7 @@ def _grow_boosted(train: BinnedSet, g, h, feats, prm):
         node = TreeNode(cover=h_sum)
         split = None
         if search and depth < max_depth and h_sum >= min_h_sum:
-            split = _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
+            split = _best_split_boosted(train, rows, gh, feats, prm, g_sum, h_sum)
         if split is None:
             node.value = leaf_value(g_sum, h_sum, prm.l2_regularization)
             leaves.append((node, rows))
@@ -426,18 +444,16 @@ def fit_boosted(train: BinnedSet, params: BoostingParams, feature_names=None) ->
     )
 
 
-def _best_split_gini(train, rows, y1, feats):
-    """Best (feature, edge index, gain) by Gini impurity decrease, or None."""
+def _best_split_gini(train, rows, w, feats, n1):
+    """Best (feature, edge index, gain) by Gini impurity decrease, or None;
+    ``w`` is ``1 + i*y1`` per row and ``n1`` the node's class-1 count."""
     n = rows.size
-    n1 = float(y1[rows].sum())
     p1 = n1 / n
     parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
-    count, (c1,) = train.histograms(rows, feats, (y1,))
-    cand = _candidates(count)
-    cl = _left_sums(count, cand)
-    c1l = _left_sums(c1, cand)
-    c1r = n1 - c1l
-    cr = n - cl
+    hist, occupied = train.histograms(rows, feats, w)
+    cand = _candidates(occupied)
+    left, right = _left_right_sums(hist, cand, complex(n, n1))
+    cl, c1l, cr, c1r = left.real, left.imag, right.real, right.imag
     pl = c1l / cl
     pr = c1r / cr
     gini_l = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
@@ -446,36 +462,37 @@ def _best_split_gini(train, rows, y1, feats):
     return _pick_split(gains, cand, feats, train.stride)
 
 
-def _grow_gini(train: BinnedSet, rows, y1, rng, prm, depth):
+def _grow_gini(train: BinnedSet, rows, w, rng, prm, depth):
     """Depth-first: each split draws its feature subset from the tree's one
-    RNG stream, so the visiting order is part of the model."""
+    RNG stream, so the visiting order is part of the model. ``w`` is
+    ``1 + i*y1`` per row."""
     n = rows.size
-    n1 = float(y1[rows].sum())
+    n1 = float(w.imag[rows].sum())
     if depth >= prm.max_depth or n1 == 0.0 or n1 == float(n):
         return TreeNode(value=n1 / n, cover=float(n))
     feats = _feature_subset(rng, len(train.edges), prm.feature_fraction)
-    best = _best_split_gini(train, rows, y1, feats)
+    best = _best_split_gini(train, rows, w, feats, n1)
     if best is None:
         return TreeNode(value=n1 / n, cover=float(n))
     f, edge_idx, _ = best
     mask = train.goes_left(rows, f, edge_idx)
     node = TreeNode(feature=int(f), threshold=float(train.edges[f][edge_idx]), cover=float(n))
-    node.left = _grow_gini(train, rows[mask], y1, rng, prm, depth + 1)
-    node.right = _grow_gini(train, rows[~mask], y1, rng, prm, depth + 1)
+    node.left = _grow_gini(train, rows[mask], w, rng, prm, depth + 1)
+    node.right = _grow_gini(train, rows[~mask], w, rng, prm, depth + 1)
     return node
 
 
 def fit_forest(train: BinnedSet, params: ForestParams, feature_names=None) -> ForestModel:
     """Train a bagged Gini forest; per-tree streams derive from (seed, index)."""
     names = _fit_setup(train, params.n_bins, feature_names, "forest")
-    y1 = train.labels.astype(np.float64)
-    n = y1.size
+    w = _pack(1.0, train.labels.astype(np.float64))
+    n = w.size
 
     trees = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(stage_seed(params.seed, f"forest-tree-{t}"))
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        trees.append(_grow_gini(train, rows, y1, rng, params, 0))
+        trees.append(_grow_gini(train, rows, w, rng, params, 0))
     return ForestModel(trees=trees, params=params, feature_names=names)
 
 

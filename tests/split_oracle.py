@@ -1,10 +1,13 @@
 """Full-slot split search, kept as the reference for ``riskforge.trees``.
 
-Every (feature, edge) slot of a node's histograms is scored, occupied or
-not, with explicit checks that both children are non-empty; every node the
-grower creates is searched, unless it is at the depth cap. ``riskforge.trees``
-scores only the occupied candidates and skips nodes that cannot split; the
-tests require the same splits, gains and model documents from both.
+The histograms are per-feature ``np.bincount``s of the real gradient,
+hessian and class-1 weights, built without the kernel under test. Every
+(feature, edge) slot of a node's histograms is scored, occupied or not,
+with explicit checks that both children are non-empty; every node the
+grower creates is searched, unless it is at the depth cap.
+``riskforge.trees`` packs two weights into one complex histogram, scores
+only the occupied candidates and skips nodes that cannot split; the tests
+require the same splits, gains and model documents from both.
 """
 
 import heapq
@@ -14,6 +17,24 @@ import math
 import numpy as np
 
 from riskforge.trees import GROWTH_LEVEL, TreeNode, leaf_value, split_gain
+
+
+def per_feature_histograms(binned, rows, feats, stride, weights):
+    """Row-count histogram and one weighted histogram per array in
+    ``weights``, (features x ``stride``) each: one ``np.bincount`` per
+    feature and quantity over the bin ordinals ``binned``."""
+    count = np.array([np.bincount(binned[rows, f], minlength=stride) for f in feats])
+    weighted = [
+        np.array([np.bincount(binned[rows, f], w[rows], minlength=stride) for f in feats])
+        for w in weights
+    ]
+    return count, weighted
+
+
+def node_histograms(train, rows, feats, weights):
+    """``per_feature_histograms`` of a ``BinnedSet``'s bin ordinals."""
+    binned = train.codes - np.arange(train.codes.shape[1]) * train.stride
+    return per_feature_histograms(binned, rows, feats, train.stride, weights)
 
 
 def left_sums(hist: np.ndarray) -> np.ndarray:
@@ -40,9 +61,15 @@ def pick_split(gains: np.ndarray, feats: np.ndarray):
     return int(feats[k]), int(edge[k]), float(best[k])
 
 
-def best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum):
+def best_split_boosted(train, rows, gh, feats, prm, g_sum, h_sum):
+    """A drop-in for ``riskforge.trees._best_split_boosted``: ``gh`` packs
+    each row's gradient and hessian as ``g + i*h``."""
+    return _best_split_boosted(train, rows, gh.real, gh.imag, feats, prm, g_sum, h_sum)
+
+
+def _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum):
     """Best (feature, edge index, gain) by second-order gain, or None."""
-    count, (gb, hb) = train.histograms(rows, feats, (g, h))
+    count, (gb, hb) = node_histograms(train, rows, feats, (g, h))
     cl, gl, hl = left_sums(count), left_sums(gb), left_sums(hb)
     gr = g_sum - gl
     hr = h_sum - hl
@@ -58,13 +85,14 @@ def best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum):
     return pick_split(np.where(valid, gains, -np.inf), feats)
 
 
-def best_split_gini(train, rows, y1, feats):
-    """Best (feature, edge index, gain) by Gini impurity decrease, or None."""
+def best_split_gini(train, rows, w, feats, n1):
+    """Best (feature, edge index, gain) by Gini impurity decrease, or None;
+    a drop-in for ``riskforge.trees._best_split_gini``: ``w`` is
+    ``1 + i*y1`` per row and ``n1`` the node's class-1 count."""
     n = rows.size
-    n1 = float(y1[rows].sum())
     p1 = n1 / n
     parent = 1.0 - p1 * p1 - (1.0 - p1) * (1.0 - p1)
-    count, (c1,) = train.histograms(rows, feats, (y1,))
+    count, (c1,) = node_histograms(train, rows, feats, (w.imag,))
     cl = left_sums(count.astype(np.float64))
     c1l = left_sums(c1)
     c1r = n1 - c1l
@@ -92,7 +120,7 @@ def grow_boosted(train, g, h, feats, prm):
         node = TreeNode(cover=h_sum)
         split = None
         if depth < max_depth:
-            split = best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
+            split = _best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
         if split is None:
             node.value = leaf_value(g_sum, h_sum, prm.l2_regularization)
             leaves.append((node, rows))

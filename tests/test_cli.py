@@ -355,8 +355,15 @@ class TestAssess:
 
     @pytest.mark.parametrize(
         "ids, message",
-        [("zzz", "unknown applicant id 'zzz'"), ("481,482,481", "duplicate applicant id '481'")],
-        ids=["unknown", "repeated"],
+        [
+            ("zzz", "unknown applicant id 'zzz'"),
+            ("481,482,481", "duplicate applicant id '481'"),
+            ("", "--ids '' holds an empty applicant id"),
+            (",", "--ids ',' holds an empty applicant id"),
+            ("481,,482", "--ids '481,,482' holds an empty applicant id"),
+            ("481,", "--ids '481,' holds an empty applicant id"),
+        ],
+        ids=["unknown", "repeated", "empty", "comma", "empty-item", "trailing-comma"],
     )
     def test_bad_id_exits_2(self, workdir, tmp_path, capsys, ids, message):
         root, _ = workdir
@@ -367,6 +374,14 @@ class TestAssess:
         line = _assert_clean_exit(code, capsys.readouterr().err)[0]
         assert code == 2 and line == f"error: {message}"
         assert sorted(os.listdir(tmp_path / "out")) == ["models", "prepared"]
+
+    @pytest.mark.parametrize("command", ["gen-corpus", "prepare", "train", "evaluate"])
+    def test_ids_outside_assess_exits_2(self, tmp_path, capsys, command):
+        """--ids is refused before the config is read, so nothing runs."""
+        code = main([command, "--config", str(tmp_path / "no.json"), "--ids", "481"])
+        line = _assert_clean_exit(code, capsys.readouterr().err)[0]
+        assert line == f"error: --ids applies to assess only, not {command}"
+        assert os.listdir(tmp_path) == []
 
     def test_rerun_overwrites_identically(self, workdir):
         root, config_path = workdir

@@ -144,81 +144,101 @@ class TestBins:
             fit_bins(np.ones((5, 1)), 1)
 
 
-def per_feature_histograms(binned, rows, feats, stride, weights):
-    """Reference for the kernel: one np.bincount per feature and quantity."""
-    count = np.array([np.bincount(binned[rows, f], minlength=stride) for f in feats])
-    weighted = [
-        np.array([np.bincount(binned[rows, f], w[rows], minlength=stride) for f in feats])
-        for w in weights
-    ]
-    return count, weighted
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns of ``a``, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestHistograms:
-    """The (features x bins) kernel against per-feature bincounts, bit for bit."""
+    """The complex (features x bins) kernel against per-feature bincounts:
+    its real part is the gradient histogram, its imaginary part the hessian
+    histogram and its occupancy the bins with rows, bit for bit."""
 
-    def check(self, x, rows, feats, weights, n_bins=16):
+    def check(self, x, rows, feats, g, h, n_bins=16):
         train = BinnedSet.of(LabeledMatrix(x, np.zeros(len(x), dtype=int)), n_bins)
         binned = bin_matrix(train.edges, x)
-        count, weighted = train.histograms(rows, np.asarray(feats), weights)
-        ref_count, ref_weighted = per_feature_histograms(
-            binned, rows, feats, train.stride, weights
+        hist, occupied = train.histograms(rows, np.asarray(feats), trees._pack(g, h))
+        count, (gb, hb) = split_oracle.per_feature_histograms(
+            binned, rows, feats, train.stride, (g, h)
         )
-        assert np.array_equal(count, ref_count)
-        assert len(weighted) == len(weights)
-        for got, want in zip(weighted, ref_weighted):
-            assert np.array_equal(got, want)
-        return count, weighted
+        assert hist.shape == occupied.shape == count.shape
+        assert np.array_equal(bits(hist.real), bits(gb))
+        assert np.array_equal(bits(hist.imag), bits(hb))
+        assert np.array_equal(occupied, count > 0)
+        return hist, occupied, count
 
     def test_single_row(self):
         x = np.array([[0.3], [0.7]])  # one edge, 0.5; row 1 lies above it
-        w = (np.array([9.0, 0.3]), np.array([9.0, 0.2]))
-        (c,), ((g,), (h,)) = self.check(x, np.array([1]), [0], w)
-        assert g.tolist() == [0.0, 0.3] and h.tolist() == [0.0, 0.2]
-        assert c.tolist() == [0, 1]
+        (hist,), (occupied,), _ = self.check(
+            x, np.array([1]), [0], np.array([9.0, 0.3]), np.array([9.0, 0.2])
+        )
+        assert hist.real.tolist() == [0.0, 0.3] and hist.imag.tolist() == [0.0, 0.2]
+        assert occupied.tolist() == [False, True]
 
     def test_same_bin_rows_aggregate(self):
         x = np.array([[0.1], [0.2], [0.9]])  # two bins: the median, 0.2, is the edge
-        w = (np.array([1.0, 2.0, 9.0]), np.array([0.1, 0.2, 9.0]))
-        (c,), ((g,), (h,)) = self.check(x, np.array([0, 1]), [0], w, n_bins=2)
-        assert g[0] == 3.0 and h[0] == 0.1 + 0.2 and c[0] == 2
+        g, h = np.array([1.0, 2.0, 9.0]), np.array([0.1, 0.2, 9.0])
+        (hist,), _, (count,) = self.check(x, np.array([0, 1]), [0], g, h, n_bins=2)
+        assert hist[0] == complex(3.0, 0.1 + 0.2) and count[0] == 2
+
+    def test_zero_hessian_rows_are_occupied(self):
+        """A bin whose rows all have g = h = 0 sums to 0 and still has rows."""
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(80, 3))
+        g, h = rng.normal(size=80), rng.random(80) * 0.25
+        saturated = rng.random(80) < 0.5
+        g[saturated] = h[saturated] = 0.0
+        h[rng.random(80) < 0.3] = 0.0
+        hist, occupied, _ = self.check(x, rng.permutation(80)[:50], [0, 1, 2], g, h)
+        assert np.any(occupied & (hist == 0))
+
+    def test_signed_zero_gradients(self):
+        x = np.array([[0.1], [0.2], [0.3], [0.4], [0.5], [0.6]])
+        g = np.array([-0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300])
+        h = np.array([0.0, -0.0, 0.25, 0.0, 0.0, 0.0])
+        assert np.array_equal(np.signbit(trees._pack(g, h).real), np.signbit(g))
+        assert np.array_equal(np.signbit(trees._pack(g, h).imag), np.signbit(h))
+        for rows in (np.arange(6), np.array([1, 0, 1, 3]), np.array([5, 4, 5])):
+            self.check(x, rows, [0], g, h, n_bins=3)
 
     def test_partition_identity(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(150, 4))
         g, h = rng.normal(size=150), rng.random(150)
         rows = rng.permutation(150)[:75]
-        count, (gb, hb) = self.check(x, rows, range(4), (g, h))
+        hist, _, count = self.check(x, rows, range(4), g, h)
         assert np.all(count.sum(axis=1) == rows.size)
-        assert gb.sum(axis=1) == pytest.approx([g[rows].sum()] * 4, abs=1e-9)
-        assert hb.sum(axis=1) == pytest.approx([h[rows].sum()] * 4, abs=1e-9)
+        assert hist.real.sum(axis=1) == pytest.approx([g[rows].sum()] * 4, abs=1e-9)
+        assert hist.imag.sum(axis=1) == pytest.approx([h[rows].sum()] * 4, abs=1e-9)
 
     def test_strict_feature_subset(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(120, 5))
         x[:, 3] = np.round(x[:, 3])  # fewer bins than the widest feature
-        count, _ = self.check(x, np.arange(0, 120, 3), [1, 3, 4], (rng.normal(size=120),))
-        assert count.shape[0] == 3
+        g, h = rng.normal(size=120), rng.random(120)
+        hist, _, _ = self.check(x, np.arange(0, 120, 3), [1, 3, 4], g, h)
+        assert hist.shape[0] == 3
 
     def test_all_features_match_each_strict_subset(self):
         """Every feature skips the column take; each strict subset's rows
         must still be the all-features rows, bit for bit."""
         rng = np.random.default_rng(7)
         x = rng.normal(size=(90, 4))
-        g = rng.normal(size=90)
+        g, h = rng.normal(size=90), rng.random(90)
         rows = rng.permutation(90)[:50]
-        count, (gb,) = self.check(x, rows, np.arange(4), (g,))
+        hist, occupied, _ = self.check(x, rows, np.arange(4), g, h)
         for feats in ([0], [1, 3], [0, 1, 2]):
-            sub_count, (sub_gb,) = self.check(x, rows, feats, (g,))
-            assert np.array_equal(sub_count, count[feats])
-            assert np.array_equal(sub_gb, gb[feats])
+            sub_hist, sub_occupied, _ = self.check(x, rows, feats, g, h)
+            assert np.array_equal(sub_occupied, occupied[feats])
+            assert np.array_equal(bits(sub_hist.real), bits(hist.real[feats]))
+            assert np.array_equal(bits(sub_hist.imag), bits(hist.imag[feats]))
 
     def test_constant_feature(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(60, 3))
         x[:, 1] = 2.5
-        count, _ = self.check(x, np.arange(60), [0, 1, 2], (rng.random(60),))
-        assert count[1, 0] == 60 and count[1, 1:].sum() == 0
+        _, occupied, count = self.check(x, np.arange(60), [0, 1, 2], rng.random(60), np.ones(60))
+        assert count[1, 0] == 60 and occupied[1].tolist() == [True] + [False] * 15
 
     def test_stride_is_at_least_two(self):
         train = BinnedSet.of(LabeledMatrix(np.ones((4, 2)), np.zeros(4, dtype=int)), 8)
@@ -310,8 +330,9 @@ class TestSplitSearchMatchesOracle:
         for seed in range(1200):
             train, rows, feats, g, h, y1, prm = random_node(seed)
             g_sum, h_sum = float(g[rows].sum()), float(h[rows].sum())
-            got = trees._best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
-            want = split_oracle.best_split_boosted(train, rows, g, h, feats, prm, g_sum, h_sum)
+            gh = trees._pack(g, h)
+            got = trees._best_split_boosted(train, rows, gh, feats, prm, g_sum, h_sum)
+            want = split_oracle.best_split_boosted(train, rows, gh, feats, prm, g_sum, h_sum)
             assert got == want, seed
             seen["split" if want else "none"] += 1
             if h_sum < 2 * prm.min_child_weight:  # _grow_boosted does not search it
@@ -319,8 +340,9 @@ class TestSplitSearchMatchesOracle:
                 seen["small_h"] += 1
             if prm.l2_regularization == 0 and not h[rows].all():
                 seen["lambda0_zero_h"] += 1
-            got = trees._best_split_gini(train, rows, y1, feats)
-            assert got == split_oracle.best_split_gini(train, rows, y1, feats), seed
+            w, n1 = trees._pack(1.0, y1), float(y1[rows].sum())
+            got = trees._best_split_gini(train, rows, w, feats, n1)
+            assert got == split_oracle.best_split_gini(train, rows, w, feats, n1), seed
             seen["gini_split"] += got is not None
         assert min(seen.values()) >= 50, seen
 
