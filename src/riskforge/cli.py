@@ -12,6 +12,7 @@ keeps one id rule and one 0/1 label rule for both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -110,23 +111,33 @@ def _check_applicant_ids(ids: list) -> None:
         seen.add(v)
 
 
-def _float(text: str) -> float:
+def _float(text: str | None) -> float:
+    """``text`` as a float; NaN when it is missing or not a number."""
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         return np.nan
 
 
 def _check_labels(col: Column) -> np.ndarray:
     """The labels of the text column ``col``: each must read as the number 0
     or 1. The first other cell, missing ones too, fails naming its row."""
-    values = np.array([*map(_float, col.vocabulary), np.nan])[col.values]
+    values = np.fromiter(map(_float, col.values), np.float64, len(col.values))
     bad = np.flatnonzero((values != 0.0) & (values != 1.0))  # NaN too
     if bad.size:
         k = bad[0]
-        what = f"must be 0 or 1, got {col.cell(k)!r}" if col.values[k] >= 0 else "missing"
+        what = "missing" if col.values[k] is None else f"must be 0 or 1, got {col.cell(k)!r}"
         raise DataError(f"row {k + 2}: label {col.name!r} {what}")
     return values.astype(np.int64)
+
+
+@contextlib.contextmanager
+def _in_file(path: str):
+    """A user error raised inside, its message led by ``path``."""
+    try:
+        yield
+    except UserError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_applicants(path: str, id_column: str, label_column: str, keys=()):
@@ -134,12 +145,10 @@ def _read_applicants(path: str, id_column: str, label_column: str, keys=()):
     with the id, label and ``keys`` columns read as text and checked by
     ``_check_applicant_ids`` and ``_check_labels``, naming ``path`` once."""
     table = read_csv(path, categorical=[id_column, label_column, *keys])
-    try:
-        ids = table.column(id_column).strings()
+    with _in_file(path):
+        ids = table.column(id_column).values.tolist()
         _check_applicant_ids(ids)
         return table, ids, _check_labels(table.column(label_column))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
 
 
 def read_labels_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -182,6 +191,17 @@ def _test_loans(cfg: RunConfig, table: Table, ids) -> np.ndarray:
     return loans
 
 
+def _empty_as_text(table: Table, text) -> Table:
+    """``table`` with each column named in ``text`` that has no present cell,
+    and so reads as numeric, made a text column, whose cells take the train
+    mode. A present cell keeps its column's kind."""
+    return Table(tuple(
+        Column(c.name, ColumnKind.CATEGORICAL, [None] * table.row_count)
+        if c.name in text and c.missing.all() else c
+        for c in table.columns
+    ), table.name)
+
+
 def _feature_table(cfg: RunConfig, table: Table) -> Table:
     """Every column but the id, the label and the aux key columns."""
     keys = {cfg.id_column, cfg.label_column, *(spec.key_column for _, spec in cfg.aux_tables)}
@@ -196,20 +216,28 @@ def cmd_prepare(cfg: RunConfig) -> list[str]:
     """Merge, engineer and fit-transform; test data uses the train-fitted pipeline.
     LIME's per-feature mean and std of the train matrix go to feature_stats.csv,
     and each test applicant's loan amount and term to test_loans.csv."""
+    paths = {"train": cfg.application_train, "test": cfg.application_test}
     keys = [spec.key_column for _, spec in cfg.aux_tables]
-    splits = {  # split: (table, ids, labels); merge and recipes only add columns
-        name: _read_applicants(path, cfg.id_column, cfg.label_column, keys)
-        for name, path in (("train", cfg.application_train), ("test", cfg.application_test))
-    }
+    splits = {}  # split: (table, ids, labels); merge and recipes only add columns
+    text = set()  # the train split's text columns
+    for name, path in paths.items():
+        table, ids, labels = _read_applicants(path, cfg.id_column, cfg.label_column, keys)
+        if not table.row_count:
+            raise DataError(f"{path}: no applicant rows")
+        splits[name] = _empty_as_text(table, text), ids, labels
+        text = {c.name for c in table.columns if c.kind is ColumnKind.CATEGORICAL}
     loans = _test_loans(cfg, *splits["test"][:2])
     auxes = [
-        (read_csv(path, categorical=[spec.key_column]), spec) for path, spec in cfg.aux_tables
+        (path, read_csv(path, categorical=[spec.key_column]), spec)
+        for path, spec in cfg.aux_tables
     ]
     fulls = []  # each aux table is read once and merged into both splits
-    for table, _, _ in splits.values():
-        for aux, spec in auxes:
-            table = aggregate_merge(table, aux, spec)
-        fulls.append(apply_recipes(table, cfg.recipes))
+    for name, (table, _, _) in splits.items():
+        for aux_path, aux, spec in auxes:
+            with _in_file(aux_path):
+                table = aggregate_merge(table, aux, spec)
+        with _in_file(paths[name]):
+            fulls.append(apply_recipes(table, cfg.recipes))
     train_full, test_full = fulls
 
     train_features = _feature_table(cfg, train_full)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DataError, SchemaError
 from .trees import BoostedModel, ForestModel, TreeNode, predict_margin
+from .utils import left_sum
 
 SCALE_MARGIN = "margin"
 SCALE_PROBABILITY = "probability"
@@ -181,7 +182,7 @@ class TreeShapExplainer:
             raise SchemaError(f"cannot explain model type {type(model).__name__}")
         self.n_features = len(model.feature_names)
         walks = [_path_groups(t) for t in model.trees]
-        self.base_value = self.offset + self.coef * sum(expected for expected, _ in walks)
+        self.base_value = self.offset + self.coef * left_sum(expected for expected, _ in walks)
         self.paths = [paths for _, paths in walks]
         widest = max((g[0].size + len(g[5]) for p in self.paths for g in p), default=1)
         self.chunk_rows = max(1, CHUNK_CELLS // widest)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SchemaError
-from .tabular import ColumnKind, Table, recode
+from .tabular import ColumnKind, Table, lookup
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,11 @@ def fit_pipeline(table: Table) -> FittedPipeline:
             scales[col.name] = _mean_std(col.name, _clip(imputed, lower, upper))
             names.append(col.name)
         else:
-            # The vocabulary is sorted, so the first top count is the lexicographic minimum.
-            counts = np.bincount(present, minlength=len(col.vocabulary))
-            modes[col.name] = col.vocabulary[int(np.argmax(counts))]
-            vocabularies[col.name] = tuple(c for c, n in zip(col.vocabulary, counts) if n)
+            # np.unique sorts str in code-point order, as sorted() does, so the
+            # first top count is the lexicographic minimum.
+            vocabulary, counts = np.unique(present, return_counts=True)
+            modes[col.name] = vocabulary[int(np.argmax(counts))]
+            vocabularies[col.name] = tuple(vocabulary.tolist())
             names.extend(f"{col.name}={cat}" for cat in vocabularies[col.name])
     schema = tuple((c.name, c.kind.value) for c in table.columns)
     return FittedPipeline(medians, modes, bounds, vocabularies, scales, schema, tuple(names))
@@ -123,9 +124,9 @@ def transform(pipeline: FittedPipeline, table: Table) -> np.ndarray:
             j += 1
             continue
         vocabulary = pipeline.vocabularies[col.name]
-        # Missing cells take code len(col.vocabulary): the mode appended at the end.
-        codes = np.where(col.missing, len(col.vocabulary), col.values)
-        codes = recode(codes, (*col.vocabulary, pipeline.modes[col.name]), vocabulary)
+        code = {cat: k for k, cat in enumerate(vocabulary)}
+        code[None] = code.get(pipeline.modes[col.name], -1)  # a missing cell takes the mode
+        codes = lookup(col, code, -1)
         for k in range(len(vocabulary)):
             matrix[:, j] = codes == k
             j += 1

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .metrics import APPROVE, REJECT, REVIEW
+from .utils import left_sum
 
 
 class Band(IntEnum):
@@ -211,6 +212,6 @@ def portfolio_impact(probabilities, amounts, labels, cfg: RiskConfig) -> Portfol
     return PortfolioImpact(
         approved_count=int(np.sum(approved)),
         approved_defaults=int(np.sum(approved & (y == 1))),
-        total_approved_principal=float(sum(a[approved].tolist())),
-        expected_loss=float(sum((p[approved] * a[approved]).tolist())),
+        total_approved_principal=left_sum(a[approved].tolist()),
+        expected_loss=left_sum((p[approved] * a[approved]).tolist()),
     )

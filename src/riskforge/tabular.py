@@ -3,8 +3,8 @@
 A :class:`Table` is an ordered list of named columns, each held as one
 array. A Numeric column is a float64 array in which NaN marks a missing
 cell; every other cell is finite (NaN/inf on ingest become missing). A
-Categorical column is a sorted vocabulary of strings plus int64 codes into
-it, with -1 marking a missing cell. Tables are treated as immutable after
+Categorical column is an object array of each cell's ``str`` in row order,
+with None marking a missing cell. Tables are treated as immutable after
 construction: every operation returns a new table.
 
 :func:`read_csv` streams its file: each column keeps one buffer, the packed
@@ -45,43 +45,34 @@ class Statistic(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class Column:
-    """One named column: float64 values (NaN missing), or codes into
-    ``vocabulary`` (-1 missing). The vocabulary is sorted and may hold
-    categories that no row uses."""
+    """One named column: float64 values (NaN missing), or an object array of
+    each cell's ``str`` (None missing)."""
 
     name: str
     kind: ColumnKind
     values: np.ndarray
-    vocabulary: tuple[str, ...] = ()
 
     def __post_init__(self):
         numeric = self.kind is ColumnKind.NUMERIC
-        values = np.ascontiguousarray(self.values, dtype=np.float64 if numeric else np.int64)
+        values = np.ascontiguousarray(self.values, dtype=np.float64 if numeric else object)
         object.__setattr__(self, "values", values)
         if numeric and np.isinf(values).any():
             bad = float(values[np.isinf(values)][0])
             raise DataError(f"numeric column {self.name!r} contains non-finite cell {bad!r}")
-        if not numeric and values.size:
-            if not -1 <= values.min() <= values.max() < len(self.vocabulary):
-                raise DataError(f"categorical column {self.name!r} has out-of-range codes")
 
     @property
     def missing(self) -> np.ndarray:
         """Boolean mask of the missing cells."""
         if self.kind is ColumnKind.NUMERIC:
             return np.isnan(self.values)
-        return self.values < 0
+        return self.values == None  # noqa: E711 (elementwise)
 
     def cell(self, i: int):
         """Row ``i`` as a Python float or string, None when missing."""
         v = self.values[i]
         if self.kind is ColumnKind.NUMERIC:
             return None if math.isnan(v) else float(v)
-        return self.vocabulary[v] if v >= 0 else None
-
-    def strings(self) -> list:
-        """Each cell of a Categorical column as text, None where missing."""
-        return np.array([*self.vocabulary, None], dtype=object)[self.values].tolist()
+        return v
 
 
 @dataclass(frozen=True)
@@ -164,8 +155,8 @@ def _pack(fields: Sequence[str]):
 def _column(name: str, packs: list, categorical: bool) -> Column:
     """One column from its chunks' packed text, in file order: Numeric when
     ``categorical`` is false and every chunk parses as numbers, otherwise
-    coded against the sorted vocabulary of all its chunks. No more than one
-    chunk is unpacked at a time."""
+    text, in which equal cells share one ``str``. No more than one chunk is
+    unpacked at a time."""
 
     def chunks():
         return (p.split("\0") if isinstance(p, str) else p for p in packs)
@@ -174,18 +165,10 @@ def _column(name: str, packs: list, categorical: bool) -> Column:
         parsed = list(itertools.takewhile(lambda v: v is not None, map(_parse_numeric, chunks())))
         if len(parsed) == len(packs):
             return Column(name, ColumnKind.NUMERIC, np.concatenate([np.empty(0), *parsed]))
-        del parsed  # a field is text: the numbers go before the text is coded
-    present = set()
-    for fields in chunks():
-        present.update(fields)
-    present.difference_update(MISSING_TOKENS)
-    vocabulary = tuple(sorted(present))
-    del present  # the set's table goes before the code dict is built
-    code = {v: k for k, v in enumerate(vocabulary)}
-    code.update(dict.fromkeys(MISSING_TOKENS, -1))
-    codes = [np.fromiter(map(code.__getitem__, f), np.int64, len(f)) for f in chunks()]
-    codes = np.concatenate([np.empty(0, dtype=np.int64), *codes])
-    return Column(name, ColumnKind.CATEGORICAL, codes, vocabulary)
+        del parsed  # a field is text: the numbers go before the text is kept
+    pool = dict.fromkeys(MISSING_TOKENS)  # each text's first str; None for a missing token
+    cells = [np.fromiter(map(pool.setdefault, f, f), object, len(f)) for f in chunks()]
+    return Column(name, ColumnKind.CATEGORICAL, np.concatenate([np.empty(0, object), *cells]))
 
 
 def read_csv(path: str | os.PathLike, categorical: Sequence[str] = ()) -> Table:
@@ -239,15 +222,15 @@ def read_csv(path: str | os.PathLike, categorical: Sequence[str] = ()) -> Table:
     return Table(tuple(columns), name=stem)
 
 
+def lookup(column: Column, codes: dict, default: int) -> np.ndarray:
+    """Each cell of ``column`` as its int in ``codes``, ``default`` where it has none."""
+    cells = map(codes.get, column.values, itertools.repeat(default))
+    return np.fromiter(cells, np.int64, len(column.values))
+
+
 def select_columns(table: Table, names: Sequence[str]) -> Table:
     """Project onto ``names``, preserving row order and the requested order."""
     return Table(tuple(table.column(n) for n in names), table.name)
-
-
-def recode(codes: np.ndarray, vocabulary: Sequence, target: Sequence) -> np.ndarray:
-    """Codes into ``vocabulary`` as codes into ``target``; -1 if missing or absent."""
-    position = {v: k for k, v in enumerate(target)}
-    return np.array([position.get(v, -1) for v in vocabulary] + [-1], dtype=np.int64)[codes]
 
 
 def _per_key_statistics(keys, values, n_keys, statistics):
@@ -313,10 +296,15 @@ def aggregate_merge(base: Table, aux: Table, spec: AggregationSpec) -> Table:
             raise SchemaError(f"aux value column {name!r} is not numeric")
         value_cols.append(col)
 
-    # Each aux row's group is the index of its key in the base vocabulary;
-    # the last slot is for base rows whose key matches no group.
-    group = recode(aux_key.values, aux_key.vocabulary, base_key.vocabulary)
-    n_keys = len(base_key.vocabulary) + 1
+    # Slot k is the k-th distinct present base key, in row order. Base rows
+    # whose key is missing take the last slot, which no aux row fills; an aux
+    # row whose key is missing or matches no base key takes -1.
+    slot = dict.fromkeys(base_key.values)
+    slot.pop(None, None)
+    slot.update(zip(slot, itertools.count()))  # sets values only: no second dict
+    n_keys = len(slot) + 1
+    group, base_group = lookup(aux_key, slot, -1), lookup(base_key, slot, n_keys - 1)
+    del slot
 
     new_columns = []
     for col in value_cols:
@@ -326,6 +314,6 @@ def aggregate_merge(base: Table, aux: Table, spec: AggregationSpec) -> Table:
             new_name = f"{prefix}_{col.name}_{stat.name}"
             if base.has_column(new_name):
                 raise SchemaError(f"merged column {new_name!r} already exists")
-            new_columns.append(Column(new_name, ColumnKind.NUMERIC, values[base_key.values]))
+            new_columns.append(Column(new_name, ColumnKind.NUMERIC, values[base_group]))
 
     return base.with_columns(new_columns)

@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, deterministic JSON IO.
+"""Small shared helpers: seed derivation, deterministic JSON IO, float sums.
 
 Seeds are hashed with CPython's own SHA-256 module, not ``hashlib``:
 importing ``hashlib`` loads OpenSSL's libcrypto, about 3.6 MiB of resident
@@ -8,7 +8,9 @@ same.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import os
 from typing import Any
 
@@ -30,6 +32,12 @@ def stage_seed(seed: int, stage: str) -> int:
     """
     digest = sha256(f"{seed}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def left_sum(values) -> float:
+    """Floats added left to right from 0.0, bit for bit Python 3.11's ``sum()``
+    (3.12+ compensates its float sums, and numpy sums pairwise)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def dump_json(doc: Any, path: str | os.PathLike) -> None:

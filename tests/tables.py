@@ -2,8 +2,6 @@
 
 import math
 
-import numpy as np
-
 from riskforge.tabular import Column, ColumnKind, Table
 
 
@@ -13,13 +11,9 @@ def num_col(name, values):
 
 
 def cat_col(name, values, missing=(None,)):
-    """A Categorical column from strings, with the cells in ``missing`` missing:
-    codes into the sorted set of the other cells, made without ``read_csv``."""
-    values = list(values)
-    vocabulary = tuple(sorted(set(values).difference(missing)))
-    code = {cell: k for k, cell in enumerate(vocabulary)} | dict.fromkeys(missing, -1)
-    codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-    return Column(name, ColumnKind.CATEGORICAL, codes, vocabulary)
+    """A Categorical column from strings, with the cells in ``missing`` missing,
+    made without ``read_csv``."""
+    return Column(name, ColumnKind.CATEGORICAL, [None if v in missing else v for v in values])
 
 
 def table(*cols, name=""):
@@ -30,4 +24,4 @@ def cells(column):
     """The column's cells as a tuple of floats or strings, None for missing."""
     if column.kind is ColumnKind.NUMERIC:
         return tuple(None if math.isnan(v) else v for v in column.values.tolist())
-    return tuple(None if k < 0 else column.vocabulary[k] for k in column.values.tolist())
+    return tuple(column.values.tolist())

@@ -678,7 +678,13 @@ class TestCorruptCells:
              "application_train.csv: row 2: label 'target' must be 0 or 1, got '2'"),
             ("application_test.csv", _repeat_first_id, 2,
              "application_test.csv: row 3: duplicate applicant id"),
-            ("bureau.csv", _set_cell("amt_credit_sum", "lots"), 2, "'amt_credit_sum'"),
+            ("bureau.csv", _set_cell("amt_credit_sum", "lots"), 2,
+             "error: {corpus}/bureau.csv: aux value column 'amt_credit_sum' is not numeric"),
+            ("bureau.csv", _rename_column("amt_credit_sum", "nope"), 2,
+             "error: {corpus}/bureau.csv: unknown column 'amt_credit_sum'"),
+            ("application_test.csv", _set_cell("days_birth", "x"), 2,
+             "error: {corpus}/application_test.csv: "
+             "recipe 'AGE_YEARS' input 'days_birth' is not numeric"),
             ("application_train.csv", _set_cell("amt_income_total", "1e308"), 2,
              "'amt_income_total'"),
             ("application_train.csv", _rename_column("applicant_id", "id"), 2,
@@ -691,16 +697,19 @@ class TestCorruptCells:
         ids=[
             "text-in-numeric-test", "text-in-numeric-train", "blank-numeric",
             "na-numeric", "ragged-row", "blank-target", "target-2", "duplicate-id",
-            "text-in-bureau-value", "huge-numeric-train", "no-id-column", "no-label-column",
-            "long-field",
+            "text-in-bureau-value", "no-bureau-value-column", "text-in-recipe-input-test",
+            "huge-numeric-train", "no-id-column", "no-label-column", "long-field",
         ],
     )
     def test_prepare_exit_code(self, workdir, tmp_path, capsys, name, edit, code, needle):
+        """A needle that starts with ``error: `` is the whole line."""
         p = _edited_config(workdir, tmp_path, {name: edit})
         capsys.readouterr()
         assert main(["prepare", "--config", str(p)]) == code
         lines = _assert_clean_exit(code, capsys.readouterr().err)
-        if code == 2:
+        if code == 2 and needle.startswith("error: "):
+            assert lines[0] == needle.format(corpus=tmp_path / "corpus")
+        elif code == 2:
             assert needle in lines[0]
 
     def test_non_utf8_byte_exits_2(self, workdir, tmp_path, capsys):
@@ -758,17 +767,57 @@ class TestHeaderOnlyInputs:
         [
             ("bureau.csv",
              "column 'bureau_amt_credit_sum_MEAN' has no non-missing values to fit"),
-            ("application_test.csv",
-             "table schema does not match the fitted pipeline: "
-             "column 'housing_type' is numeric, fitted as categorical"),
+            ("application_test.csv", "{corpus}/application_test.csv: no applicant rows"),
+            ("application_train.csv", "{corpus}/application_train.csv: no applicant rows"),
         ],
-        ids=["bureau", "application-test"],
+        ids=["bureau", "application-test", "application-train"],
     )
     def test_prepare_exits_2(self, workdir, tmp_path, capsys, name, message):
         p = _edited_config(workdir, tmp_path, {name: _keep_header})
         capsys.readouterr()
         code = main(["prepare", "--config", str(p)])
+        message = message.format(corpus=tmp_path / "corpus")
         assert _assert_clean_exit(code, capsys.readouterr().err) == [f"error: {message}"]
+
+
+def _set_column(column, first, rest):
+    """Every cell of ``column`` set to ``rest``, but the first row's to ``first``."""
+    def edit(rows):
+        j = rows[0].index(column)
+        for k, row in enumerate(rows[1:]):
+            row[j] = rest if k else first
+    return edit
+
+
+def test_test_split_without_a_categorical_cell(workdir, tmp_path):
+    """A test split with no housing_type cell keeps it a text column: each
+    row takes the indicator of the train mode."""
+    p = _edited_config(
+        workdir, tmp_path, {"application_test.csv": _set_column("housing_type", "", "")}
+    )
+    assert main(["prepare", "--config", str(p)]) == 0
+    prepared = tmp_path / "out" / "prepared"
+    mode = load_json(prepared / "pipeline.json")["imputer"]["modes"]["housing_type"]
+    names, matrix = read_matrix_csv(str(prepared / "test_features.csv"))
+    housing = [j for j, name in enumerate(names) if name.startswith("housing_type=")]
+    want = np.array([name == f"housing_type={mode}" for name in names])[housing]
+    assert len(housing) > 1 and want.sum() == 1
+    assert len(matrix) > 1 and (matrix[:, housing] == want).all()
+
+
+def test_test_split_with_only_a_number_in_a_categorical_column(workdir, tmp_path, capsys):
+    """A present cell keeps its column's kind: one number among blanks makes
+    housing_type numeric in the test split, as one text cell in a numeric
+    train column makes it text, and prepare exits 2 as before."""
+    p = _edited_config(
+        workdir, tmp_path, {"application_test.csv": _set_column("housing_type", "1", "")}
+    )
+    capsys.readouterr()
+    code = main(["prepare", "--config", str(p)])
+    assert _assert_clean_exit(code, capsys.readouterr().err) == [
+        "error: table schema does not match the fitted pipeline: "
+        "column 'housing_type' is numeric, fitted as categorical"
+    ]
 
 
 def _edit_json(edit):

@@ -161,6 +161,15 @@ class TestValidation:
             )
 
 
+def _added_in_order(values):
+    """Floats added left to right from 0.0 in a plain loop (``sum()`` of
+    floats is compensated on Python 3.12+)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def per_row_reference(probs, amounts, labels, cfg):
     """The portfolio as scored before: one full assess() per row, then sums."""
     assessments = [assess(float(p), a, 12, cfg) for p, a in zip(probs, amounts)]
@@ -168,8 +177,10 @@ def per_row_reference(probs, amounts, labels, cfg):
     return PortfolioImpact(
         approved_count=len(approved),
         approved_defaults=sum(int(y) for _, y in approved),
-        total_approved_principal=float(sum(a.loan_amount for a, _ in approved)),
-        expected_loss=float(sum(a.probability_of_default * a.loan_amount for a, _ in approved)),
+        total_approved_principal=_added_in_order(a.loan_amount for a, _ in approved),
+        expected_loss=_added_in_order(
+            a.probability_of_default * a.loan_amount for a, _ in approved
+        ),
     )
 
 
@@ -227,6 +238,15 @@ class TestPortfolio:
                 got = portfolio_impact(probs, amounts, labels, cfg)
                 want = per_row_reference(probs, amounts.tolist(), labels, cfg)
                 assert repr(got) == repr(want)
+
+    def test_sums_add_left_to_right(self):
+        """1e16 + 1.0 rounds back to 1e16, so the two 1.0 amounts are lost;
+        a compensated sum, as Python 3.12's ``sum()``, gives 1e16 + 2."""
+        amounts = [1e16, 1.0, 1.0]
+        impact = portfolio_impact([0.05] * 3, amounts, [0, 0, 0], CFG)
+        assert impact.approved_count == 3
+        assert impact.total_approved_principal == 1e16
+        assert impact.expected_loss == _added_in_order(0.05 * a for a in amounts)
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.01, 1.5])
     def test_probability_outside_unit_interval_rejected(self, bad):

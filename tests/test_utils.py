@@ -41,3 +41,14 @@ def test_stage_seed_equals_hashlib_derivation(monkeypatch, blocked, sources):
     for seed in SEEDS:
         for stage in STAGES:
             assert utils.stage_seed(seed, stage) == _hashlib_seed(seed, stage)
+
+
+@pytest.mark.parametrize(
+    "values, total",
+    [([1e16, 1.0, 1.0], 1e16), ([], 0.0), ([-0.0], 0.0), ([0.1] * 10, 0.9999999999999999)],
+    ids=["absorbed", "empty", "negative-zero", "tenths"],
+)
+def test_left_sum_adds_left_to_right_from_zero(values, total):
+    """Python 3.11's ``sum()``: a compensated sum gives 1e16 + 2 and 1.0, and
+    ``np.cumsum(values)[-1]`` keeps the sign of ``[-0.0]``."""
+    assert repr(riskforge.utils.left_sum(values)) == repr(total)
